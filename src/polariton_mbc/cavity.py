@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dielectric import MediumParams, group_velocity, refractive_index, in_stop_band
+from .dielectric import MediumParams, _refractive_index, _unwrap, group_velocity
+from .dielectric import refractive_index
 from .errors import PeakExtractionError, ResonanceScanError, StopBandError
 from .hopfield import Branch
 from .tables import SweepTable
@@ -77,10 +78,6 @@ class Resonance:
     mode_index: int
 
 
-def _index(omega, cfg: CavityConfig):
-    return refractive_index(omega, cfg.medium)
-
-
 def intracavity_transfer(omega, cfg: CavityConfig):
     """Intracavity amplitude per unit incoming amplitude.
 
@@ -89,13 +86,11 @@ def intracavity_transfer(omega, cfg: CavityConfig):
     |T| peaks at the resonances. If n is non-finite (gamma = 0 exactly
     at the pole) the non-finite sentinel propagates to the result.
     """
-    n = np.asarray(_index(omega, cfg))
+    n = np.asarray(refractive_index(omega, cfg.medium))
     kl = n * np.asarray(omega, dtype=complex) * cfg.length
     den = (1.0 - 1j * cfg.lambda_mirror) * np.sin(kl) + 1j * n * np.cos(kl)
     t = 2.0 / den
-    if t.ndim == 0:
-        return complex(t)
-    return t
+    return _unwrap(t, complex)
 
 
 def reflection(omega, cfg: CavityConfig):
@@ -107,12 +102,10 @@ def reflection(omega, cfg: CavityConfig):
     all the energy. Absorption (gamma > 0, beta4pi > 0) pulls |r|
     below 1 near the excitation resonance.
     """
-    n = np.asarray(_index(omega, cfg))
+    n = np.asarray(refractive_index(omega, cfg.medium))
     kl = n * np.asarray(omega, dtype=complex) * cfg.length
     r = intracavity_transfer(omega, cfg) * np.sin(kl) - 1.0
-    if np.ndim(r) == 0:
-        return complex(r)
-    return r
+    return _unwrap(r, complex)
 
 
 def tuned_length(lambda_mirror: float, medium: MediumParams) -> float:
@@ -126,11 +119,11 @@ def tuned_length(lambda_mirror: float, medium: MediumParams) -> float:
     return (math.pi + math.atan(1.0 / lambda_mirror)) / medium.omega_t
 
 
-def kappa_mbc(omega: float, cfg: CavityConfig) -> float:
+def kappa_mbc(omega, cfg: CavityConfig):
     """Boundary-condition dissipation rate 2 n v_g / (Lambda**2 L), gamma = 0.
 
-    Raises StopBandError (propagated from group_velocity) inside the
-    stop band.
+    Takes a scalar or an array omega. Raises StopBandError (propagated
+    from group_velocity) if any omega lies in the stop band.
     """
     p = cfg.medium.lossless()
     n = refractive_index(omega, p).real
@@ -157,32 +150,38 @@ def lorentzian_prefactor(omega: float, cfg: CavityConfig) -> float:
     return math.sqrt(2.0 * vg / (n * cfg.length))
 
 
-def _resonance_function(cfg: CavityConfig):
-    """f(W) = tan(n W L) - n/Lambda on the gamma = 0 transparent windows."""
-    p = cfg.medium.lossless()
-    L, lam = cfg.length, cfg.lambda_mirror
+def _resonance_function(length: float, lambda_mirror: float, omega_t: float, beta4pi):
+    """f(W) = tan(n W L) - n/Lambda at gamma = 0; beta4pi may be an array."""
 
     def f(w):
-        n = np.asarray(refractive_index(w, p)).real
-        return np.tan(n * np.asarray(w, dtype=float) * L) - n / lam
+        n = _refractive_index(w, omega_t, beta4pi, 0.0).real
+        return np.tan(n * w * length) - n / lambda_mirror
 
     return f
 
 
-def _bisect_root(f, a: float, b: float, tol: float):
+def _bisect(f, a, b, tol: float):
+    """Bisect an elementwise f on every bracket [a, b] at once.
+
+    Per element: halve until narrower than tol with |f| < 1e-9 at an end,
+    or until the midpoint no longer splits it; return the end with the
+    smaller |f|. Finished elements stay frozen, so each root is the one a
+    scalar loop on its own bracket returns.
+    """
     fa, fb = f(a), f(b)
+    live = np.ones(np.shape(a), dtype=bool)
     for _ in range(120):
         mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:  # interval at floating-point resolution
+        live &= (mid > a) & (mid < b)  # else at floating-point resolution
+        if not live.any():
             break
         fm = f(mid)
-        if fa * fm <= 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-        if b - a < tol and min(abs(fa), abs(fb)) < 1e-9:
-            break
-    return (a, b) if abs(fa) <= abs(fb) else (b, a)
+        left = fa * fm <= 0.0
+        to_b, to_a = live & left, live & ~left
+        b, fb = np.where(to_b, mid, b), np.where(to_b, fm, fb)
+        a, fa = np.where(to_a, mid, a), np.where(to_a, fm, fa)
+        live &= ~((b - a < tol) & (np.minimum(np.abs(fa), np.abs(fb)) < 1e-9))
+    return np.where(np.abs(fa) <= np.abs(fb), a, b)
 
 
 def _transparent_legs(lo: float, hi: float, p: MediumParams):
@@ -208,15 +207,16 @@ def find_resonances(
     """All resolvable roots of tan(n W L) = n/Lambda in omega_range, ascending.
 
     Sign-change scan over `subintervals` cells per transparent leg, then
-    bisection to |dW| < 1e-12 * omega_t. Cells that bracket a pole of
-    tan instead of a root are rejected by the residual magnitude test.
-    The stop band is skipped automatically when the range straddles it.
+    all crossing cells of the leg are bisected together to |dW| < 1e-12
+    * omega_t, and their rates come from one kappa_mbc call. Cells that
+    bracket a pole of tan instead of a root are rejected by the residual
+    magnitude test. The stop band is skipped when the range straddles it.
 
-    Scanning stops once `max_count` roots are collected. Within a leg
-    the mode indices of consecutive roots must be consecutive integers;
-    a gap means two crossings shared one scan cell and raises
-    ResonanceScanError (raise `subintervals`, shrink the window, or use
-    `max_count` to stop before the unresolvable region).
+    At most `max_count` roots are returned, and none past them is
+    checked. Within a leg the mode indices of consecutive roots must be
+    consecutive integers; a gap means two crossings shared one scan cell
+    and raises ResonanceScanError (raise `subintervals`, shrink the
+    window, or use `max_count` to stop before the unresolvable region).
     """
     lo, hi = omega_range
     if not (lo < hi):
@@ -230,44 +230,40 @@ def find_resonances(
             f"range [{lo:g}, {hi:g}] lies inside the stop band {p.stop_band()}"
         )
 
-    f = _resonance_function(cfg)
-    tol = 1e-12 * p.omega_t
+    f = _resonance_function(cfg.length, cfg.lambda_mirror, p.omega_t, p.beta4pi)
     found: list[Resonance] = []
     for leg_lo, leg_hi in legs:
         grid = np.linspace(leg_lo, leg_hi, subintervals + 1)
-        fg = f(grid)
-        sign = np.sign(fg)
+        sign = np.sign(f(grid))
         # a grid point landing exactly on a root gives sign 0 and would
-        # hide the crossing from the product test; claim the cell for it
+        # hide the crossing from the product test; the cell it starts
+        # claims it, and the last cell also claims its right end
         hits = sign == 0.0
-        crossings = (sign[:-1] * sign[1:] < 0.0) | hits[:-1] | hits[1:]
-        last_m = None
-        for i in np.nonzero(crossings)[0]:
-            if hits[i]:
-                root = float(grid[i])
-            elif hits[i + 1]:
-                if i + 1 < len(grid) - 1:
-                    continue  # the next cell claims this exact hit
-                root = float(grid[i + 1])
-            else:
-                root, _ = _bisect_root(f, float(grid[i]), float(grid[i + 1]), tol)
-            resid = abs(float(f(root)))
-            if resid >= 1e-9:
-                continue  # a pole of tan, not a root
-            n = refractive_index(root, p).real
-            m = int(math.floor(n * root * cfg.length / math.pi))
-            if last_m is not None and m != last_m + 1:
-                raise ResonanceScanError(
-                    f"roots skipped between mode {last_m} and mode {m} near "
-                    f"omega = {root:g}: scan resolution insufficient"
-                )
-            last_m = m
-            branch = Branch.BARE
-            if p.beta4pi > 0.0:
-                branch = Branch.LOWER if root < p.omega_t else Branch.UPPER
-            found.append(Resonance(root, kappa_mbc(root, cfg), branch, m))
-            if max_count is not None and len(found) >= max_count:
-                return found
+        crossing = (sign[:-1] * sign[1:] < 0.0) | hits[:-1]
+        crossing[-1:] |= hits[-1:]
+        cells = np.flatnonzero(crossing)
+        a, b = grid[cells], grid[cells + 1]
+        roots = _bisect(f, a, b, 1e-12 * p.omega_t)
+        roots = np.where(hits[cells], a, np.where(hits[cells + 1], b, roots))
+        roots = roots[np.abs(f(roots)) < 1e-9]  # the rest bracket poles of tan
+        if max_count is not None:
+            roots = roots[: max(max_count - len(found), 0)]
+        n = _refractive_index(roots, p.omega_t, p.beta4pi, 0.0).real
+        modes = np.floor(n * roots * cfg.length / math.pi).astype(int)
+        gaps = np.flatnonzero(np.diff(modes) != 1)
+        if gaps.size:
+            j = gaps[0] + 1
+            raise ResonanceScanError(
+                f"roots skipped between mode {modes[j - 1]} and mode {modes[j]} near "
+                f"omega = {roots[j]:g}: scan resolution insufficient"
+            )
+        branch = Branch.BARE
+        if p.beta4pi > 0.0:
+            branch = Branch.LOWER if leg_hi < p.omega_t else Branch.UPPER
+        for root, kappa, m in zip(roots, kappa_mbc(roots, cfg), modes):
+            found.append(Resonance(float(root), float(kappa), branch, int(m)))
+        if max_count is not None and len(found) >= max_count:
+            return found
     return found
 
 

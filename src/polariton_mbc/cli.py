@@ -16,14 +16,17 @@ import sys
 import numpy as np
 
 from .cavity import (
+    CavityConfig,
     intracavity_transfer,
     find_resonances,
     kappa_bare,
     kappa_mbc,
     reflection,
+    tuned_length,
 )
 from .config import RunConfig, load_config
-from .dielectric import bulk_dispersion, group_velocity, in_stop_band, refractive_index
+from .dielectric import MediumParams, bulk_dispersion, group_velocity, in_stop_band
+from .dielectric import refractive_index
 from .errors import ConfigError, PolaritonError, ToleranceError
 from .fluct import mode_commutators, solve_omega_q
 from .greens import delta_jump, green_coefficients, green_function, ode_residual
@@ -201,7 +204,11 @@ def cmd_kappa_sweep(cfg: RunConfig) -> None:
 def cmd_figure2(cfg: RunConfig) -> None:
     """Both dissipation-rate prescriptions over a coupling sweep (two files)."""
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
-    table = figure2_sweep(list(grid), cfg.lambda_mirror, cfg.kappa0_over_wt)
+    lam, k0 = cfg.lambda_mirror, cfg.kappa0_over_wt
+    if k0 is None:  # figure2_sweep's default: the tuned empty cavity at omega_t = 1
+        bare = MediumParams()
+        k0 = kappa_bare(CavityConfig(tuned_length(lam, bare), lam, bare))
+    table = figure2_sweep(list(grid), lam, k0)
     axis = table.column("rabi_over_wt")
     freq_cols = ["omega_L_mbc", "omega_U_mbc", "omega_L_disc", "omega_U_disc"]
     rate_cols = ["kappa_L_mbc", "kappa_U_mbc", "kappa_L_rwa", "kappa_U_rwa"]
@@ -227,10 +234,6 @@ def cmd_figure2(cfg: RunConfig) -> None:
             xlabel="rabi / omega_t",
             ylabel="frequency (omega_t)",
         )
-        k0 = cfg.kappa0_over_wt
-        if k0 is None:
-            lam = cfg.lambda_mirror
-            k0 = 2.0 / (lam * lam * (np.pi + np.arctan(1.0 / lam)))
         write_svg(
             _csv_path(cfg, "fig2_rates.svg"),
             [
@@ -249,11 +252,17 @@ def cmd_figure2(cfg: RunConfig) -> None:
 def _random_transparent(rng, cfg: RunConfig, count: int) -> np.ndarray:
     """Random frequencies in the sweep window, outside the stop band."""
     med = cfg.medium
+    margin = 1e-6 * med.omega_t
+    lo, hi = med.stop_band()
+    start, stop = cfg.sweep_start, cfg.sweep_stop
+    if med.beta4pi > 0.0 and lo - margin <= start and stop <= hi + margin:
+        raise ConfigError(
+            f"greens-check window [{start:g}, {stop:g}] lies inside the stop band "
+            f"[{lo:g}, {hi:g}] widened by {margin:g}: nothing to draw"
+        )
     out: list[float] = []
     while len(out) < count:
-        draw = rng.uniform(cfg.sweep_start, cfg.sweep_stop, size=count)
-        margin = 1e-6 * med.omega_t
-        lo, hi = med.stop_band()
+        draw = rng.uniform(start, stop, size=count)
         keep = draw[(draw < lo - margin) | (draw > hi + margin)]
         if med.beta4pi == 0.0:
             keep = draw

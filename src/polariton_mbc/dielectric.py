@@ -77,6 +77,52 @@ class MediumParams:
         return MediumParams(self.omega_t, self.beta4pi, 0.0)
 
 
+def _unwrap(x, kind):
+    """x as a Python `kind` (complex, float, bool) if it is 0-d, else as is."""
+    return kind(x) if x.ndim == 0 else x
+
+
+def _epsilon(omega, omega_t, beta4pi, gamma):
+    """The one Lorentz eps(omega); broadcasts over omega and an array of beta4pi."""
+    z = np.asarray(omega, dtype=complex) + 1j * gamma
+    wt2 = omega_t * omega_t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = 1.0 + beta4pi * wt2 / (wt2 - z * z)
+    # no oscillator: eps is 1 everywhere, including at omega_t where the
+    # formula evaluates 0 * inf; np.where only for an array of couplings,
+    # as it triples the cost of a scalar call and adds a full-size copy
+    if isinstance(beta4pi, np.ndarray):
+        return np.where(beta4pi == 0.0, 1.0 + 0.0j, eps)
+    return np.ones_like(z) if beta4pi == 0.0 else eps
+
+
+def _refractive_index(omega, omega_t, beta4pi, gamma):
+    """refractive_index as an array, broadcast over omega and beta4pi."""
+    n = np.sqrt(_epsilon(omega, omega_t, beta4pi, gamma))
+    return np.where(n.imag < 0.0, -n, n)
+
+
+def _group_velocity(omega, omega_t, beta4pi):
+    """group_velocity as an array, broadcast over omega and beta4pi; no checks."""
+    w = np.asarray(omega, dtype=float)
+    u = (w / omega_t) ** 2
+    n = _refractive_index(w, omega_t, beta4pi, 0.0).real
+    with np.errstate(invalid="ignore"):
+        vg = n * (u - 1.0) ** 2 / ((u - 1.0) ** 2 + beta4pi)
+    # vacuum: 1, also at omega_t where the closed form is 0/0
+    if isinstance(beta4pi, np.ndarray):
+        return np.where(beta4pi == 0.0, 1.0, vg)
+    return np.ones_like(w) if beta4pi == 0.0 else vg
+
+
+def _branches(k, omega_t, omega_longitudinal):
+    """bulk_dispersion broadcast over k and omega_longitudinal; no checks."""
+    wt2 = omega_t * omega_t
+    s = k * k + omega_longitudinal ** 2
+    big = s + np.sqrt(s * s - 4.0 * k * k * wt2)
+    return math.sqrt(2.0) * k * omega_t / np.sqrt(big), np.sqrt(0.5 * big)
+
+
 def epsilon(omega, p: MediumParams):
     """Complex dielectric function of the medium.
 
@@ -86,18 +132,7 @@ def epsilon(omega, p: MediumParams):
     omega = omega_t) returns a non-finite value (the inf sentinel);
     callers that can reach the pole must check np.isfinite.
     """
-    z = np.asarray(omega, dtype=complex) + 1j * p.gamma
-    if p.beta4pi == 0.0:
-        # no oscillator: eps is 1 everywhere, including at omega_t where
-        # the formula below would evaluate 0 * inf
-        eps = np.ones_like(z)
-    else:
-        wt2 = p.omega_t * p.omega_t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            eps = 1.0 + p.beta4pi * wt2 / (wt2 - z * z)
-    if eps.ndim == 0:
-        return complex(eps)
-    return eps
+    return _unwrap(_epsilon(omega, p.omega_t, p.beta4pi, p.gamma), complex)
 
 
 def refractive_index(omega, p: MediumParams):
@@ -107,19 +142,13 @@ def refractive_index(omega, p: MediumParams):
     the real part is taken >= 0. In the stop band at gamma = 0 the
     result is purely imaginary.
     """
-    n = np.sqrt(np.asarray(epsilon(omega, p), dtype=complex))
-    n = np.where(n.imag < 0.0, -n, n)
-    if n.ndim == 0:
-        return complex(n)
-    return n
+    return _unwrap(_refractive_index(omega, p.omega_t, p.beta4pi, p.gamma), complex)
 
 
 def wavenumber(omega, p: MediumParams):
     """Medium wavenumber k = n(omega) * omega (c = 1)."""
     k = np.asarray(refractive_index(omega, p)) * np.asarray(omega, dtype=complex)
-    if k.ndim == 0:
-        return complex(k)
-    return k
+    return _unwrap(k, complex)
 
 
 def in_stop_band(omega, p: MediumParams):
@@ -133,9 +162,7 @@ def in_stop_band(omega, p: MediumParams):
         return np.zeros(np.shape(omega), dtype=bool) if np.ndim(omega) else False
     w = np.asarray(omega, dtype=float)
     inside = (w >= p.omega_t) & (w <= p.omega_longitudinal)
-    if inside.ndim == 0:
-        return bool(inside)
-    return inside
+    return _unwrap(inside, bool)
 
 
 def group_velocity(omega, p: MediumParams):
@@ -161,15 +188,7 @@ def group_velocity(omega, p: MediumParams):
         raise StopBandError(
             f"omega inside the stop band [{lo:g}, {hi:g}]: no propagating mode"
         )
-    if p.beta4pi == 0.0:
-        # vacuum: avoids the 0/0 of the closed form at omega = omega_t
-        return np.ones_like(w) if w.ndim else 1.0
-    u = (w / p.omega_t) ** 2
-    n = np.asarray(refractive_index(w, p.lossless())).real
-    vg = n * (u - 1.0) ** 2 / ((u - 1.0) ** 2 + p.beta4pi)
-    if vg.ndim == 0:
-        return float(vg)
-    return vg
+    return _unwrap(_group_velocity(w, p.omega_t, p.beta4pi), float)
 
 
 def bulk_dispersion(k, p: MediumParams):
@@ -187,11 +206,7 @@ def bulk_dispersion(k, p: MediumParams):
     kk = np.asarray(k, dtype=float)
     if np.any(kk < 0.0):
         raise ValueError("wavenumber must be non-negative")
-    wt2 = p.omega_t * p.omega_t
-    s = kk * kk + p.omega_longitudinal ** 2
-    big = s + np.sqrt(s * s - 4.0 * kk * kk * wt2)
-    upper = np.sqrt(0.5 * big)
-    lower = math.sqrt(2.0) * kk * p.omega_t / np.sqrt(big)
+    lower, upper = _branches(kk, p.omega_t, p.omega_longitudinal)
     if upper.ndim == 0:
         return float(lower), float(upper)
     return lower, upper

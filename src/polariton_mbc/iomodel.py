@@ -21,8 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .cavity import CavityConfig, Resonance, find_resonances, tuned_length
-from .dielectric import MediumParams
+from .cavity import (
+    CavityConfig, Resonance, _bisect, _resonance_function, kappa_bare, tuned_length,
+)
+from .dielectric import MediumParams, _branches, _group_velocity, _refractive_index
+from .dielectric import _unwrap
 from .errors import ResonanceScanError
 from .hopfield import BogoliubovProblem, HopfieldMode, diagonalize, photon_weight
 from .tables import SweepTable
@@ -48,9 +51,7 @@ def polariton_response(omega, resonance: Resonance):
     r = 1j * math.sqrt(resonance.kappa) / (
         w - resonance.omega + 0.5j * resonance.kappa
     )
-    if r.ndim == 0:
-        return complex(r)
-    return r
+    return _unwrap(r, complex)
 
 
 def output_amplitude(omega, resonances: Sequence[Resonance]):
@@ -64,9 +65,7 @@ def output_amplitude(omega, resonances: Sequence[Resonance]):
     out = np.full(w.shape, -1.0 + 0.0j)
     for res in resonances:
         out = out + math.sqrt(res.kappa) * polariton_response(w, res)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return _unwrap(out, complex)
 
 
 def kappa_rwa(mode: HopfieldMode, kappa0: float) -> float:
@@ -84,34 +83,7 @@ def kappa_fit(omega, kappa0: float, omega_t: float = 1.0):
     """
     w = np.asarray(omega, dtype=float) / omega_t
     out = kappa0 / (1.0 + w * w)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _tuned_mode_windows(est_l: float, est_u: float, med: MediumParams):
-    # brackets around the expected m = 1 roots on either side of the
-    # stop band, wide enough to tolerate the good-cavity frequency pull
-    lower = (0.5 * est_l, 1.0 - 0.25 * (1.0 - est_l))
-    top = med.omega_longitudinal
-    upper = (top + min(1e-3, 0.5 * (est_u - top)), max(4.0, 1.3 * est_u))
-    return lower, upper
-
-
-def _first_fundamental(cfg: CavityConfig, window, rabi: float) -> Resonance:
-    try:
-        roots = find_resonances(cfg, window)
-    except ResonanceScanError as err:
-        raise ResonanceScanError(
-            f"resonance scan failed at rabi/omega_t = {rabi:g}: {err}"
-        ) from err
-    for res in roots:
-        if res.mode_index == 1:
-            return res
-    raise ResonanceScanError(
-        f"no fundamental resonance in window ({window[0]:g}, {window[1]:g}) "
-        f"at rabi/omega_t = {rabi:g}"
-    )
+    return _unwrap(out, float)
 
 
 def figure2_sweep(
@@ -122,13 +94,22 @@ def figure2_sweep(
     """Polariton frequencies and rates from both routes over a coupling sweep.
 
     For each rabi (in units of omega_t): the medium gets 4*pi*beta =
-    4*rabi^2, the cavity length stays tuned so the empty fundamental
-    sits at omega_t, and the two m = 1 resonances are located on either
-    side of the stop band; their kappa_mbc values fill the *_mbc
-    columns. Independently, the two-mode problem with photon_freq =
-    omega_t is diagonalized for the *_disc frequencies and the
-    |w|^2-rescaled rates. kappa0 defaults to the tuned empty-cavity
-    rate 2/(lambda_mirror^2 * L).
+    4*rabi^2, the cavity length L stays tuned so the empty fundamental
+    sits at omega_t, and the two m = 1 resonances on either side of the
+    stop band give the *_mbc columns. The two-mode problem with
+    photon_freq = omega_t gives the *_disc frequencies and the
+    |w|^2-rescaled rates. kappa0 defaults to kappa_bare of the tuned cavity.
+
+    L does not depend on the coupling, so the m = 1 root of tan(qL) =
+    n/Lambda, q = n(W) W, lies at qL in (pi, 3 pi/2), which the closed
+    form of bulk_dispersion maps to a W bracket on each branch. There
+    dn/dq = 4 pi beta W / ((u - 1)^2 + 4 pi beta) < 1 with u = W^2, while
+    d tan(qL)/dq >= L > pi, so tan(qL) - n/Lambda increases strictly and
+    each bracket holds exactly one root for Lambda >= 5. One lockstep
+    bisection solves all (coupling, branch) brackets with the stopping
+    rule of find_resonances. ResonanceScanError names the first coupling
+    whose bracket has no sign change or whose root misses |f| < 1e-9 or
+    floor(n W L/pi) = 1.
 
     Columns: rabi_over_wt, omega_L_mbc, omega_U_mbc, omega_L_disc,
     omega_U_disc, kappa_L_mbc, kappa_U_mbc, kappa_L_rwa, kappa_U_rwa.
@@ -141,40 +122,38 @@ def figure2_sweep(
     if not lambda_mirror >= 5.0:
         raise ValueError("lambda_mirror must be in the good-cavity regime (>= 5)")
 
-    cols = {
-        name: []
-        for name in (
-            "omega_L_mbc", "omega_U_mbc", "omega_L_disc", "omega_U_disc",
-            "kappa_L_mbc", "kappa_U_mbc", "kappa_L_rwa", "kappa_U_rwa",
+    bare = MediumParams(omega_t=1.0, gamma=0.0)
+    length = tuned_length(lambda_mirror, bare)
+    k_bare = kappa_bare(CavityConfig(length, lambda_mirror, bare))
+    k0 = k_bare if kappa0 is None else kappa0
+
+    b4 = 4.0 * np.square(grid)[:, None]  # (coupling, 1)
+    # qL stops 1e-6 short of the tan pole at 3 pi/2, where rounding loses
+    # the sign of tan; tan there (1e6) still exceeds n/Lambda
+    q_lo, q_hi = math.pi / length, (1.5 * math.pi - 1e-6) / length
+    lo = np.hstack(_branches(q_lo, 1.0, np.sqrt(1.0 + b4)))  # (coupling, branch)
+    hi = np.hstack(_branches(q_hi, 1.0, np.sqrt(1.0 + b4)))
+    f = _resonance_function(length, lambda_mirror, 1.0, b4)
+    w = _bisect(f, lo, hi, 1e-12)
+    n = _refractive_index(w, 1.0, b4, 0.0).real
+    bad = ~(f(lo) * f(hi) < 0.0) | ~(np.abs(f(w)) < 1e-9)
+    bad |= np.floor(n * w * length / math.pi) != 1
+    if bad.any():
+        raise ResonanceScanError(
+            "m = 1 bracket without a sign change, or root with |f| >= 1e-9 or mode "
+            f"index != 1, at rabi/omega_t = {grid[np.flatnonzero(bad.any(axis=1))[0]]:g}"
         )
-    }
-    for rabi in grid:
-        b4 = 4.0 * rabi * rabi
-        med = MediumParams(omega_t=1.0, beta4pi=b4, gamma=0.0)
-        length = tuned_length(lambda_mirror, med)
-        cfg = CavityConfig(length=length, lambda_mirror=lambda_mirror, medium=med)
-        k0 = kappa0 if kappa0 is not None else 2.0 / (lambda_mirror**2 * length)
+    kappa = n * _group_velocity(w, 1.0, b4) * k_bare  # 2 n v_g / (Lambda^2 L)
 
-        # tuned-root estimates from n(W)*W = 1: x^2 - (l+1)x + 1 = 0, x = W^2
-        ell = 1.0 + b4
-        x_hi = 0.5 * ((ell + 1.0) + math.sqrt((ell + 1.0) ** 2 - 4.0))
-        est_u = math.sqrt(x_hi)
-        est_l = 1.0 / est_u
-        win_lo, win_up = _tuned_mode_windows(est_l, est_u, med)
-        res_l = _first_fundamental(cfg, win_lo, rabi)
-        res_u = _first_fundamental(cfg, win_up, rabi)
-
-        mode_l, mode_u = diagonalize(BogoliubovProblem(photon_freq=1.0, rabi=rabi))
-
-        cols["omega_L_mbc"].append(res_l.omega)
-        cols["omega_U_mbc"].append(res_u.omega)
-        cols["omega_L_disc"].append(mode_l.omega)
-        cols["omega_U_disc"].append(mode_u.omega)
-        cols["kappa_L_mbc"].append(res_l.kappa)
-        cols["kappa_U_mbc"].append(res_u.kappa)
-        cols["kappa_L_rwa"].append(kappa_rwa(mode_l, k0))
-        cols["kappa_U_rwa"].append(kappa_rwa(mode_u, k0))
-
-    return SweepTable(
-        [("rabi_over_wt", grid)] + [(name, cols[name]) for name in cols]
-    )
+    modes = [diagonalize(BogoliubovProblem(photon_freq=1.0, rabi=r)) for r in grid]
+    return SweepTable([
+        ("rabi_over_wt", grid),
+        ("omega_L_mbc", w[:, 0]),
+        ("omega_U_mbc", w[:, 1]),
+        ("omega_L_disc", [low.omega for low, _ in modes]),
+        ("omega_U_disc", [up.omega for _, up in modes]),
+        ("kappa_L_mbc", kappa[:, 0]),
+        ("kappa_U_mbc", kappa[:, 1]),
+        ("kappa_L_rwa", [kappa_rwa(low, k0) for low, _ in modes]),
+        ("kappa_U_rwa", [kappa_rwa(up, k0) for _, up in modes]),
+    ])

@@ -1,19 +1,26 @@
 """Independent reference computations the tests compare against.
 
 Everything here recomputes results along a different route than the
-package: dense eigendecomposition instead of closed forms, and a direct
+package: dense eigendecomposition instead of closed forms, a direct
 two-unknown boundary-value solve instead of the assembled Green
-function. Agreement between the two routes is the point of the tests,
-so nothing in this module may import the formulas it is checking.
+function, and windowed resonance scans instead of the analytic m = 1
+brackets of figure2_sweep. Agreement between the two routes is the
+point of the tests, so nothing in this module may import the formulas
+it is checking.
 """
+
+import math
 
 import numpy as np
 
 from polariton_mbc import (
     BogoliubovProblem,
     CavityConfig,
+    MediumParams,
     bogoliubov_matrix,
+    find_resonances,
     refractive_index,
+    tuned_length,
 )
 
 
@@ -113,3 +120,30 @@ def matched_green(zprime: float, omega: float, cfg: CavityConfig):
         return np.where(z <= 0.0, left, inside)
 
     return green
+
+
+def scanned_fundamentals(rabi: float, lambda_mirror: float):
+    """The two m = 1 resonances of the figure2_sweep cavity, one coupling at a time.
+
+    Scans a window on each side of the stop band with find_resonances
+    (2000 cells, per-cell polish) and keeps the root with mode_index 1.
+    The windows surround the tuned-root estimates from n(W) W = omega_t,
+    x^2 - (2 + 4 pi beta) x + 1 = 0 with x = W^2, wide enough for the
+    good-cavity pull. Returns (lower, upper) Resonance objects.
+    """
+    b4 = 4.0 * rabi * rabi
+    med = MediumParams(omega_t=1.0, beta4pi=b4, gamma=0.0)
+    cfg = CavityConfig(tuned_length(lambda_mirror, med), lambda_mirror, med)
+    est_u = math.sqrt(0.5 * ((2.0 + b4) + math.sqrt((2.0 + b4) ** 2 - 4.0)))
+    est_l = 1.0 / est_u
+    top = med.omega_longitudinal
+    windows = (
+        (0.5 * est_l, 1.0 - 0.25 * (1.0 - est_l)),
+        (top + min(1e-3, 0.5 * (est_u - top)), max(4.0, 1.3 * est_u)),
+    )
+    out = []
+    for window in windows:
+        fundamentals = [r for r in find_resonances(cfg, window) if r.mode_index == 1]
+        assert len(fundamentals) == 1, f"rabi {rabi}, window {window}: {fundamentals}"
+        out.append(fundamentals[0])
+    return tuple(out)

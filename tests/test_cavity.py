@@ -106,6 +106,56 @@ def test_sub_fundamental_mode_exists():
     assert res.omega == pytest.approx(math.atan(1.0 / LAM) / cfg.length, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "beta4pi, length, window, subintervals",
+    [
+        (0.0, None, (0.005, 5.0), 5000),
+        (0.36, None, (0.5, 0.98), 3000),
+        (0.36, None, (1.2, 4.0), 3000),
+        (2.0, None, (0.3, 0.97), 3000),
+        (2.0, None, (1.8, 4.0), 3000),
+        (0.0, 200.0, (0.5, 2.0), 20000),
+        (0.36, 200.0, (1.2, 3.0), 20000),
+        (2.0, 200.0, (0.2, 0.8), 20000),
+    ],
+)
+def test_batched_polish_matches_brentq_on_each_cell(beta4pi, length, window, subintervals):
+    # every root must be the one an independent solver finds in the
+    # scan cell that holds it; the windows lie inside one transparent
+    # leg, so the cells are those of linspace over the window
+    optimize = pytest.importorskip("scipy.optimize")
+    cfg = make_cavity(beta4pi=beta4pi)
+    if length is not None:
+        cfg = CavityConfig(length=length, lambda_mirror=LAM, medium=cfg.medium)
+    found = find_resonances(cfg, window, subintervals=subintervals)
+    assert len(found) >= 2
+
+    def f(w):
+        n = refractive_index(w, cfg.medium).real
+        return math.tan(n * w * cfg.length) - n / cfg.lambda_mirror
+
+    grid = np.linspace(window[0], window[1], subintervals + 1)
+    for res in found:
+        i = int(np.searchsorted(grid, res.omega)) - 1
+        ref = optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-15)
+        assert abs(res.omega - ref) < 1e-12 * cfg.medium.omega_t, (res, ref)
+
+
+def test_exact_grid_hit_is_reported_once():
+    # choose Lambda so that f = tan(w L) - 1/Lambda is exactly 0 at a
+    # grid point; the hit must come back as itself, once, whether it is
+    # the first, an interior or the last point of the scan grid
+    w0 = 0.9613
+    length = tuned_length(LAM, MediumParams())
+    cfg = CavityConfig(length=length, lambda_mirror=1.0 / math.tan(w0 * length),
+                       medium=MediumParams(gamma=0.0))
+    assert math.tan(w0 * length) - 1.0 / cfg.lambda_mirror == 0.0
+    for window in ((w0 - 0.25, w0 + 0.25), (w0, w0 + 0.3), (w0 - 0.3, w0)):
+        assert w0 in np.linspace(window[0], window[1], 5)
+        found = find_resonances(cfg, window, subintervals=4)
+        assert [(r.omega, r.mode_index) for r in found] == [(w0, 1)], window
+
+
 def test_window_validation_and_stop_band():
     cfg = make_cavity(beta4pi=1.0)
     with pytest.raises(ValueError):

@@ -156,6 +156,18 @@ def test_greens_check_passes(tmp_path):
     assert (tmp_path / "greens_check.csv").read_bytes() == payload
 
 
+def test_greens_check_refuses_a_window_inside_the_stop_band(tmp_path):
+    # no transparent frequency to draw: a configuration error up front,
+    # where the rejection sampler used to loop forever
+    code = main([
+        "greens-check", "--out", str(tmp_path),
+        "--set", "medium.beta4pi=0.5",
+        "--set", "sweep.start=1.05", "--set", "sweep.stop=1.1",
+    ])
+    assert code == 1
+    assert not (tmp_path / "greens_check.csv").exists()
+
+
 def test_greens_check_reports_tolerance_failures(tmp_path):
     code = main([
         "greens-check", "--out", str(tmp_path),

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import scanned_fundamentals
 from polariton_mbc import (
     BogoliubovProblem,
     Branch,
     CavityConfig,
     MediumParams,
     Resonance,
+    ResonanceScanError,
     diagonalize,
     figure2_sweep,
     kappa_bare,
@@ -177,3 +179,25 @@ def test_sweep_validation():
         figure2_sweep([0.0, 0.5], 7.822)
     with pytest.raises(ValueError):
         figure2_sweep([0.5], 3.0)
+
+
+@pytest.mark.parametrize("lam", [5.0, 7.822, 50.0, 1e3])
+def test_sweep_matches_per_coupling_scans(lam):
+    # analytic brackets and one batched bisection against a windowed
+    # find_resonances scan per coupling and branch
+    grid = np.linspace(0.01, 2.0, 25)
+    tab = figure2_sweep(grid, lam)
+    for i, rabi in enumerate(grid):
+        lower, upper = scanned_fundamentals(float(rabi), lam)
+        for tag, res in (("L", lower), ("U", upper)):
+            omega = tab.column(f"omega_{tag}_mbc")[i]
+            kappa = tab.column(f"kappa_{tag}_mbc")[i]
+            assert omega == pytest.approx(res.omega, rel=1e-11), (rabi, tag)
+            assert kappa == pytest.approx(res.kappa, rel=1e-10), (rabi, tag)
+
+
+def test_sweep_refuses_a_bracket_without_sign_change():
+    # at rabi = 1e8 the lower-branch index puts n/Lambda above tan at the
+    # top of the q window: the m = 1 root lies outside its bracket
+    with pytest.raises(ResonanceScanError, match=r"rabi/omega_t = 1e\+08"):
+        figure2_sweep([0.5, 1e8], 5.0)
