@@ -250,24 +250,33 @@ def cmd_figure2(cfg: RunConfig) -> None:
 
 
 def _random_transparent(rng, cfg: RunConfig, count: int) -> np.ndarray:
-    """Random frequencies in the sweep window, outside the stop band."""
+    """Random frequencies in the sweep window, outside the stop band.
+
+    Uniform over the transparent part of the window, drawn directly from
+    its one or two sub-intervals in a single call to rng, however thin
+    they are. A window that does not reach the band gets the same draws
+    as rng.uniform(start, stop, count).
+    """
     med = cfg.medium
+    start, stop = cfg.sweep_start, cfg.sweep_stop
+    if med.beta4pi == 0.0:
+        return rng.uniform(start, stop, size=count)
     margin = 1e-6 * med.omega_t
     lo, hi = med.stop_band()
-    start, stop = cfg.sweep_start, cfg.sweep_stop
-    if med.beta4pi > 0.0 and lo - margin <= start and stop <= hi + margin:
+    edge_lo, edge_hi = lo - margin, hi + margin
+    if edge_lo <= start and stop <= edge_hi:
         raise ConfigError(
             f"greens-check window [{start:g}, {stop:g}] lies inside the stop band "
             f"[{lo:g}, {hi:g}] widened by {margin:g}: nothing to draw"
         )
-    out: list[float] = []
-    while len(out) < count:
-        draw = rng.uniform(start, stop, size=count)
-        keep = draw[(draw < lo - margin) | (draw > hi + margin)]
-        if med.beta4pi == 0.0:
-            keep = draw
-        out.extend(float(w) for w in keep)
-    return np.asarray(out[:count])
+    below = max(0.0, min(stop, edge_lo) - start)  # width of [start, edge_lo)
+    upper = max(start, edge_hi)
+    above = max(0.0, stop - upper)  # width of (edge_hi, stop)
+    u = rng.uniform(0.0, below + above, size=count)
+    # rounding can carry a draw onto a band edge; keep it strictly outside
+    low = np.minimum(start + u, np.nextafter(edge_lo, -np.inf))
+    high = np.maximum(upper + (u - below), np.nextafter(edge_hi, np.inf))
+    return np.where(u < below, low, high)
 
 
 def cmd_greens_check(cfg: RunConfig) -> None:

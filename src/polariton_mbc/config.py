@@ -11,7 +11,8 @@ Sections and keys (defaults in parentheses):
 
     [medium]     omega_t (1.0), beta4pi (0.0), gamma (1e-9)
     [cavity]     lambda_mirror (7.822), length (auto = tuned fundamental)
-    [sweep]      start, stop, count (defaults depend on the command)
+    [sweep]      start, stop, count (defaults depend on the command;
+                 count from 2 to 1,000,000)
     [output]     dir (.), svg (false)
     [figure2]    kappa0_over_wt (1e-2; auto = 2 / (lambda^2 L))
     [tolerances] coefficient (1e-12), residual (1e-4)
@@ -22,6 +23,8 @@ frequency window for `resonances`, `spectrum` and `kappa-sweep`, vacuum
 wavenumber for `fluct`, and the random-frequency window for
 `greens-check`. For `resonances` the count is the number of scan
 subintervals; for `greens-check` it is the number of random draws.
+Every command allocates in proportion to the count, so a count above
+MAX_SWEEP_COUNT is a configuration error, raised before any computation.
 """
 
 from __future__ import annotations
@@ -32,7 +35,10 @@ from .cavity import CavityConfig, tuned_length
 from .dielectric import MediumParams
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "load_config", "SWEEP_DEFAULTS"]
+__all__ = ["RunConfig", "load_config", "SWEEP_DEFAULTS", "MAX_SWEEP_COUNT"]
+
+# 10x the largest count any benchmark workload runs (100,000 scan cells)
+MAX_SWEEP_COUNT = 1_000_000
 
 _GLOBAL_DEFAULTS = {
     "medium.omega_t": "1.0",
@@ -239,6 +245,8 @@ def load_config(
         raise ConfigError("sweep.start must be smaller than sweep.stop")
     if sweep_count < 2:
         raise ConfigError("sweep.count must be at least 2")
+    if sweep_count > MAX_SWEEP_COUNT:
+        raise ConfigError(f"sweep.count must be at most {MAX_SWEEP_COUNT:,}")
 
     kappa0 = _as_optional_float(table, "figure2.kappa0_over_wt")
     if kappa0 is not None and not kappa0 > 0:

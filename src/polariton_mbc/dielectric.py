@@ -105,10 +105,14 @@ def _refractive_index(omega, omega_t, beta4pi, gamma):
 def _group_velocity(omega, omega_t, beta4pi):
     """group_velocity as an array, broadcast over omega and beta4pi; no checks."""
     w = np.asarray(omega, dtype=float)
-    u = (w / omega_t) ** 2
+    # squares by multiplication: ** 2 on a numpy scalar goes through pow()
+    # and can differ in the last digit from the same omega inside an array
+    r = w / omega_t
+    d = r * r - 1.0  # u - 1 with u = (omega/omega_t)**2
+    d2 = d * d
     n = _refractive_index(w, omega_t, beta4pi, 0.0).real
     with np.errstate(invalid="ignore"):
-        vg = n * (u - 1.0) ** 2 / ((u - 1.0) ** 2 + beta4pi)
+        vg = n * d2 / (d2 + beta4pi)
     # vacuum: 1, also at omega_t where the closed form is 0/0
     if isinstance(beta4pi, np.ndarray):
         return np.where(beta4pi == 0.0, 1.0, vg)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 __all__ = ["line_plot", "write_svg"]
 
 _DASH = {"solid": None, "dashed": "6,4", "dotted": "2,3"}
@@ -56,8 +58,14 @@ def line_plot(
     for label, xs, ys, _ in series:
         if len(xs) != len(ys):
             raise ValueError(f"series {label!r}: x and y lengths differ")
-    xs_all = [x for _, xs, _, _ in series for x in xs]
-    ys_all = [y for _, _, ys, _ in series for y in ys]
+    curves = [
+        (label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), style)
+        for label, xs, ys, style in series
+    ]
+    # Python min/max over the joined values, not np.min/np.max: a NaN is
+    # ignored unless it comes first, and the plotted ranges depend on that
+    xs_all = np.concatenate([xs for _, xs, _, _ in curves]).tolist()
+    ys_all = np.concatenate([ys for _, _, ys, _ in curves]).tolist()
     if not xs_all:
         raise ValueError("empty series")
     x0, x1 = min(xs_all), max(xs_all)
@@ -73,10 +81,12 @@ def line_plot(
     ml, mr, mt, mb = 78, 18, 34, 52
     pw, ph = width - ml - mr, height - mt - mb
 
-    def px(x: float) -> float:
+    # scalars for the ticks, arrays for the curves: the same operations in
+    # the same order, so a point lands on the same double either way
+    def px(x):
         return ml + (x - x0) / (x1 - x0) * pw
 
-    def py(y: float) -> float:
+    def py(y):
         return mt + (y1 - y) / (y1 - y0) * ph
 
     out = [
@@ -123,13 +133,16 @@ def line_plot(
             f'transform="rotate(-90 16 {yc:.0f})">{ylabel}</text>'
         )
 
-    for i, (label, xs, ys, style) in enumerate(series):
+    for i, (label, xs, ys, style) in enumerate(curves):
         color = _COLORS[i % len(_COLORS)]
         dash = _DASH.get(style)
         if style not in _DASH:
             raise ValueError(f"unknown line style {style!r}")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        # silent, as for Python floats: overflow to inf, NaN from inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            X, Y = px(xs), py(ys)
+        pts = " ".join(map("{:.2f},{:.2f}".format, X.tolist(), Y.tolist()))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6"'
             f'{dash_attr} points="{pts}"/>'

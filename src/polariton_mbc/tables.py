@@ -4,11 +4,23 @@ CSV dialect: comma separator, '.' decimal point, '#'-prefixed comment
 lines before the header row. Floats are written with repr(), Python's
 shortest round-trip representation (up to 17 significant digits), so
 identical inputs produce byte-identical files.
+
+A SweepTable stores each column as a 1-D float64 array and writes its
+rows in fixed blocks, formatting a whole block column by column, so the
+file is streamed without a Python call per cell and without holding the
+whole text in memory. The bytes are the same as formatting every cell
+with format_value and joining the rows one by one.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
+
+# Rows formatted per write. Small enough that a block's transient Python
+# floats and strings stay well below the size of the columns themselves.
+_BLOCK_ROWS = 256
 
 
 def format_value(v) -> str:
@@ -19,14 +31,39 @@ def format_value(v) -> str:
     return repr(float(v))
 
 
+def _header(names: Sequence[str], comments: Sequence[str]) -> str:
+    return "".join(f"# {c}\n" for c in comments) + ",".join(names) + "\n"
+
+
 def write_csv(path, names: Sequence[str], rows, comments: Sequence[str] = ()) -> None:
-    """Write rows (iterable of sequences) under a header line, with # comments."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(names))
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    """Write rows under a header line, with # comments.
+
+    rows is an iterable of sequences whose cells format_value formats,
+    one row at a time, or a SweepTable, written a block of rows at a time.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_header(names, comments))
+        if isinstance(rows, SweepTable):
+            for block in rows._csv_blocks():
+                fh.write(block)
+        else:
+            for row in rows:
+                fh.write(",".join(map(format_value, row)) + "\n")
+
+
+def _as_column(values) -> np.ndarray:
+    """values as a new 1-D float64 array, refusing what float(v) refuses."""
+    try:
+        col = np.asarray(values)
+    except ValueError:  # ragged nesting
+        col = None
+    if col is None or col.dtype.kind in "Oc":
+        # None, nested sequences and complex numbers: float() raises (or, for
+        # numpy complex, warns and drops the imaginary part) as it always did
+        return np.array([float(v) for v in values], dtype=float)
+    if col.ndim != 1:
+        raise TypeError(f"a column must be a flat sequence of numbers, got shape {col.shape}")
+    return np.array(col, dtype=float)
 
 
 class SweepTable:
@@ -41,12 +78,13 @@ class SweepTable:
         self._names = [name for name, _ in columns]
         if len(set(self._names)) != len(self._names):
             raise ValueError("duplicate column names")
-        self._data = [[float(v) for v in values] for _, values in columns]
+        self._data = [_as_column(values) for _, values in columns]
         length = len(self._data[0])
         if any(len(col) != length for col in self._data):
             raise ValueError("all columns must have equal length")
         axis = self._data[0]
-        if any(b <= a for a, b in zip(axis, axis[1:])):
+        # NaN compares False both ways, so a NaN on the axis is not a violation
+        if np.any(axis[1:] <= axis[:-1]):
             raise ValueError(f"sweep axis {self._names[0]!r} must be strictly increasing")
 
     @property
@@ -54,13 +92,19 @@ class SweepTable:
         return list(self._names)
 
     def column(self, name: str) -> list[float]:
-        return list(self._data[self._names.index(name)])
+        return self._data[self._names.index(name)].tolist()
 
     def __len__(self) -> int:
         return len(self._data[0])
 
     def rows(self):
-        return zip(*self._data)
+        return zip(*(col.tolist() for col in self._data))
+
+    def _csv_blocks(self):
+        """The CSV body, _BLOCK_ROWS newline-terminated rows per string."""
+        for s in range(0, len(self), _BLOCK_ROWS):
+            cells = [map(repr, col[s:s + _BLOCK_ROWS].tolist()) for col in self._data]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     def write_csv(self, path, comments: Sequence[str] = ()) -> None:
-        write_csv(path, self._names, self.rows(), comments)
+        write_csv(path, self._names, self, comments)

@@ -4,9 +4,10 @@ Everything here recomputes results along a different route than the
 package: dense eigendecomposition instead of closed forms, a direct
 two-unknown boundary-value solve instead of the assembled Green
 function, and windowed resonance scans instead of the analytic m = 1
-brackets of figure2_sweep. Agreement between the two routes is the
-point of the tests, so nothing in this module may import the formulas
-it is checking.
+brackets of figure2_sweep, and cell-by-cell and point-by-point text
+rendering instead of the columnar CSV and SVG writers. Agreement between
+the two routes is the point of the tests, so nothing in this module may
+import the formulas it is checking.
 """
 
 import math
@@ -147,3 +148,60 @@ def scanned_fundamentals(rabi: float, lambda_mirror: float):
         assert len(fundamentals) == 1, f"rabi {rabi}, window {window}: {fundamentals}"
         out.append(fundamentals[0])
     return tuple(out)
+
+
+def reference_csv(names, rows, comments=()) -> str:
+    """CSV text with every cell formatted on its own and rows joined one by one.
+
+    Strings pass through, ints and bools are written as integers, and
+    everything else as repr(float(v)): the dialect of tables.write_csv.
+    """
+
+    def cell(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, bool)):
+            return str(int(v))
+        return repr(float(v))
+
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(names))
+    for row in rows:
+        lines.append(",".join(cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_polylines(series, width=640, height=440):
+    """The points attribute of each curve of svgplot.line_plot, point by point.
+
+    series holds (label, xs, ys, style) as line_plot takes them. Ranges are
+    Python min/max over the values in series order, padded as line_plot
+    pads them, and each point is mapped to the plot frame by scalar
+    arithmetic and formatted with two decimals. Returns the ranges
+    (x0, x1, y0, y1) and one points string per curve.
+    """
+    xs_all = [x for _, xs, _, _ in series for x in xs]
+    ys_all = [y for _, _, ys, _ in series for y in ys]
+    x0, x1 = min(xs_all), max(xs_all)
+    y0, y1 = min(ys_all), max(ys_all)
+    if x1 <= x0:
+        x0, x1 = x0 - 0.5, x0 + 0.5
+    if y1 <= y0:
+        pad = 0.5 if y0 == 0 else 0.1 * abs(y0)
+        y0, y1 = y0 - pad, y1 + pad
+    ypad = 0.06 * (y1 - y0)
+    y0, y1 = y0 - ypad, y1 + ypad
+    ml, mr, mt, mb = 78, 18, 34, 52
+    pw, ph = width - ml - mr, height - mt - mb
+
+    def px(x):
+        return ml + (x - x0) / (x1 - x0) * pw
+
+    def py(y):
+        return mt + (y1 - y) / (y1 - y0) * ph
+
+    points = [
+        " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        for _, xs, ys, _ in series
+    ]
+    return (x0, x1, y0, y1), points

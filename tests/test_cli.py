@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import polariton_mbc
-from polariton_mbc.cli import main
+from polariton_mbc.cli import _random_transparent, main
+from polariton_mbc.config import MAX_SWEEP_COUNT, load_config
+from polariton_mbc.errors import ConfigError
 
 
 def read_csv(path):
@@ -168,6 +170,42 @@ def test_greens_check_refuses_a_window_inside_the_stop_band(tmp_path):
     assert not (tmp_path / "greens_check.csv").exists()
 
 
+def test_transparent_draws_on_a_sliver_of_window():
+    # 1e-13 of transparent window below the widened band edge: every draw
+    # lands there, at once, without running the command
+    cfg = load_config("greens-check", set_pairs=[
+        "medium.beta4pi=0.5", "sweep.start=0.9999989999999", "sweep.stop=1.1",
+    ])
+    ws = _random_transparent(np.random.default_rng(1), cfg, 200)
+    margin = 1e-6 * cfg.medium.omega_t
+    assert ws.shape == (200,)
+    assert np.all((ws >= cfg.sweep_start) & (ws < cfg.medium.omega_t - margin))
+    # straddling the band, draws fall on both sides and never inside it
+    cfg = load_config("greens-check", set_pairs=["medium.beta4pi=0.36"])
+    ws = _random_transparent(np.random.default_rng(2), cfg, 500)
+    lo, hi = cfg.medium.stop_band()
+    assert ws.shape == (500,)
+    assert np.all((ws < lo - margin) | (ws > hi + margin))
+    assert np.any(ws < lo) and np.any(ws > hi)
+    assert np.all((ws >= cfg.sweep_start) & (ws <= cfg.sweep_stop))
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        [],  # the default greens-check: no coupling
+        ["medium.beta4pi=0.36", "sweep.start=0.1", "sweep.stop=0.9"],
+        ["medium.beta4pi=0.36", "sweep.start=1.2", "sweep.stop=3.0"],
+    ],
+)
+def test_transparent_draws_of_a_window_clear_of_the_band_are_plain_uniform(sets):
+    cfg = load_config("greens-check", set_pairs=sets)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    ws = _random_transparent(rng, cfg, 300)
+    assert ws.tobytes() == ref.uniform(cfg.sweep_start, cfg.sweep_stop, 300).tobytes()
+    assert rng.uniform() == ref.uniform()  # and the generator is left in step
+
+
 def test_greens_check_reports_tolerance_failures(tmp_path):
     code = main([
         "greens-check", "--out", str(tmp_path),
@@ -238,8 +276,15 @@ def test_config_error_paths(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("count = 3\n")  # key before any [section]
     assert main(["spectrum", "--out", out, "--config", str(bad)]) == 1
-    # invalid numeric domain: empty sweep
+    # invalid numeric domain: empty sweep, and one past the largest sweep
     assert main(["spectrum", "--out", out, "--set", "sweep.count=1"]) == 1
+    too_many = f"sweep.count={MAX_SWEEP_COUNT + 1}"
+    assert main(["spectrum", "--out", out, "--set", too_many]) == 1
+    assert not (tmp_path / "spectrum.csv").exists()
+    with pytest.raises(ConfigError, match="at most"):
+        load_config("dispersion", set_pairs=[too_many])
+    largest = load_config("dispersion", set_pairs=[f"sweep.count={MAX_SWEEP_COUNT}"])
+    assert largest.sweep_count == MAX_SWEEP_COUNT
 
 
 def test_io_error_exit_code(tmp_path):

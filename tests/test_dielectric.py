@@ -107,6 +107,21 @@ def test_group_velocity_matches_numeric_derivative():
         assert 0.0 < vg <= 1.0
 
 
+def test_group_velocity_scalar_and_array_agree_to_the_bit():
+    rng = np.random.default_rng(17)
+    for b4 in (0.36, 2.0, 16.0):
+        med = MediumParams(omega_t=1.0, beta4pi=b4, gamma=0.0)
+        lo, hi = med.stop_band()
+        ws = np.concatenate([
+            rng.uniform(0.05, lo - 1e-6, 1000),  # lower branch
+            rng.uniform(hi + 1e-6, 6.0, 1000),  # upper branch
+            [0.9218566239752919],
+        ])
+        array = group_velocity(ws, med)
+        scalar = np.array([group_velocity(float(w), med) for w in ws])
+        assert array.tobytes() == scalar.tobytes(), f"4 pi beta = {b4}"
+
+
 def test_group_velocity_limits():
     med = MediumParams(omega_t=1.0, beta4pi=4.0, gamma=0.0)
     # low-frequency limit is the static index slope, 1/sqrt(1+4pi*beta)
