@@ -28,7 +28,7 @@ from .config import RunConfig, load_config
 from .dielectric import MediumParams, bulk_dispersion, group_velocity, in_stop_band
 from .dielectric import refractive_index
 from .errors import ConfigError, PolaritonError, ToleranceError
-from .fluct import mode_commutators, solve_omega_q
+from .fluct import FieldCommutators, solve_omega_q
 from .greens import delta_jump, green_coefficients, green_function, ode_residual
 from .hopfield import BogoliubovProblem, diagonalize
 from .iomodel import figure2_sweep, kappa_fit
@@ -279,6 +279,11 @@ def _random_transparent(rng, cfg: RunConfig, count: int) -> np.ndarray:
     return np.where(u < below, low, high)
 
 
+def _max_abs(z: np.ndarray) -> float:
+    """Largest |z|; hypot rounds as Python's abs(complex), which np.abs may not."""
+    return float(np.max(np.hypot(z.real, z.imag)))
+
+
 def cmd_greens_check(cfg: RunConfig) -> None:
     """Cross-check the Green's function against the boundary-condition spectra.
 
@@ -289,12 +294,9 @@ def cmd_greens_check(cfg: RunConfig) -> None:
     rng = np.random.default_rng(_GREENS_SEED)
     ws = _random_transparent(rng, cfg, max(cfg.sweep_count, 2))
 
-    dev_r = 0.0
-    dev_t = 0.0
-    for w in ws:
-        co = green_coefficients(float(w), cavity)
-        dev_r = max(dev_r, abs(co.g_r21 - reflection(float(w), cavity)))
-        dev_t = max(dev_t, abs(co.g_t21 - intracavity_transfer(float(w), cavity)))
+    co = green_coefficients(ws, cavity)
+    dev_r = _max_abs(co.g_r21 - reflection(ws, cavity))
+    dev_t = _max_abs(co.g_t21 - intracavity_transfer(ws, cavity))
 
     # piecewise evaluation consistency: G(z, z') = G(z', z) across regions
     dev_s = 0.0
@@ -342,29 +344,19 @@ def cmd_fluct(cfg: RunConfig) -> None:
     """Field commutator weights along a vacuum-wavenumber sweep."""
     med = cfg.medium
     qs = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
-    cols: dict[str, list[float]] = {
-        name: [] for name in ("omega_q", "n", "a_comm", "e_comm", "b_comm", "d_comm")
-    }
-    loss0 = med.lossless()
-    for q in qs:
-        omega_q = solve_omega_q(float(q), med)
-        fc = mode_commutators(float(q), med)
-        cols["omega_q"].append(omega_q)
-        cols["n"].append(refractive_index(omega_q, loss0).real)
-        cols["a_comm"].append(fc.a_comm)
-        cols["e_comm"].append(fc.e_comm)
-        cols["b_comm"].append(fc.b_comm)
-        cols["d_comm"].append(fc.d_comm)
-    table = SweepTable([("q", list(qs))] + [(k, v) for k, v in cols.items()])
+    omega_q = solve_omega_q(qs, med)
+    n = refractive_index(omega_q, med.lossless()).real
+    fc = FieldCommutators.at_index(qs, n)
+    table = SweepTable([("q", qs), ("omega_q", omega_q), ("n", n), *vars(fc).items()])
     table.write_csv(_csv_path(cfg, "fluct.csv"), _comments(cfg, "fluct"))
     if cfg.svg:
         write_svg(
             _csv_path(cfg, "fluct.svg"),
             [
-                ("vector potential", qs, cols["a_comm"], "solid"),
-                ("electric field", qs, cols["e_comm"], "solid"),
-                ("magnetic field", qs, cols["b_comm"], "solid"),
-                ("displacement field", qs, cols["d_comm"], "solid"),
+                ("vector potential", qs, fc.a_comm, "solid"),
+                ("electric field", qs, fc.e_comm, "solid"),
+                ("magnetic field", qs, fc.b_comm, "solid"),
+                ("displacement field", qs, fc.d_comm, "solid"),
             ],
             title="equal-time commutator weights",
             xlabel="vacuum wavenumber q",

@@ -84,7 +84,9 @@ def _unwrap(x, kind):
 
 def _epsilon(omega, omega_t, beta4pi, gamma):
     """The one Lorentz eps(omega); broadcasts over omega and an array of beta4pi."""
-    z = np.asarray(omega, dtype=complex) + 1j * gamma
+    # at least 1-d: numpy rounds complex products of scalars and of arrays
+    # (fused multiply-adds) differently, and an omega must not depend on it
+    z = np.array(omega, dtype=complex, ndmin=1) + 1j * gamma
     wt2 = omega_t * omega_t
     with np.errstate(divide="ignore", invalid="ignore"):
         eps = 1.0 + beta4pi * wt2 / (wt2 - z * z)
@@ -92,8 +94,10 @@ def _epsilon(omega, omega_t, beta4pi, gamma):
     # formula evaluates 0 * inf; np.where only for an array of couplings,
     # as it triples the cost of a scalar call and adds a full-size copy
     if isinstance(beta4pi, np.ndarray):
-        return np.where(beta4pi == 0.0, 1.0 + 0.0j, eps)
-    return np.ones_like(z) if beta4pi == 0.0 else eps
+        eps = np.where(beta4pi == 0.0, 1.0 + 0.0j, eps)
+    elif beta4pi == 0.0:
+        eps = np.ones_like(z)
+    return eps.reshape(()) if np.ndim(omega) == 0 and np.ndim(beta4pi) == 0 else eps
 
 
 def _refractive_index(omega, omega_t, beta4pi, gamma):
@@ -211,6 +215,4 @@ def bulk_dispersion(k, p: MediumParams):
     if np.any(kk < 0.0):
         raise ValueError("wavenumber must be non-negative")
     lower, upper = _branches(kk, p.omega_t, p.omega_longitudinal)
-    if upper.ndim == 0:
-        return float(lower), float(upper)
-    return lower, upper
+    return _unwrap(lower, float), _unwrap(upper, float)

@@ -1,12 +1,15 @@
 """Equal-time field commutators inside a loss-less dielectric.
 
 For a mode of vacuum wavenumber q the dispersion is solved
-self-consistently, Omega_q = q / n(Omega_q), and the commutator weights
-of the vector potential, electric field, magnetic field, and
-displacement field pick up powers n^-1, n^-3, n^-1, n^+1 of the index
-at Omega_q relative to their vacuum values (natural units: hbar =
-eps0 = c = 1 and unit quantization area, so the vacuum weights are
-1/(2q) for the potential and q/2 for the three fields).
+self-consistently, Omega_q = q / n(Omega_q). Squared, n(W) W = q is the
+bulk quartic W^2 eps(W) = q^2 of `dielectric.bulk_dispersion`, so
+Omega_q is its closed-form root on the chosen branch, for one q or a
+whole array at once. The commutator weights of the vector potential,
+electric field, magnetic field, and displacement field pick up powers
+n^-1, n^-3, n^-1, n^+1 of the index at Omega_q relative to their vacuum
+values (natural units: hbar = eps0 = c = 1 and unit quantization area,
+so the vacuum weights are 1/(2q) for the potential and q/2 for the
+three fields).
 
 The position-resolved pieces split by propagation direction: the
 forward kernel carries exp(+i Re k (z - z')) and the backward kernel
@@ -21,7 +24,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .dielectric import MediumParams, refractive_index
+import numpy as np
+
+from .dielectric import MediumParams, _branches, _unwrap, refractive_index
 from .errors import BranchError
 
 __all__ = [
@@ -35,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldCommutators:
-    """Equal-time mode commutator weights at one wavenumber q.
+    """Equal-time mode commutator weights at a wavenumber q, or along an array of q.
 
     a_comm: vector potential, vacuum value 1/(2q), scales as n^-1.
     e_comm: electric field, vacuum value q/2, scales as n^-3.
@@ -48,90 +53,62 @@ class FieldCommutators:
     b_comm: float
     d_comm: float
 
+    @classmethod
+    def at_index(cls, q, n) -> "FieldCommutators":
+        """The weights at vacuum wavenumber q and real index n, scalars or arrays.
 
-def _real_index(omega: float, p: MediumParams) -> float:
-    return refractive_index(omega, p.lossless()).real
+        n^3 is taken by multiplication, which rounds alike for both.
+        """
+        return cls(1.0 / (2.0 * q * n), 0.5 * q / (n * n * n), 0.5 * q / n, 0.5 * q * n)
 
 
-def solve_omega_q(q: float, p: MediumParams, branch: str = "auto") -> float:
-    """Self-consistent mode frequency: the root of n(W) * W = q.
+def solve_omega_q(q, p: MediumParams, branch: str = "auto"):
+    """Self-consistent mode frequency: the root of n(W) * W = q, shaped like q.
 
     The q <-> W map is monotonic on each propagating branch, so the
     branch picks the solution: "lower" lives below omega_t, "upper"
-    above the stop band. "auto" chooses lower for q < omega_t and upper
-    otherwise, matching which branch the vacuum line q would hit.
-    Bisection at gamma = 0 to 1e-12 relative.
+    above the stop band. "auto" chooses per element, lower for
+    q < omega_t and upper otherwise. The root is the closed form of
+    `bulk_dispersion` at gamma = 0, a few ulp in W (q itself in vacuum).
+    Raises BranchError for the upper branch below omega_t in vacuum and
+    for a root that rounds onto its band edge (lower W >= omega_t, upper
+    W <= omega_longitudinal) or is lost to overflow (q above ~1e77 omega_t).
     """
-    if not q > 0:
+    qq = np.array(q, dtype=float)
+    if not np.all(qq > 0):
         raise ValueError("q must be positive")
     if branch not in ("lower", "upper", "auto"):
         raise ValueError(f"unknown branch {branch!r}")
     wt = p.omega_t
-    if branch == "auto":
-        branch = "lower" if q < wt else "upper"
     if p.beta4pi == 0.0:
-        if branch == "upper" and q < wt:
+        if branch == "upper" and np.any(qq < wt):
             raise BranchError("no upper branch in vacuum (beta = 0) below omega_t")
-        return q
-
-    def h(w: float) -> float:
-        return _real_index(w, p) * w - q
-
-    if branch == "lower":
-        # n*W sweeps (0, inf) as W goes (0, omega_t); walk the top
-        # bracket toward omega_t until it overshoots q
-        delta = 0.5 * wt
-        hi = wt - delta
-        while h(hi) < 0.0:
-            delta *= 0.5
-            if delta < 1e-15 * wt:
-                raise BranchError(
-                    f"lower-branch solve for q = {q:g} stalled at the band edge"
-                )
-            hi = wt - delta
-        lo = min(1e-12 * wt, 0.5 * hi)
-    else:
-        # n*W again sweeps (0, inf) as W goes (omega_longitudinal, inf)
-        top = p.omega_longitudinal
-        delta = 0.5 * top
-        lo = top + delta
-        while h(lo) > 0.0:
-            delta *= 0.5
-            if delta < 1e-15 * top:
-                raise BranchError(
-                    f"upper-branch solve for q = {q:g} stalled at the band edge"
-                )
-            lo = top + delta
-        hi = 2.0 * max(q, lo)
-        while h(hi) < 0.0:
-            hi *= 2.0
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if h(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
+        return _unwrap(qq, float)
+    lower = qq < wt if branch == "auto" else np.full(qq.shape, branch == "lower")
+    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+        w = np.where(lower, *_branches(qq, wt, p.omega_longitudinal))
+    # False for NaN, and for the 0 and inf that q^4 overflowing leaves
+    inside = np.where(
+        lower, (w > 0.0) & (w < wt), (w > p.omega_longitudinal) & (w < np.inf)
+    )
+    if not np.all(inside):
+        i = np.flatnonzero(~inside)[0]
+        name = "lower" if lower.flat[i] else "upper"
+        what = "stalled at the band edge" if np.isfinite(w.flat[i]) else "overflowed"
+        raise BranchError(f"{name}-branch solve for q = {qq.flat[i]:g} {what}")
+    return _unwrap(w, float)
 
 
-def mode_commutators(q: float, p: MediumParams, branch: str = "auto") -> FieldCommutators:
-    """The four equal-time commutator weights at vacuum wavenumber q.
+def mode_commutators(q, p: MediumParams, branch: str = "auto") -> FieldCommutators:
+    """The four equal-time commutator weights at vacuum wavenumber q (or array).
 
     Evaluates the index at the self-consistent Omega_q on the chosen
     propagating branch (see solve_omega_q) and applies the printed
     powers: n^-1, n^-3, n^-1, n^+1 on A, E, B, D.
     """
+    q = _unwrap(np.asarray(q, dtype=float), float)
     omega_q = solve_omega_q(q, p, branch)
-    n = _real_index(omega_q, p)
-    return FieldCommutators(
-        a_comm=1.0 / (2.0 * q * n),
-        e_comm=0.5 * q / n**3,
-        b_comm=0.5 * q / n,
-        d_comm=0.5 * q * n,
-    )
+    return FieldCommutators.at_index(q, refractive_index(omega_q, p.lossless()).real)
 
 
 def forward_commutator_decay(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityConfig
-from .dielectric import epsilon, refractive_index
+from .dielectric import _unwrap, epsilon, refractive_index
 from .errors import StepSizeError
 
 __all__ = [
@@ -52,28 +52,36 @@ class GreenCoefficients:
     g_t12: complex
 
 
-def _n_kl(omega, cfg: CavityConfig):
-    n = refractive_index(omega, cfg.medium)
-    return n, n * omega * cfg.length
+def _cmul(a, b):
+    """a * b by the textbook formula, as scalars round it; numpy's complex
+    vector loops may fuse it into FMAs and round an array differently."""
+    out = np.asarray(a.real * b.real - a.imag * b.imag, dtype=complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def green_coefficients(omega, cfg: CavityConfig) -> GreenCoefficients:
-    """Closed-form coefficients at one frequency (omega != 0).
+    """Closed-form coefficients at a scalar or an array omega (omega != 0).
 
     g_r21 = {(1 + i*Lambda) sin(kL) - i n cos(kL)} / D
     g_t21 = 2 / D
     g_t12 = n * g_t21
-    with D = (1 - i*Lambda) sin(kL) + i n cos(kL).
+    with D = (1 - i*Lambda) sin(kL) + i n cos(kL). Each element comes
+    out the same as a scalar call at that frequency, to the bit.
     """
-    if omega == 0:
+    w = np.asarray(omega)
+    if np.any(w == 0):
         raise ValueError("green_coefficients needs omega != 0")
-    lam = cfg.lambda_mirror
-    n, kl = _n_kl(omega, cfg)
-    s, c = np.sin(complex(kl)), np.cos(complex(kl))
-    den = (1.0 - 1j * lam) * s + 1j * n * c
+    a = 1.0 - 1j * cfg.lambda_mirror
+    n = np.asarray(refractive_index(w, cfg.medium))
+    kl = n * w * cfg.length
+    s, c = np.sin(kl), np.cos(kl)
+    i_n_c = _cmul(1j * n, c)
+    den = _cmul(a, s) + i_n_c
     g_t21 = 2.0 / den
-    g_r21 = ((1.0 + 1j * lam) * s - 1j * n * c) / den
-    return GreenCoefficients(complex(g_r21), complex(g_t21), complex(n * g_t21))
+    g_r21 = (_cmul(a.conjugate(), s) - i_n_c) / den
+    g_t12 = _cmul(n, g_t21)
+    return GreenCoefficients(*(_unwrap(g, complex) for g in (g_r21, g_t21, g_t12)))
 
 
 def green_function(z, zprime: float, omega, cfg: CavityConfig):
@@ -89,7 +97,7 @@ def green_function(z, zprime: float, omega, cfg: CavityConfig):
     if np.any(z < -5.0 * L) or np.any(z > L) or not (-5.0 * L <= zprime <= L):
         raise ValueError("green_function is defined for z, z' in [-5L, L]")
     q = complex(omega)  # vacuum wavenumber, c = 1
-    n, _ = _n_kl(omega, cfg)
+    n = refractive_index(omega, cfg.medium)
     kp = n * q
     co = green_coefficients(omega, cfg)
 
@@ -115,10 +123,7 @@ def green_function(z, zprime: float, omega, cfg: CavityConfig):
             - np.exp(-1j * kp * (z - L)) * np.exp(-1j * kp * (zprime - L))
             + back * np.sin(kp * (L - z)) * np.sin(kp * (L - zprime))
         ) / (-2j * kp)
-    g = np.where(z <= 0.0, g1, g2)
-    if g.ndim == 0:
-        return complex(g)
-    return g
+    return _unwrap(np.where(z <= 0.0, g1, g2), complex)
 
 
 def _check_step(omega, zprime: float, cfg: CavityConfig, h: float):

@@ -51,18 +51,11 @@ class BogoliubovProblem:
         Transverse excitation frequency.
     rabi
         Coupling strength (vacuum Rabi frequency of this mode), >= 0.
-    counter_rotating
-        Marker recording that the coupling model keeps the
-        counter-rotating terms. It is descriptive only: the matrix
-        below always carries them, and dropping them after
-        diagonalization is what the photon-number-conserving rate in
-        `iomodel.kappa_rwa` amounts to.
     """
 
     photon_freq: float
     omega_t: float = 1.0
     rabi: float = 0.0
-    counter_rotating: bool = True
 
     def __post_init__(self):
         if not self.photon_freq > 0:

@@ -36,8 +36,20 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         out.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # the step is below the spacing of doubles at t
+            break
         t += step
     return out
+
+
+def _check_range(curves, k: int, axis: str, lo: float, hi: float) -> None:
+    """Raise ValueError, naming the series at fault, if [lo, hi] has no finite span."""
+    if math.isfinite(hi - lo):
+        return
+    own = [(c[0], c[k].tolist()) for c in curves]
+    bad = [label for label, v in own if v and not math.isfinite(max(v) - min(v))]
+    names = ", ".join(map(repr, bad or [label for label, _ in own]))
+    raise ValueError(f"series {names}: no finite {axis} axis range")
 
 
 def _fmt(v: float) -> str:
@@ -77,6 +89,8 @@ def line_plot(
         y0, y1 = y0 - pad, y1 + pad
     ypad = 0.06 * (y1 - y0)
     y0, y1 = y0 - ypad, y1 + ypad
+    _check_range(curves, 1, "x", x0, x1)
+    _check_range(curves, 2, "y", y0, y1)
 
     ml, mr, mt, mb = 78, 18, 34, 52
     pw, ph = width - ml - mr, height - mt - mb
@@ -161,5 +175,7 @@ def line_plot(
 
 
 def write_svg(path, series, **kwargs) -> None:
+    """Render with line_plot, then write; a plot that fails leaves no file."""
+    text = line_plot(series, **kwargs)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(line_plot(series, **kwargs))
+        fh.write(text)

@@ -3,9 +3,11 @@
 Everything here recomputes results along a different route than the
 package: dense eigendecomposition instead of closed forms, a direct
 two-unknown boundary-value solve instead of the assembled Green
-function, and windowed resonance scans instead of the analytic m = 1
-brackets of figure2_sweep, and cell-by-cell and point-by-point text
-rendering instead of the columnar CSV and SVG writers. Agreement between
+function, windowed resonance scans instead of the analytic m = 1
+brackets of figure2_sweep, a bracket-walking bisection of n(W) W = q
+instead of the closed-form roots of solve_omega_q, and cell-by-cell and
+point-by-point text rendering instead of the columnar CSV and SVG
+writers. Agreement between
 the two routes is the point of the tests, so nothing in this module may
 import the formulas it is checking.
 """
@@ -16,6 +18,7 @@ import numpy as np
 
 from polariton_mbc import (
     BogoliubovProblem,
+    BranchError,
     CavityConfig,
     MediumParams,
     bogoliubov_matrix,
@@ -148,6 +151,56 @@ def scanned_fundamentals(rabi: float, lambda_mirror: float):
         assert len(fundamentals) == 1, f"rabi {rabi}, window {window}: {fundamentals}"
         out.append(fundamentals[0])
     return tuple(out)
+
+
+def bisected_omega_q(q: float, p: MediumParams, branch: str) -> float:
+    """Root of n(W) * W = q on one branch by bracket walking and bisection.
+
+    Evaluates the index itself at gamma = 0 and never the quartic. The
+    lower bracket walks toward omega_t, the upper one down toward
+    omega_longitudinal, halving the distance to the edge until h changes
+    sign; bisection then stops at 1e-12 relative, so the result carries
+    up to 5e-13 relative error. Raises BranchError where the walk comes
+    within 1e-15 of the band edge.
+    """
+    wt = p.omega_t
+    lossless = p.lossless()
+    if p.beta4pi == 0.0:
+        return q
+
+    def h(w):
+        return refractive_index(w, lossless).real * w - q
+
+    if branch == "lower":
+        delta = 0.5 * wt
+        hi = wt - delta
+        while h(hi) < 0.0:
+            delta *= 0.5
+            if delta < 1e-15 * wt:
+                raise BranchError(f"lower-branch walk for q = {q:g} reached the band edge")
+            hi = wt - delta
+        lo = min(1e-12 * wt, 0.5 * hi)
+    else:
+        top = p.omega_longitudinal
+        delta = 0.5 * top
+        lo = top + delta
+        while h(lo) > 0.0:
+            delta *= 0.5
+            if delta < 1e-15 * top:
+                raise BranchError(f"upper-branch walk for q = {q:g} reached the band edge")
+            lo = top + delta
+        hi = 2.0 * max(q, lo)
+        while h(hi) < 0.0:
+            hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if h(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12 * hi:
+            break
+    return 0.5 * (lo + hi)
 
 
 def reference_csv(names, rows, comments=()) -> str:

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, config layering, determinism."""
 
+import hashlib
 import math
 import os
 import shutil
@@ -315,6 +316,58 @@ def test_svg_outputs_are_valid_xml(tmp_path):
         "dispersion", "--out", str(tmp_path), "--set", "output.svg=true",
     ]) == 0
     assert (tmp_path / "dispersion.svg").exists()
+
+
+def test_failed_plot_leaves_no_svg(tmp_path, capsys):
+    # gamma = 0 puts the pole on the first grid point: |T|^2 starts with NaN
+    code = main([
+        "spectrum", "--out", str(tmp_path), "--svg",
+        "--set", "medium.gamma=0", "--set", "medium.beta4pi=0.36",
+        "--set", "sweep.start=1.0", "--set", "sweep.stop=1.1",
+    ])
+    assert code == 1
+    assert "'intracavity |T|^2'" in capsys.readouterr().err
+    assert (tmp_path / "spectrum.csv").exists()
+    assert not (tmp_path / "spectrum.svg").exists()
+
+
+def test_infinite_plot_value_is_a_typed_error(tmp_path, capsys):
+    # 1 / (2q) overflows to inf at a subnormal first q
+    code = main([
+        "fluct", "--out", str(tmp_path), "--svg",
+        "--set", "sweep.start=1e-310", "--set", "sweep.stop=1",
+    ])
+    assert code == 1
+    assert "'vector potential'" in capsys.readouterr().err
+    assert not (tmp_path / "fluct.svg").exists()
+
+
+# sha256 of each default command's CSV without its '#' comment lines (which
+# echo the output path): the bytes every change to the numerics must keep
+DEFAULT_CSV_BODIES = {
+    "dispersion.csv": "43ecceb8476fe84ff2f95509efccfa8bf6078d19102448aa496ff1bdf4bb5cf4",
+    "fig2_frequencies.csv": "58f4d357461827496aabc8aa79bae22d9113c44d2081325f77c9bcd7e09a5c55",
+    "fig2_rates.csv": "6331091672b91c6d2976e80ca6f12cdc166e79957cc2820966a7e355abab9923",
+    "fluct.csv": "d2160213f43336dad3f2496eb70ece62c93270a2bcf66042a52302c8e286ecaf",
+    "greens_check.csv": "ec3dd0504c93ca2d507be07e2ab0c33eb4d2cdde073e1521ebdac2e32f9e3ba4",
+    "hopfield.csv": "9518d5bf6950d3d522e6eb18bc99d1fec883ee330931a5d3cb56df1e1251fac1",
+    "kappa_sweep.csv": "7cceabaaa002a0c7191761c2175708eb0a4f356f1ed71bf980d7a741435aebcd",
+    "resonances.csv": "ff82531b6866bb5200855cc4a40141fc21fd32e8774249ddc302ccdd5571070c",
+    "spectrum.csv": "44bf97c418cefd9de4b64a4d26303f085c8abbb9319084586e10ecb9332f9fb2",
+}
+
+
+def test_default_outputs_keep_their_bytes(tmp_path):
+    for command in (
+        "dispersion", "hopfield", "resonances", "spectrum",
+        "kappa-sweep", "figure2", "greens-check", "fluct",
+    ):
+        assert main([command, "--out", str(tmp_path)]) == 0, command
+    assert sorted(os.listdir(tmp_path)) == sorted(DEFAULT_CSV_BODIES)
+    for name, digest in DEFAULT_CSV_BODIES.items():
+        with open(tmp_path / name, "rb") as fh:
+            body = b"".join(line for line in fh if not line.startswith(b"#"))
+        assert hashlib.sha256(body).hexdigest() == digest, name
 
 
 def test_module_and_script_entry_points(tmp_path):

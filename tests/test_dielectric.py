@@ -122,6 +122,21 @@ def test_group_velocity_scalar_and_array_agree_to_the_bit():
         assert array.tobytes() == scalar.tobytes(), f"4 pi beta = {b4}"
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1e-9, 1e-3])
+def test_epsilon_and_index_scalar_and_array_agree_to_the_bit(gamma):
+    # with damping, eps squares the complex omega + i gamma; numpy rounds
+    # that product differently for scalars and inside array loops
+    rng = np.random.default_rng(19)
+    ws = rng.uniform(0.05, 4.0, 4000)
+    for b4 in (0.0, 0.36, 2.0, 16.0):
+        med = MediumParams(omega_t=1.0, beta4pi=b4, gamma=gamma)
+        for func in (epsilon, refractive_index):
+            array = func(ws, med)
+            scalar = np.array([func(float(w), med) for w in ws])
+            assert array.tobytes() == scalar.tobytes(), (func.__name__, b4)
+            assert type(func(float(ws[0]), med)) is complex
+
+
 def test_group_velocity_limits():
     med = MediumParams(omega_t=1.0, beta4pi=4.0, gamma=0.0)
     # low-frequency limit is the static index slope, 1/sqrt(1+4pi*beta)

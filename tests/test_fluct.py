@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import bisected_omega_q
 from polariton_mbc import (
     BranchError,
     MediumParams,
@@ -134,6 +135,85 @@ def test_commutator_scaling_exponents_across_media():
     for vals, target in ((a, -1.0), (e, -3.0), (b, -1.0), (d, 1.0)):
         slope = np.polyfit(logn, np.log(vals), 1)[0]
         assert abs(slope - target) < 0.02, f"slope {slope} vs {target}"
+
+
+def test_closed_form_matches_bracket_walking_bisection():
+    # the bisection stops at 1e-12 relative; the closed form is a few ulp
+    rng = np.random.default_rng(79)
+    for _ in range(300):
+        med = lossless(rng.uniform(0.05, 20.0))
+        q = rng.uniform(0.01, 5.0)
+        for branch in ("lower", "upper"):
+            w = solve_omega_q(q, med, branch)
+            ref = bisected_omega_q(q, med, branch)
+            assert abs(w - ref) < 1e-11 * ref, f"q={q}, {branch}, 4 pi beta={med.beta4pi}"
+
+
+@pytest.mark.parametrize("b4", [0.0, 0.36, 2.0, 16.0])
+@pytest.mark.parametrize("branch", ["auto", "lower", "upper"])
+def test_array_solve_and_commutators_equal_scalar_calls_to_the_bit(b4, branch):
+    rng = np.random.default_rng(83)
+    med = MediumParams(omega_t=1.0, beta4pi=b4, gamma=1e-9)
+    lo = 1.0 if branch == "upper" and b4 == 0.0 else 0.01
+    qs = rng.uniform(lo, 5.0, 500)  # auto: a mix of lower and upper roots
+    w = solve_omega_q(qs, med, branch)
+    scalar = np.array([solve_omega_q(float(q), med, branch) for q in qs])
+    assert w.tobytes() == scalar.tobytes()
+    grid = solve_omega_q(qs.reshape(20, 25), med, branch)
+    assert grid.shape == (20, 25) and grid.tobytes() == w.tobytes()
+    fc = mode_commutators(qs, med, branch)
+    single = [mode_commutators(float(q), med, branch) for q in qs]
+    for name in ("a_comm", "e_comm", "b_comm", "d_comm"):
+        one_by_one = np.array([getattr(c, name) for c in single])
+        assert getattr(fc, name).tobytes() == one_by_one.tobytes(), name
+    assert type(single[0].e_comm) is float
+
+
+def _exact_mode(q, b4, branch):
+    """W and the four weights from the quartic W^4 - W^2 (q^2 + 1 + 4 pi beta)
+    + q^2 = 0 (omega_t = 1), solved by mpmath at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        q = mpmath.mpf(q)
+        s = q * q + 1 + mpmath.mpf(b4)
+        upper = (s + mpmath.sqrt(s * s - 4 * q * q)) / 2
+        w = mpmath.sqrt(q * q / upper if branch == "lower" else upper)
+        n = q / w
+        weights = (1 / (2 * q * n), q / (2 * n**3), q / (2 * n), q * n / 2)
+        return float(w), [float(x) for x in weights]
+
+
+@pytest.mark.parametrize("q, branch", [(1e6, "lower"), (1e-6, "upper")])
+def test_band_edge_roots_against_mpmath(q, branch):
+    # 1 - W = 1.8e-13 on the lower branch and W - omega_L = 1.1e-13 on the
+    # upper one: the root must be right to the last ulp or the index,
+    # which diverges or vanishes at the edge, comes out far off (a
+    # bisection stopped at 1e-12 relative puts e_comm 5.6x too high at
+    # q = 1e6 and 12x too low at q = 1e-6)
+    med = lossless(0.36)
+    w_exact, weights = _exact_mode(q, 0.36, branch)
+    assert abs(solve_omega_q(q, med, branch) - w_exact) <= np.spacing(w_exact)
+    c = mode_commutators(q, med, branch)
+    for got, want in zip((c.a_comm, c.e_comm, c.b_comm, c.d_comm), weights):
+        assert abs(got - want) < 5e-3 * want
+
+
+def test_roots_that_round_onto_the_band_edge_raise():
+    med = lossless(0.36)
+    with pytest.raises(BranchError, match="lower-branch solve for q = 1e\\+08 stalled"):
+        solve_omega_q(1e8, med, "lower")
+    with pytest.raises(BranchError, match="upper-branch solve for q = 1e-08 stalled"):
+        solve_omega_q(1e-8, med, "upper")
+    # the quartic's q^4 overflows: the root is lost, not returned as 0 or inf
+    for q in (1e150, 1e200):
+        for branch in ("lower", "upper"):
+            with pytest.raises(BranchError):
+                solve_omega_q(q, med, branch)
+    # one such element fails the whole array
+    with pytest.raises(BranchError):
+        solve_omega_q(np.array([0.5, 1e8, 0.7]), med, "lower")
+    with pytest.raises(BranchError):
+        mode_commutators(np.array([0.5, 1e8]), med, "lower")
 
 
 def test_forward_kernel_decay_and_symmetry():

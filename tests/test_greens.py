@@ -58,6 +58,22 @@ def test_coefficients_match_scattering_amplitudes():
             assert co.g_t12 == pytest.approx(n * co.g_t21, rel=1e-12)
 
 
+def test_array_coefficients_equal_the_scalar_loop_to_the_bit():
+    rng = np.random.default_rng(57)
+    for med in MEDIA:
+        cfg = make_cavity(med)
+        ws = rng.uniform(0.05, 3.5, 2000)
+        ws = ws[[usable(w, med) for w in ws]]
+        co = green_coefficients(ws, cfg)
+        single = [green_coefficients(float(w), cfg) for w in ws]
+        for name in ("g_r21", "g_t21", "g_t12"):
+            one_by_one = np.array([getattr(c, name) for c in single])
+            assert getattr(co, name).tobytes() == one_by_one.tobytes(), (med, name)
+        assert type(single[0].g_r21) is complex
+    with pytest.raises(ValueError):
+        green_coefficients(np.array([0.5, 0.0]), make_cavity(MEDIA[1]))
+
+
 def test_green_matches_direct_boundary_value_solve():
     # oracle: solve the two-unknown matching problem numerically and
     # compare field values for sources on both sides of the membrane
