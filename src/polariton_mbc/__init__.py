@@ -51,6 +51,8 @@ from .fluct import (
 from .greens import (
     GreenCoefficients,
     delta_jump,
+    fd_error,
+    fd_step,
     green_coefficients,
     green_function,
     ode_residual,
@@ -100,6 +102,8 @@ __all__ = [
     "diagonalize",
     "eigenfrequencies",
     "epsilon",
+    "fd_error",
+    "fd_step",
     "figure2_sweep",
     "find_resonances",
     "forward_commutator_decay",

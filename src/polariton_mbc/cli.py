@@ -10,6 +10,7 @@ configuration. Exit codes: 0 success, 1 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -27,15 +28,23 @@ from .cavity import (
 from .config import RunConfig, load_config
 from .dielectric import MediumParams, bulk_dispersion, group_velocity, in_stop_band
 from .dielectric import refractive_index
-from .errors import ConfigError, PolaritonError, ToleranceError
+from .errors import ConfigError, PolaritonError, StepSizeError, ToleranceError
 from .fluct import FieldCommutators, solve_omega_q
-from .greens import delta_jump, green_coefficients, green_function, ode_residual
+from .greens import (
+    delta_jump,
+    fd_step,
+    green_coefficients,
+    green_function,
+    ode_residual,
+)
 from .hopfield import BogoliubovProblem, diagonalize
 from .iomodel import figure2_sweep, kappa_fit
 from .svgplot import write_svg
 from .tables import SweepTable, write_csv
 
 _GREENS_SEED = 20260817
+# greens-check draws no frequency within this many omega_t of the stop band
+_BAND_MARGIN = 1e-6
 
 
 def _comments(cfg: RunConfig, command: str) -> list[str]:
@@ -261,7 +270,7 @@ def _random_transparent(rng, cfg: RunConfig, count: int) -> np.ndarray:
     start, stop = cfg.sweep_start, cfg.sweep_stop
     if med.beta4pi == 0.0:
         return rng.uniform(start, stop, size=count)
-    margin = 1e-6 * med.omega_t
+    margin = _BAND_MARGIN * med.omega_t
     lo, hi = med.stop_band()
     edge_lo, edge_hi = lo - margin, hi + margin
     if edge_lo <= start and stop <= edge_hi:
@@ -279,6 +288,25 @@ def _random_transparent(rng, cfg: RunConfig, count: int) -> np.ndarray:
     return np.where(u < below, low, high)
 
 
+def _least_resolved(cfg: RunConfig) -> float:
+    """The frequency `_random_transparent` can draw with the smallest
+    k = max(|n omega|, omega), the one a finite-difference step resolves
+    least: the start of one of the window's transparent parts, as k grows
+    along each branch."""
+    med = cfg.medium
+    start, stop = cfg.sweep_start, cfg.sweep_stop
+    margin = _BAND_MARGIN * med.omega_t
+    lo, hi = med.stop_band()
+    if med.beta4pi == 0.0 or stop <= hi + margin:
+        return start
+    if start >= lo - margin:
+        return max(start, hi + margin)
+    return min(
+        (start, hi + margin),
+        key=lambda w: max(abs(refractive_index(w, med) * w), w),
+    )
+
+
 def _max_abs(z: np.ndarray) -> float:
     """Largest |z|; hypot rounds as Python's abs(complex), which np.abs may not."""
     return float(np.max(np.hypot(z.real, z.imag)))
@@ -288,33 +316,45 @@ def cmd_greens_check(cfg: RunConfig) -> None:
     """Cross-check the Green's function against the boundary-condition spectra.
 
     Writes one row per check (value, tolerance, pass/fail) and raises a
-    tolerance error if any check fails, which exits with code 2.
+    tolerance error if any check fails, which exits with code 2. A window
+    whose least resolved frequency no finite-difference step can check
+    within the residual tolerance is refused first, with a configuration
+    error.
     """
     cavity = cfg.cavity()
+    length = cavity.length
+    tol_c, tol_r = cfg.tol_coefficient, cfg.tol_residual
+    # the sources sit at 0.37 L and -0.45 L: 0.37 L from the nearest boundary
+    clearance = 0.37 * length
     rng = np.random.default_rng(_GREENS_SEED)
     ws = _random_transparent(rng, cfg, max(cfg.sweep_count, 2))
+    w_least = _least_resolved(cfg)
+    try:
+        fd_step(w_least, cavity, clearance, tol_r)
+    except StepSizeError as err:
+        raise ConfigError(
+            f"greens-check cannot check the window at {w_least:g}: {err}"
+        ) from err
 
     co = green_coefficients(ws, cavity)
     dev_r = _max_abs(co.g_r21 - reflection(ws, cavity))
     dev_t = _max_abs(co.g_t21 - intracavity_transfer(ws, cavity))
 
-    # piecewise evaluation consistency: G(z, z') = G(z', z) across regions
-    dev_s = 0.0
-    length = cavity.length
-    for w in ws[:32]:
-        z_in = float(rng.uniform(0.1, 0.9)) * length
-        z_out = -float(rng.uniform(0.1, 1.9)) * length
-        a = green_function(z_out, z_in, float(w), cavity)
-        b = green_function(z_in, z_out, float(w), cavity)
-        dev_s = max(dev_s, abs(a - b))
+    # piecewise evaluation consistency: G(z, z') = G(z', z) across regions;
+    # draws as (z_in, z_out) pairs, one pair per frequency in turn
+    sym = ws[:32]
+    u = rng.uniform([0.1, 0.1], [0.9, 1.9], size=(sym.size, 2))
+    z_in, z_out = u[:, 0] * length, -u[:, 1] * length
+    dev_s = _max_abs(
+        green_function(z_out, z_in, sym, cavity) - green_function(z_in, z_out, sym, cavity)
+    )
 
-    h = 1e-5 * length
     w_probe = float(ws[0])
+    h = fd_step(w_probe, cavity, clearance, tol_r)
     resid_out = ode_residual(-0.45 * length, w_probe, cavity, h)
     resid_in = ode_residual(0.37 * length, w_probe, cavity, h)
     jump_dev = abs(delta_jump(0.37 * length, w_probe, cavity, h) + 1.0)
 
-    tol_c, tol_r = cfg.tol_coefficient, cfg.tol_residual
     checks = [
         ("reflection_coefficient", dev_r, tol_c),
         ("transfer_coefficient", dev_t, tol_c),
@@ -340,24 +380,40 @@ def cmd_greens_check(cfg: RunConfig) -> None:
         )
 
 
+# fluct's weights and the field each belongs to, in plot order
+_FLUCT_FIELDS = {
+    "a_comm": "vector potential",
+    "e_comm": "electric field",
+    "b_comm": "magnetic field",
+    "d_comm": "displacement field",
+}
+
+
 def cmd_fluct(cfg: RunConfig) -> None:
-    """Field commutator weights along a vacuum-wavenumber sweep."""
+    """Field commutator weights along a vacuum-wavenumber sweep.
+
+    A weight that overflows (1/(2q n) at a subnormal q) is refused with a
+    configuration error before any file is written.
+    """
     med = cfg.medium
     qs = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     omega_q = solve_omega_q(qs, med)
     n = refractive_index(omega_q, med.lossless()).real
-    fc = FieldCommutators.at_index(qs, n)
-    table = SweepTable([("q", qs), ("omega_q", omega_q), ("n", n), *vars(fc).items()])
+    with np.errstate(over="ignore"):  # refused below, by name
+        weights = vars(FieldCommutators.at_index(qs, n))
+    for name, values in weights.items():
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            raise ConfigError(
+                f"the {_FLUCT_FIELDS[name]!r} weight {name} is not finite at "
+                f"q = {qs[bad][0]:g}; start the sweep where it is"
+            )
+    table = SweepTable([("q", qs), ("omega_q", omega_q), ("n", n), *weights.items()])
     table.write_csv(_csv_path(cfg, "fluct.csv"), _comments(cfg, "fluct"))
     if cfg.svg:
         write_svg(
             _csv_path(cfg, "fluct.svg"),
-            [
-                ("vector potential", qs, fc.a_comm, "solid"),
-                ("electric field", qs, fc.e_comm, "solid"),
-                ("magnetic field", qs, fc.b_comm, "solid"),
-                ("displacement field", qs, fc.d_comm, "solid"),
-            ],
+            [(label, qs, weights[name], "solid") for name, label in _FLUCT_FIELDS.items()],
             title="equal-time commutator weights",
             xlabel="vacuum wavenumber q",
             ylabel="commutator weight",
@@ -376,7 +432,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    parse_args leaves it unchanged, and import stays cheap."""
     parser = argparse.ArgumentParser(
         prog="polariton-mbc",
         description="Open-cavity polariton spectra and dissipation rates.",

@@ -34,6 +34,8 @@ __all__ = [
     "green_function",
     "ode_residual",
     "delta_jump",
+    "fd_error",
+    "fd_step",
 ]
 
 
@@ -84,60 +86,135 @@ def green_coefficients(omega, cfg: CavityConfig) -> GreenCoefficients:
     return GreenCoefficients(*(_unwrap(g, complex) for g in (g_r21, g_t21, g_t12)))
 
 
-def green_function(z, zprime: float, omega, cfg: CavityConfig):
-    """G(z, z') of the defining equation above; z may be a numpy array.
+def green_function(z, zprime, omega, cfg: CavityConfig):
+    """G(z, z') of the defining equation above.
 
-    Region rule: z <= 0 is region 1 (vacuum), 0 < z <= L is region 2
-    (the cavity medium); at the perfect mirror z = L the function
-    vanishes through its sin(k(L - z)) factor. Points and sources must
-    satisfy z, z' in [-5L, L].
+    z, zprime and omega broadcast together, so one call can evaluate a
+    grid for one source or many (z, z', omega) triples at once. Region
+    rule: z <= 0 is region 1 (vacuum), 0 < z <= L is region 2 (the
+    cavity medium), and likewise for the source; at the perfect mirror
+    z = L the function vanishes through its sin(k(L - z)) factor. Each
+    point is evaluated by the formula of its own pair of regions only.
+    Points and sources must satisfy z, z' in [-5L, L].
     """
     L = cfg.length
     z = np.asarray(z, dtype=float)
-    if np.any(z < -5.0 * L) or np.any(z > L) or not (-5.0 * L <= zprime <= L):
+    zp = np.asarray(zprime, dtype=float)
+    if np.any(z < -5.0 * L) or np.any(z > L) or np.any(zp < -5.0 * L) or np.any(zp > L):
         raise ValueError("green_function is defined for z, z' in [-5L, L]")
-    q = complex(omega)  # vacuum wavenumber, c = 1
+    shape = np.broadcast_shapes(z.shape, zp.shape, np.shape(omega))
+    q = _unwrap(np.asarray(omega, dtype=complex), complex)  # vacuum wavenumber, c = 1
     n = refractive_index(omega, cfg.medium)
     kp = n * q
     co = green_coefficients(omega, cfg)
 
-    if zprime <= 0.0:
-        # source in region 1
-        g1 = (
-            np.exp(1j * q * np.abs(z - zprime))
-            + np.exp(-1j * q * z) * co.g_r21 * np.exp(-1j * q * zprime)
-        ) / (-2j * q)
-        g2 = (
-            np.sin(kp * (L - z)) * co.g_t21 * np.exp(-1j * q * zprime)
-        ) / (-2j * q)
-    else:
-        # source inside the cavity
-        g1 = (
-            np.exp(-1j * q * z) * co.g_t12 * np.sin(kp * (L - zprime))
-        ) / (-2j * kp)
-        lam = cfg.lambda_mirror
-        den = (1.0 - 1j * lam) * np.sin(kp * L) + 1j * n * np.cos(kp * L)
-        back = 2j * np.exp(1j * kp * L) * (1.0 - 1j * lam - n) / den
-        g2 = (
-            np.exp(1j * kp * np.abs(z - zprime))
-            - np.exp(-1j * kp * (z - L)) * np.exp(-1j * kp * (zprime - L))
-            + back * np.sin(kp * (L - z)) * np.sin(kp * (L - zprime))
-        ) / (-2j * kp)
-    return _unwrap(np.where(z <= 0.0, g1, g2), complex)
+    def at(x, mask):
+        """x on the points of mask; a scalar stays one."""
+        if np.ndim(x) == 0:
+            return x[()] if isinstance(x, np.ndarray) else x
+        return np.broadcast_to(x, shape)[mask]
+
+    out = np.empty(shape, dtype=complex)
+    field_out, source_out = z <= 0.0, zp <= 0.0
+    for src in (True, False):
+        for fld in (True, False):
+            mask = np.broadcast_to((source_out == src) & (field_out == fld), shape)
+            if not mask.any():
+                continue
+            x, s, w, k = at(z, mask), at(zp, mask), at(q, mask), at(kp, mask)
+            if src and fld:  # source and field in region 1
+                g = (
+                    np.exp(1j * w * np.abs(x - s))
+                    + np.exp(-1j * w * x) * at(co.g_r21, mask) * np.exp(-1j * w * s)
+                ) / (-2j * w)
+            elif src:  # region-1 source, field in the cavity
+                g = (
+                    np.sin(k * (L - x)) * at(co.g_t21, mask) * np.exp(-1j * w * s)
+                ) / (-2j * w)
+            elif fld:  # cavity source, field in region 1
+                g = (
+                    np.exp(-1j * w * x) * at(co.g_t12, mask) * np.sin(k * (L - s))
+                ) / (-2j * k)
+            else:  # source and field in the cavity
+                m = at(n, mask)
+                lam = cfg.lambda_mirror
+                den = (1.0 - 1j * lam) * np.sin(k * L) + 1j * m * np.cos(k * L)
+                back = 2j * np.exp(1j * k * L) * (1.0 - 1j * lam - m) / den
+                g = (
+                    np.exp(1j * k * np.abs(x - s))
+                    - np.exp(-1j * k * (x - L)) * np.exp(-1j * k * (s - L))
+                    + back * np.sin(k * (L - x)) * np.sin(k * (L - s))
+                ) / (-2j * k)
+            out[mask] = g
+    return _unwrap(out, complex)
+
+
+# smallest finite-difference step, in units of L: it keeps ode_residual's
+# grid over [-2L, L] at 300,000 points or fewer
+_MIN_STEP = 1e-5
+
+
+def _wavenumber(omega, cfg: CavityConfig) -> float:
+    """max(|n omega|, omega): the fastest phase a grid must resolve."""
+    return max(abs(refractive_index(omega, cfg.medium) * omega), abs(omega))
+
+
+def _rounding(omega, cfg: CavityConfig) -> float:
+    """R of the rounding term R/(hk)^2 of `fd_error`."""
+    return 2.0 * np.finfo(float).eps * (5.0 + 1.0 / abs(omega * cfg.length))
 
 
 def _check_step(omega, zprime: float, cfg: CavityConfig, h: float):
     L = cfg.length
-    if h > 1e-4 * L:
-        raise StepSizeError(f"step h = {h:g} exceeds 1e-4 * L = {1e-4 * L:g}")
-    kp = abs(refractive_index(omega, cfg.medium) * omega)
-    if h * max(kp, abs(omega)) > 0.1:
+    hk = h * _wavenumber(omega, cfg)
+    if hk > 0.1:
         raise StepSizeError(
-            f"step h = {h:g} does not resolve the wave (h*k = {h * kp:g} > 0.1)"
+            f"step h = {h:g} does not resolve the wave (h*k = {hk:g} > 0.1)"
         )
     for b in (0.0, L):
-        if abs(zprime - b) < 10.0 * h:
+        # divided as fd_step divides its cap, so that h = clearance/10 passes
+        if abs(zprime - b) / 10.0 < h:
             raise StepSizeError(f"source z' = {zprime:g} within 10h of boundary {b:g}")
+
+
+def fd_error(omega: float, cfg: CavityConfig, h: float) -> float:
+    """The error `ode_residual` and `delta_jump` leave at step h for the exact G.
+
+    (hk)^2/3 + 2 eps (5 + 1/(omega L)) / (hk)^2 with k = max(|n omega|,
+    omega). The first term is the truncation error of `delta_jump`'s
+    one-sided stencils, (hk)^2/3 times |G'(z'+) + G'(z'-)|, which stayed
+    at or below 1 in every case measured, resonances included; it is four
+    times `ode_residual`'s. The second is `ode_residual`'s rounding error,
+    explained in its docstring; `delta_jump`'s is smaller.
+    """
+    hk = h * _wavenumber(omega, cfg)
+    return hk * hk / 3.0 + _rounding(omega, cfg) / (hk * hk)
+
+
+def fd_step(omega: float, cfg: CavityConfig, clearance: float, tol: float) -> float:
+    """Step h for `ode_residual` and `delta_jump` at omega.
+
+    The h that minimizes `fd_error`, hk = (3 R)^(1/4), which is 3e-4 for
+    omega L >= 1 and grows slowly below. It is kept within
+    [1e-5 L, clearance/10]: the lower end bounds ode_residual's grid at
+    300,000 points, the upper end keeps every source that is at least
+    `clearance` from the membrane and the mirror 10h away from them.
+    Raises `StepSizeError` when one of the two ends moves h so far that
+    `fd_error` exceeds tol: at low frequency (omega L below about 1.5e-3
+    at the default tolerance), where the step cannot grow enough to keep
+    rounding small, or next to a band edge, where |n| is so large that
+    1e-5 L no longer resolves the wave.
+    """
+    k = _wavenumber(omega, cfg)
+    best = (3.0 * _rounding(omega, cfg)) ** 0.25 / k
+    h = min(max(best, _MIN_STEP * cfg.length), clearance / 10.0)
+    if h != best and fd_error(omega, cfg, h) > tol:
+        raise StepSizeError(
+            f"no step in [{_MIN_STEP * cfg.length:g}, {clearance / 10.0:g}] "
+            f"resolves omega = {omega:g} (k L = {k * cfg.length:g}) within {tol:g}: "
+            f"the nearest, h = {h:g}, leaves about {fd_error(omega, cfg, h):.2g}"
+        )
+    return h
 
 
 def ode_residual(zprime: float, omega: float, cfg: CavityConfig, h: float) -> float:
@@ -151,8 +228,23 @@ def ode_residual(zprime: float, omega: float, cfg: CavityConfig, h: float) -> fl
 
     normalized by the largest source-term magnitude on the grid (a
     pointwise quotient is ill-conditioned at the nodes of the standing
-    wave). Expect O(h^2 k^2) from truncation plus eps/(h^2 k^2) from
-    rounding: ~2e-7 at h = 1e-5 L for an empty cavity.
+    wave). With k = max(|n omega|, omega), expect about
+
+        (hk)^2 / 12  +  2 eps (5 + 1/(omega L)) / (hk)^2.
+
+    The first term is the truncation error of the central second
+    difference; it holds to a few percent once it dominates. The second
+    is rounding: three values of G, each with a relative error of a few
+    eps, differenced and divided by h^2. In vacuum G is the difference
+    of two terms of size 1/omega, so its relative error grows like
+    1/(omega L) once omega L < 1. That term is an envelope fitted to
+    measured residuals (4 pi beta up to 16, gamma up to 1e-3): wherever
+    a residual came out above 1e-5 the sum was at or above it, and
+    elsewhere at most 25x below it. `fd_step` picks the h that keeps
+    the larger error of this check and of `delta_jump` smallest (see
+    `fd_error`): hk = 3e-4 for omega L >= 1, where the residual comes
+    out between 1e-8 and 1e-6. A fixed h = 1e-5 L instead leaves a
+    rounding term near 1e-4 at omega L = 0.3.
     """
     _check_step(omega, zprime, cfg, h)
     L = cfg.length
@@ -178,9 +270,8 @@ def delta_jump(zprime: float, omega: float, cfg: CavityConfig, h: float) -> floa
     Second-order stencils on either side of z', never straddling it.
     """
     _check_step(omega, zprime, cfg, h)
-    gm2, gm1, g0, gp1, gp2 = (
-        green_function(zprime + k * h, zprime, omega, cfg) for k in (-2, -1, 0, 1, 2)
-    )
+    stencil = zprime + h * np.arange(-2, 3)
+    gm2, gm1, g0, gp1, gp2 = green_function(stencil, zprime, omega, cfg).tolist()
     right = (-3.0 * g0 + 4.0 * gp1 - gp2) / (2.0 * h)
     left = (3.0 * g0 - 4.0 * gm1 + gm2) / (2.0 * h)
     return (right - left).real

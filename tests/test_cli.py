@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import polariton_mbc
+import polariton_mbc.greens as greens
 from polariton_mbc.cli import _random_transparent, main
 from polariton_mbc.config import MAX_SWEEP_COUNT, load_config
 from polariton_mbc.errors import ConfigError
@@ -207,6 +208,85 @@ def test_transparent_draws_of_a_window_clear_of_the_band_are_plain_uniform(sets)
     assert rng.uniform() == ref.uniform()  # and the generator is left in step
 
 
+@pytest.mark.parametrize("beta4pi", [0.0, 0.36, 2.0, 16.0])
+@pytest.mark.parametrize("gamma", [0.0, 1e-9, 1e-3])
+def test_greens_check_passes_on_windows_above_the_refusal_bound(tmp_path, beta4pi, gamma):
+    # log-uniform windows whose start keeps omega L above 3e-3, twice the
+    # refusal bound for vacuum at the default tolerance (a larger index
+    # only lowers it), and random mirrors from nearly open to nearly closed
+    rng = np.random.default_rng(int(1000 * beta4pi + 1e4 * gamma) + 61)
+    for _ in range(3):
+        lam = 10 ** rng.uniform(0.0, 3.0)
+        sets = [f"medium.beta4pi={beta4pi}", f"medium.gamma={gamma}",
+                f"cavity.lambda_mirror={lam!r}"]
+        length = load_config("greens-check", set_pairs=sets).cavity().length
+        start, stop = map(float, np.sort(10 ** rng.uniform(np.log10(3e-3 / length), 0.7, 2)))
+        argv = ["greens-check", "--out", str(tmp_path), "--set", f"sweep.start={start!r}",
+                "--set", f"sweep.stop={stop!r}"]
+        for pair in sets:
+            argv += ["--set", pair]
+        assert main(argv) == 0, argv
+        _, header, rows = read_csv(tmp_path / "greens_check.csv")
+        assert all(s == "pass" for s in column(header, rows, "status", cast=str))
+
+
+def test_greens_check_refuses_a_window_below_the_refusal_bound(tmp_path, capsys):
+    # omega L = 3e-4 at the window's start: no step the guards allow keeps
+    # rounding in the residual under 1e-4, whichever frequency is drawn
+    code = main([
+        "greens-check", "--out", str(tmp_path),
+        "--set", "sweep.start=1e-4", "--set", "sweep.stop=3.0",
+    ])
+    assert code == 1
+    assert "no step" in capsys.readouterr().err
+    assert not (tmp_path / "greens_check.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "beta4pi, start, stop, code",
+    [
+        (0.36, 1.0 - 3e-6, 1.0 - 1.5e-6, 0),
+        (2.0, 1.0 - 1e-5, 1.0 - 1.5e-6, 0),
+        (16.0, 1.0 - 1e-3, 1.0 - 1.5e-6, 0),
+        # the start resolves (hk = 0.017 at the 1e-5 L step), the probe a
+        # fifth of the way to the edge does not (hk = 0.019): refused by name
+        (16.0, 1.0 - 2.96e-5, 1.0 - 1.5e-6, 2),
+        # already the start is past that: the window is refused up front
+        (16.0, 1.0 - 1e-5, 1.0 - 1.5e-6, 1),
+        # unless the window reaches above the band, where k is small again
+        (16.0, 1.0 - 1e-5, 5.0, 0),
+    ],
+)
+def test_greens_check_next_to_a_band_edge(
+    tmp_path, monkeypatch, capsys, beta4pi, start, stop, code
+):
+    # windows next to omega_t, where |n| reaches a few thousand: the
+    # residual grid never passes 300,000 points, and a probe the 1e-5 L
+    # step cannot resolve ends in a StepSizeError
+    sizes = []
+    exact = greens.green_function
+
+    def counting(z, *args):
+        sizes.append(np.size(z))
+        return exact(z, *args)
+
+    monkeypatch.setattr(greens, "green_function", counting)
+    assert main([
+        "greens-check", "--out", str(tmp_path), "--set", "medium.gamma=0",
+        "--set", f"medium.beta4pi={beta4pi}", "--set", "sweep.count=2",
+        "--set", f"sweep.start={start!r}", "--set", f"sweep.stop={stop!r}",
+    ]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "numerical failure: no step" in err
+        assert not (tmp_path / "greens_check.csv").exists()
+    if code == 1:
+        assert "cannot check the window" in err
+    assert max(sizes, default=0) <= 300_000
+    if code == 0 and stop < 1.0:
+        assert 300_000 in sizes  # each probe below the band needs the smallest step
+
+
 def test_greens_check_reports_tolerance_failures(tmp_path):
     code = main([
         "greens-check", "--out", str(tmp_path),
@@ -229,6 +309,18 @@ def test_fluct_vacuum_weights(tmp_path):
         assert a == pytest.approx(1.0 / (2.0 * q), rel=1e-12)
     for q, e in zip(qs, column(header, rows, "e_comm")):
         assert e == pytest.approx(0.5 * q, rel=1e-12)
+
+
+def test_fluct_refuses_an_overflowing_weight(tmp_path, capsys):
+    # 1 / (2q) overflows at a subnormal first q: a configuration error
+    # before any file is written, not an inf in the CSV
+    code = main([
+        "fluct", "--out", str(tmp_path), "--set", "sweep.start=1e-310",
+        "--set", "sweep.stop=1", "--set", "sweep.count=3",
+    ])
+    assert code == 1
+    assert "a_comm is not finite at q = 1e-310" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_hopfield_weights_are_normalized(tmp_path):
@@ -286,6 +378,19 @@ def test_config_error_paths(tmp_path):
         load_config("dispersion", set_pairs=[too_many])
     largest = load_config("dispersion", set_pairs=[f"sweep.count={MAX_SWEEP_COUNT}"])
     assert largest.sweep_count == MAX_SWEEP_COUNT
+
+
+def test_successive_main_calls_do_not_share_overrides(tmp_path):
+    # the parser is built once per process; what one call sets must not
+    # reach the next
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["spectrum", "--out", str(first), "--svg", "--set", "sweep.count=5"]) == 0
+    assert main(["spectrum", "--out", str(second)]) == 0
+    assert len(read_csv(first / "spectrum.csv")[2]) == 5
+    assert len(read_csv(second / "spectrum.csv")[2]) == 2001
+    assert sorted(os.listdir(second)) == ["spectrum.csv"]
+    comments = read_csv(second / "spectrum.csv")[0]
+    assert not any("count = 5" in line for line in comments)
 
 
 def test_io_error_exit_code(tmp_path):
@@ -349,7 +454,7 @@ DEFAULT_CSV_BODIES = {
     "fig2_frequencies.csv": "58f4d357461827496aabc8aa79bae22d9113c44d2081325f77c9bcd7e09a5c55",
     "fig2_rates.csv": "6331091672b91c6d2976e80ca6f12cdc166e79957cc2820966a7e355abab9923",
     "fluct.csv": "d2160213f43336dad3f2496eb70ece62c93270a2bcf66042a52302c8e286ecaf",
-    "greens_check.csv": "ec3dd0504c93ca2d507be07e2ab0c33eb4d2cdde073e1521ebdac2e32f9e3ba4",
+    "greens_check.csv": "c14cc83169fe5ecad3226b1de132c1dc4b993ad3369cde71cba495c1f8d824aa",
     "hopfield.csv": "9518d5bf6950d3d522e6eb18bc99d1fec883ee330931a5d3cb56df1e1251fac1",
     "kappa_sweep.csv": "7cceabaaa002a0c7191761c2175708eb0a4f356f1ed71bf980d7a741435aebcd",
     "resonances.csv": "ff82531b6866bb5200855cc4a40141fc21fd32e8774249ddc302ccdd5571070c",

@@ -7,12 +7,15 @@ import math
 import numpy as np
 import pytest
 
+import polariton_mbc.greens as greens
 from oracles import matched_green
 from polariton_mbc import (
     CavityConfig,
     MediumParams,
     StepSizeError,
     delta_jump,
+    fd_error,
+    fd_step,
     green_coefficients,
     green_function,
     in_stop_band,
@@ -164,13 +167,87 @@ def test_differential_equation_residual_is_small():
 
 
 def test_residual_stays_small_over_the_allowed_step_range():
-    # below h ~ 1e-4 L the second difference is roundoff limited (error
-    # grows like eps/h^2), so expect no convergence story, just a floor
-    # comfortably under the acceptance tolerance
+    # these steps give hk from 1e-5 to 2e-4 at omega = 0.55, at or below
+    # the 3e-4 fd_step picks: the second difference is roundoff limited
+    # (error grows like eps/(hk)^2), so expect no convergence story, just
+    # a floor under the acceptance tolerance
     cfg = make_cavity(MEDIA[1])
     zp = 0.37 * cfg.length
     for frac in (1e-4, 1e-5, 5e-6):
         assert ode_residual(zp, 0.55, cfg, frac * cfg.length) < 1e-4
+
+
+def test_broadcast_green_function_matches_scalar_calls():
+    # z, z' and omega as arrays, covering all four pairs of regions in one
+    # call; complex products of arrays may round differently from scalars
+    rng = np.random.default_rng(59)
+    for med in MEDIA:
+        cfg = make_cavity(med)
+        L = cfg.length
+        ws = rng.uniform(0.1, 3.0, 400)
+        ws = ws[[usable(w, med) for w in ws]]
+        z = rng.uniform(-5.0 * L, L, ws.size)
+        zp = rng.uniform(-5.0 * L, L, ws.size)
+        got = green_function(z, zp, ws, cfg)
+        one = np.array([green_function(*map(float, t), cfg) for t in zip(z, zp, ws)])
+        assert got.shape == ws.shape
+        assert np.all(np.abs(got - one) <= 1e-12 * np.abs(one)), med
+
+
+def test_fd_step_minimizes_the_error_model():
+    cfg = make_cavity(MEDIA[1])
+    L = cfg.length
+    clearance = 0.37 * L
+    for w in (0.05, 0.5, 2.5):
+        h = fd_step(w, cfg, clearance, 1e-4)
+        err = fd_error(w, cfg, h)
+        assert err < fd_error(w, cfg, 0.9 * h) and err < fd_error(w, cfg, 1.1 * h)
+        assert ode_residual(clearance, w, cfg, h) < err
+        assert abs(delta_jump(clearance, w, cfg, h) + 1.0) < err
+        if w * L >= 1.0:
+            k = max(abs(refractive_index(w, cfg.medium) * w), w)
+            assert h * k == pytest.approx(3e-4, rel=0.05)
+    # low frequency: the 10h clearance caps the step, and then rounding
+    assert fd_step(1e-3, cfg, clearance, 1e-4) == clearance / 10.0
+    with pytest.raises(StepSizeError, match="no step"):
+        fd_step(1e-4, cfg, clearance, 1e-4)
+    # next to the band edge: the 300,000-point floor, and then truncation
+    assert fd_step(1.0 - 1e-5, cfg, clearance, 1e-4) == 1e-5 * L
+    with pytest.raises(StepSizeError, match="no step"):
+        fd_step(1.0 - 1e-5, cfg, clearance, 1e-9)
+    # a tolerance below the model where neither bound applies is the
+    # check's failure to report, not a step to refuse
+    assert fd_step(0.5, cfg, clearance, 1e-12) > 1e-5 * L
+
+
+@pytest.mark.parametrize("beta4pi", [0.36, 2.0, 16.0])
+@pytest.mark.parametrize("gamma", [0.0, 1e-9, 1e-3])
+def test_band_edge_probes_stay_within_the_grid_bound(monkeypatch, beta4pi, gamma):
+    sizes = []
+    exact = greens.green_function
+
+    def counting(z, *args):
+        sizes.append(np.size(z))
+        return exact(z, *args)
+
+    monkeypatch.setattr(greens, "green_function", counting)
+    med = MediumParams(omega_t=1.0, beta4pi=beta4pi, gamma=gamma)
+    cfg = make_cavity(med)
+    L = cfg.length
+    lo, hi = med.stop_band()
+    outcomes = set()
+    for w in (lo * (1 - 1e-3), lo * (1 - 1e-5), lo * (1 - 1e-6), hi * (1 + 1e-6)):
+        try:
+            h = fd_step(w, cfg, 0.37 * L, 1e-4)
+        except StepSizeError:
+            outcomes.add("refused")
+            continue
+        for zp in (-0.45 * L, 0.37 * L):
+            assert ode_residual(zp, w, cfg, h) < 1e-4
+        assert abs(delta_jump(0.37 * L, w, cfg, h) + 1.0) < 1e-4
+        outcomes.add("passed")
+    assert max(sizes) <= 300_000
+    assert "passed" in outcomes
 
 
 def test_step_size_guards():
