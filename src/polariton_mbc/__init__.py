@@ -18,7 +18,6 @@ from .cavity import (
     kappa_bare,
     kappa_mbc,
     lorentzian_extract,
-    lorentzian_prefactor,
     reflection,
     tuned_length,
 )
@@ -61,10 +60,12 @@ from .hopfield import (
     BogoliubovProblem,
     Branch,
     HopfieldMode,
-    bogoliubov_matrix,
+    HopfieldModes,
     diagonalize,
     eigenfrequencies,
+    hopfield_modes,
     photon_weight,
+    weight,
 )
 from .iomodel import (
     figure2_sweep,
@@ -86,6 +87,7 @@ __all__ = [
     "FieldCommutators",
     "GreenCoefficients",
     "HopfieldMode",
+    "HopfieldModes",
     "MediumParams",
     "PeakExtractionError",
     "PolaritonError",
@@ -96,7 +98,6 @@ __all__ = [
     "SweepTable",
     "ToleranceError",
     "backward_commutator_decay",
-    "bogoliubov_matrix",
     "bulk_dispersion",
     "delta_jump",
     "diagonalize",
@@ -110,6 +111,7 @@ __all__ = [
     "green_coefficients",
     "green_function",
     "group_velocity",
+    "hopfield_modes",
     "in_stop_band",
     "intracavity_transfer",
     "kappa_bare",
@@ -117,7 +119,6 @@ __all__ = [
     "kappa_mbc",
     "kappa_rwa",
     "lorentzian_extract",
-    "lorentzian_prefactor",
     "mode_commutators",
     "ode_residual",
     "output_amplitude",
@@ -128,5 +129,6 @@ __all__ = [
     "solve_omega_q",
     "tuned_length",
     "wavenumber",
+    "weight",
     "write_csv",
 ]

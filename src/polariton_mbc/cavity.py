@@ -38,7 +38,6 @@ __all__ = [
     "kappa_mbc",
     "kappa_bare",
     "tuned_length",
-    "lorentzian_prefactor",
     "lorentzian_extract",
 ]
 
@@ -56,10 +55,6 @@ class CavityConfig:
             raise ValueError("length must be positive")
         if not self.lambda_mirror > 0:
             raise ValueError("lambda_mirror must be positive")
-
-    def good_cavity_ratio(self, omega: float) -> float:
-        """Lambda / |n(omega)|; >> 1 in the good-cavity regime."""
-        return self.lambda_mirror / abs(refractive_index(omega, self.medium))
 
 
 @dataclass(frozen=True)
@@ -134,20 +129,6 @@ def kappa_mbc(omega, cfg: CavityConfig):
 def kappa_bare(cfg: CavityConfig) -> float:
     """Empty-cavity rate kappa_0 = 2 / (Lambda**2 L)."""
     return 2.0 / (cfg.lambda_mirror**2 * cfg.length)
-
-
-def lorentzian_prefactor(omega: float, cfg: CavityConfig) -> float:
-    """sqrt(2 v_g / (n L)): mode-normalization prefactor of the near-resonance form.
-
-    Near a good-cavity resonance W the intracavity amplitude is
-    T(w) ~ prefactor * i*sqrt(kappa) / (w - W + i*kappa/2); exposed so
-    the normalization consistency can be tested against the full
-    boundary-condition line shape.
-    """
-    p = cfg.medium.lossless()
-    n = refractive_index(omega, p).real
-    vg = group_velocity(omega, p)
-    return math.sqrt(2.0 * vg / (n * cfg.length))
 
 
 def _resonance_function(length: float, lambda_mirror: float, omega_t: float, beta4pi):

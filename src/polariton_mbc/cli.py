@@ -28,7 +28,8 @@ from .cavity import (
 from .config import RunConfig, load_config
 from .dielectric import MediumParams, bulk_dispersion, group_velocity, in_stop_band
 from .dielectric import refractive_index
-from .errors import ConfigError, PolaritonError, StepSizeError, ToleranceError
+from .errors import ConfigError, PolaritonError, StepSizeError, StopBandError
+from .errors import ToleranceError
 from .fluct import FieldCommutators, solve_omega_q
 from .greens import (
     delta_jump,
@@ -37,7 +38,7 @@ from .greens import (
     green_function,
     ode_residual,
 )
-from .hopfield import BogoliubovProblem, diagonalize
+from .hopfield import hopfield_modes, weight
 from .iomodel import figure2_sweep, kappa_fit
 from .svgplot import write_svg
 from .tables import SweepTable, write_csv
@@ -92,29 +93,26 @@ def cmd_dispersion(cfg: RunConfig) -> None:
 
 
 def cmd_hopfield(cfg: RunConfig) -> None:
-    """Two-mode eigenfrequencies and mode weights over a coupling sweep."""
+    """Two-mode eigenfrequencies and mode weights over a coupling sweep.
+
+    One `hopfield_modes` call covers the sweep. A coupling whose closed
+    forms leave the float range is refused with a configuration error
+    before any file is written.
+    """
     wt = cfg.medium.omega_t
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
-    cols: dict[str, list[float]] = {
-        name: []
-        for name in (
-            "omega_L", "omega_U",
-            "w2_L", "x2_L", "y2_L", "z2_L",
-            "w2_U", "x2_U", "y2_U", "z2_U",
+    modes = hopfield_modes(wt, wt, grid * wt)
+    bad = ~modes.finite
+    if np.any(bad):
+        raise ConfigError(
+            "the two-mode closed forms leave the float range at "
+            f"rabi/omega_t = {grid[bad][0]:g}"
         )
-    }
-    for r in grid:
-        lo, up = diagonalize(BogoliubovProblem(photon_freq=wt, omega_t=wt, rabi=r * wt))
-        cols["omega_L"].append(lo.omega / wt)
-        cols["omega_U"].append(up.omega / wt)
-        for tag, mode in (("L", lo), ("U", up)):
-            cols[f"w2_{tag}"].append(abs(mode.w) ** 2)
-            cols[f"x2_{tag}"].append(abs(mode.x) ** 2)
-            cols[f"y2_{tag}"].append(abs(mode.y) ** 2)
-            cols[f"z2_{tag}"].append(abs(mode.z) ** 2)
-    table = SweepTable(
-        [("rabi_over_wt", list(grid))] + [(k, v) for k, v in cols.items()]
-    )
+    cols = {"omega_L": modes.omega[0] / wt, "omega_U": modes.omega[1] / wt}
+    for i, tag in enumerate("LU"):
+        for part in "wxyz":
+            cols[f"{part}2_{tag}"] = weight(getattr(modes, part)[i])
+    table = SweepTable([("rabi_over_wt", grid), *cols.items()])
     table.write_csv(_csv_path(cfg, "hopfield.csv"), _comments(cfg, "hopfield"))
     if cfg.svg:
         write_svg(
@@ -134,11 +132,11 @@ def cmd_hopfield(cfg: RunConfig) -> None:
 def cmd_resonances(cfg: RunConfig) -> None:
     """Scan a frequency window for cavity resonances; count = scan subintervals."""
     cavity = cfg.cavity()
-    found = find_resonances(
-        cavity,
-        (cfg.sweep_start, cfg.sweep_stop),
-        subintervals=max(cfg.sweep_count, 2),
-    )
+    window = (cfg.sweep_start, cfg.sweep_stop)
+    try:
+        found = find_resonances(cavity, window, subintervals=max(cfg.sweep_count, 2))
+    except StopBandError as err:  # the window, not the solver, is at fault
+        raise ConfigError(f"resonances window: {err}") from err
     rows = [(res.omega, res.kappa, str(res.branch), res.mode_index) for res in found]
     write_csv(
         _csv_path(cfg, "resonances.csv"),
@@ -217,7 +215,7 @@ def cmd_figure2(cfg: RunConfig) -> None:
     if k0 is None:  # figure2_sweep's default: the tuned empty cavity at omega_t = 1
         bare = MediumParams()
         k0 = kappa_bare(CavityConfig(tuned_length(lam, bare), lam, bare))
-    table = figure2_sweep(list(grid), lam, k0)
+    table = figure2_sweep(grid, lam, k0)
     axis = table.column("rabi_over_wt")
     freq_cols = ["omega_L_mbc", "omega_U_mbc", "omega_L_disc", "omega_U_disc"]
     rate_cols = ["kappa_L_mbc", "kappa_U_mbc", "kappa_L_rwa", "kappa_U_rwa"]

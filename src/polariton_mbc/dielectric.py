@@ -61,11 +61,6 @@ class MediumParams:
         """Zero of the loss-less dielectric function, omega_t*sqrt(1 + 4*pi*beta)."""
         return self.omega_t * math.sqrt(1.0 + self.beta4pi)
 
-    @property
-    def rabi(self) -> float:
-        """Vacuum Rabi frequency omega_t*sqrt(4*pi*beta)/2."""
-        return 0.5 * self.omega_t * math.sqrt(self.beta4pi)
-
     def stop_band(self) -> tuple[float, float]:
         """The (omega_t, omega_longitudinal) window with no propagating bulk mode."""
         return (self.omega_t, self.omega_longitudinal)

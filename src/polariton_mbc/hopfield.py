@@ -6,17 +6,20 @@ kept. The positive-frequency eigenmodes are the lower and upper
 polaritons; their (w, x, y, z) coefficients weigh the photon,
 excitation, anti-photon and anti-excitation operators.
 
-The public path below uses closed forms for both eigenfrequencies and
-eigenvectors. The test suite re-derives everything from a dense
-eigensolve of `bogoliubov_matrix` so that the two routes stay
-independent.
+The public path is one array kernel, `hopfield_modes`: closed forms for
+both eigenfrequencies and eigenvectors over a whole array of couplings,
+with the decoupled case rabi = 0 resolved per element. A coupling sweep
+is one call. `eigenfrequencies` and `diagonalize` are its scalar entry
+points for one `BogoliubovProblem`. The test suite re-derives
+everything from a dense eigensolve of the 4x4 Bogoliubov matrix
+(tests/oracles.py) so that the two routes stay independent.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +27,11 @@ __all__ = [
     "Branch",
     "BogoliubovProblem",
     "HopfieldMode",
-    "bogoliubov_matrix",
+    "HopfieldModes",
+    "hopfield_modes",
     "eigenfrequencies",
     "diagonalize",
+    "weight",
     "photon_weight",
 ]
 
@@ -38,6 +43,10 @@ class Branch(enum.Enum):
 
     def __str__(self):
         return self.value
+
+
+def _coupling4pi(rabi, photon_freq, omega_t):
+    return 4.0 * rabi * rabi * photon_freq / omega_t**3
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,7 @@ class BogoliubovProblem:
         medium value 4*rabi**2/omega_t**2 on resonance
         photon_freq = omega_t.
         """
-        return 4.0 * self.rabi * self.rabi * self.photon_freq / self.omega_t**3
+        return _coupling4pi(self.rabi, self.photon_freq, self.omega_t)
 
 
 @dataclass(frozen=True)
@@ -92,105 +101,111 @@ class HopfieldMode:
     y: complex
     z: complex
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z], dtype=complex)
+
+class HopfieldModes(NamedTuple):
+    """Both polariton modes over an array of couplings.
+
+    Each field has shape (2, *shape): index 0 is the lower branch and 1
+    the upper one. omega is real; w, x, y and z are complex, in the
+    phase convention of `diagonalize`. (A NamedTuple: defining a frozen
+    dataclass costs about 1 ms of import time.)
+    """
+
+    omega: np.ndarray
+    w: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
 
     @property
-    def norm(self) -> float:
-        """Bosonic normalization |w|^2 + |x|^2 - |y|^2 - |z|^2 (should be 1)."""
-        return (
-            abs(self.w) ** 2 + abs(self.x) ** 2 - abs(self.y) ** 2 - abs(self.z) ** 2
-        )
+    def finite(self) -> np.ndarray:
+        """Per coupling, whether both modes' frequencies and coefficients are finite."""
+        return np.isfinite(tuple(self)).all(axis=(0, 1))
 
 
-def bogoliubov_matrix(prob: BogoliubovProblem) -> np.ndarray:
-    """The 4x4 non-Hermitian matrix of the eigenproblem M v = omega v.
+def hopfield_modes(photon_freq, omega_t, rabi) -> HopfieldModes:
+    """Closed-form frequencies and Hopfield coefficients of both modes.
 
-    Basis order (photon, excitation, anti-photon, anti-excitation);
-    the spectrum consists of the two polariton frequencies and their
-    negatives.
+    rabi is taken as an at-least-1-d array; photon_freq and omega_t
+    broadcast against it. The frequencies are the roots of
+    omega**4 - omega**2 (omega_c**2 + omega_t**2 + g) + omega_c**2 omega_t**2 = 0
+    with g = coupling4pi * omega_t**2, the lower one from the product of
+    roots to avoid cancellation when photon_freq is small. Each
+    eigenvector follows from a template at its frequency, with an
+    overall minus sign on the upper branch so that w stays real positive.
+
+    Where rabi = 0 the photon-like mode has w = 1 and the excitation-like
+    mode x = +i or -i, the rabi -> 0 limit of the closed forms on either
+    side of the crossing; at the degeneracy photon_freq = omega_t the
+    photon-like mode is the lower one. A coupling whose closed forms
+    leave the float range (4 rabi**2 underflowing to 0 at the degeneracy,
+    or s**2 overflowing) gets non-finite entries; see `HopfieldModes.finite`.
     """
-    wc, wt, g = prob.photon_freq, prob.omega_t, prob.rabi
-    a2 = 2.0 * prob.diamagnetic
-    return np.array(
-        [
-            [wc + a2, -1j * g, -a2, -1j * g],
-            [1j * g, wt, -1j * g, 0.0],
-            [a2, -1j * g, -wc - a2, -1j * g],
-            [-1j * g, 0.0, 1j * g, -wt],
-        ],
-        dtype=complex,
-    )
+    wc = np.asarray(photon_freq, dtype=float)
+    wt = np.asarray(omega_t, dtype=float)
+    g = np.atleast_1d(np.asarray(rabi, dtype=float))
+    if not ((wc > 0).all() and (wt > 0).all() and (g >= 0).all()):
+        raise ValueError("need photon_freq > 0, omega_t > 0 and rabi >= 0")
+    ratio = wc / wt
+    r = ratio * ratio
+    with np.errstate(all="ignore"):  # out-of-range couplings show in .finite
+        g4 = _coupling4pi(g, wc, wt)
+        s = 1.0 + g4 + r
+        root = s + np.sqrt(s * s - 4.0 * r)
+        omega = wt * np.sqrt([2.0 * r / root, 0.5 * root])
+        sq = 0.5 * np.sqrt(g4)  # sqrt(pi * beta_eff)
+        rw = omega / wt
+        d = 1.0 - rw * rw
+        sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * g4.ndim)
+        pref = sign / np.sqrt(rw * (d * d + g4))
+        scale = np.sqrt(wt / wc) / (2.0 * wt)
+        w = (pref * d * (omega + wc) * scale).astype(complex)
+        x = -1j * (pref * sq * (1.0 + rw))
+        y = (pref * d * (omega - wc) * scale).astype(complex)
+        z = -1j * (pref * sq * (1.0 - rw))
+    off = g == 0.0
+    if off.any():
+        below = np.broadcast_to(wc <= wt, g4.shape)  # the photon-like mode is lower
+        omega = np.where(off, [np.where(below, wc, wt), np.where(below, wt, wc)], omega)
+        w = np.where(off, [below, ~below], w)
+        x = np.where(off, [np.where(below, 0j, -1j), np.where(below, 1j, 0j)], x)
+        y, z = np.where(off, 0j, y), np.where(off, 0j, z)
+    return HopfieldModes(omega, w, x, y, z)
 
 
 def eigenfrequencies(prob: BogoliubovProblem) -> tuple[float, float]:
-    """Closed-form (omega_lower, omega_upper), both positive.
-
-    Roots of  omega**4 - omega**2 (omega_c**2 + omega_t**2 + g) +
-    omega_c**2 omega_t**2 = 0  with g = coupling4pi * omega_t**2.
-    The lower root is computed from the product of roots to avoid
-    cancellation when photon_freq is small.
-    """
-    r = (prob.photon_freq / prob.omega_t) ** 2
-    s = 1.0 + prob.coupling4pi + r
-    disc = math.sqrt(s * s - 4.0 * r)
-    upper = prob.omega_t * math.sqrt(0.5 * (s + disc))
-    lower = prob.omega_t * math.sqrt(2.0 * r / (s + disc))
-    return lower, upper
-
-
-def _closed_form_mode(branch: Branch, omega: float, sign: float, prob: BogoliubovProblem) -> HopfieldMode:
-    # template for the eigenvector at eigenfrequency omega; the upper
-    # branch carries an overall minus sign so that w stays real positive
-    wt, wc = prob.omega_t, prob.photon_freq
-    g4 = prob.coupling4pi
-    sq = 0.5 * math.sqrt(g4)  # sqrt(pi * beta_eff)
-    rw = omega / wt
-    d = 1.0 - rw * rw
-    pref = sign / math.sqrt(rw * (d * d + g4))
-    scale = math.sqrt(wt / wc) / (2.0 * wt)
-    w = pref * d * (omega + wc) * scale
-    x = pref * (-1j) * sq * (1.0 + rw)
-    y = pref * d * (omega - wc) * scale
-    z = pref * (-1j) * sq * (1.0 - rw)
-    return HopfieldMode(branch, omega, complex(w), complex(x), complex(y), complex(z))
+    """(omega_lower, omega_upper) of one problem, both positive; see `hopfield_modes`."""
+    omega = hopfield_modes(prob.photon_freq, prob.omega_t, prob.rabi).omega
+    return float(omega[0, 0]), float(omega[1, 0])
 
 
 def diagonalize(prob: BogoliubovProblem) -> tuple[HopfieldMode, HopfieldMode]:
-    """Both polariton modes with closed-form Hopfield coefficients.
+    """Both polariton modes of one problem with closed-form Hopfield coefficients.
 
     Phase convention: w is real positive on both branches, and the
     excitation amplitude is x = -i*sqrt(pi*beta_eff)*(1 + omega/omega_t)
-    on the lower branch (the upper branch flips the overall sign).
-
-    The decoupled case rabi = 0 is resolved explicitly: the photon-like
-    mode has w = 1 and the excitation-like mode has x = +i or -i,
-    matching the rabi -> 0 limit of the closed forms on either side of
-    the crossing. At the exact degeneracy photon_freq = omega_t the
-    photon-like mode is labeled Lower.
+    on the lower branch (the upper branch flips the overall sign). The
+    decoupled case rabi = 0 is resolved as in `hopfield_modes`. Raises
+    ValueError where the closed forms leave the float range.
     """
-    if prob.rabi == 0.0:
-        photon_is_lower = prob.photon_freq <= prob.omega_t
-        exc_x = 1j if photon_is_lower else -1j
-        photon = HopfieldMode(
-            Branch.LOWER if photon_is_lower else Branch.UPPER,
-            prob.photon_freq,
-            1.0 + 0j, 0j, 0j, 0j,
+    m = hopfield_modes(prob.photon_freq, prob.omega_t, prob.rabi)
+    if not m.finite[0]:
+        raise ValueError(f"the closed forms leave the float range at rabi = {prob.rabi:g}")
+    return tuple(
+        HopfieldMode(
+            branch, float(m.omega[i, 0]),
+            complex(m.w[i, 0]), complex(m.x[i, 0]), complex(m.y[i, 0]), complex(m.z[i, 0]),
         )
-        exc = HopfieldMode(
-            Branch.UPPER if photon_is_lower else Branch.LOWER,
-            prob.omega_t,
-            0j, exc_x, 0j, 0j,
-        )
-        return (photon, exc) if photon_is_lower else (exc, photon)
-
-    lo, hi = eigenfrequencies(prob)
-    return (
-        _closed_form_mode(Branch.LOWER, lo, +1.0, prob),
-        _closed_form_mode(Branch.UPPER, hi, -1.0, prob),
+        for i, branch in enumerate((Branch.LOWER, Branch.UPPER))
     )
 
 
-def photon_weight(mode: HopfieldMode) -> float:
+def weight(amplitude):
+    """|amplitude|**2, squared by one multiplication, for scalars and arrays alike."""
+    a = abs(amplitude)
+    return a * a
+
+
+def photon_weight(mode: HopfieldMode | HopfieldModes):
     """|w|^2, the photon content entering the number-conserving dissipation rate."""
-    return abs(mode.w) ** 2
+    return weight(mode.w)

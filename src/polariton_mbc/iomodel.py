@@ -27,7 +27,7 @@ from .cavity import (
 from .dielectric import MediumParams, _branches, _group_velocity, _refractive_index
 from .dielectric import _unwrap
 from .errors import ResonanceScanError
-from .hopfield import BogoliubovProblem, HopfieldMode, diagonalize, photon_weight
+from .hopfield import HopfieldMode, HopfieldModes, hopfield_modes, photon_weight
 from .tables import SweepTable
 
 __all__ = [
@@ -68,8 +68,8 @@ def output_amplitude(omega, resonances: Sequence[Resonance]):
     return _unwrap(out, complex)
 
 
-def kappa_rwa(mode: HopfieldMode, kappa0: float) -> float:
-    """Photon-weight rescaling of the bare rate: |w|^2 * kappa0."""
+def kappa_rwa(mode: HopfieldMode | HopfieldModes, kappa0: float):
+    """Photon-weight rescaling of the bare rate: |w|^2 * kappa0, per mode."""
     if not kappa0 > 0:
         raise ValueError("kappa0 must be positive")
     return photon_weight(mode) * kappa0
@@ -98,7 +98,8 @@ def figure2_sweep(
     sits at omega_t, and the two m = 1 resonances on either side of the
     stop band give the *_mbc columns. The two-mode problem with
     photon_freq = omega_t gives the *_disc frequencies and the
-    |w|^2-rescaled rates. kappa0 defaults to kappa_bare of the tuned cavity.
+    |w|^2-rescaled rates, all couplings in one `hopfield_modes` call.
+    kappa0 defaults to kappa_bare of the tuned cavity.
 
     L does not depend on the coupling, so the m = 1 root of tan(qL) =
     n/Lambda, q = n(W) W, lies at qL in (pi, 3 pi/2), which the closed
@@ -114,10 +115,10 @@ def figure2_sweep(
     Columns: rabi_over_wt, omega_L_mbc, omega_U_mbc, omega_L_disc,
     omega_U_disc, kappa_L_mbc, kappa_U_mbc, kappa_L_rwa, kappa_U_rwa.
     """
-    grid = [float(r) for r in rabi_grid]
-    if not grid or grid[0] <= 0.0:
+    grid = np.asarray(rabi_grid, dtype=float)
+    if grid.ndim != 1 or not grid.size or grid[0] <= 0.0:
         raise ValueError("rabi_grid must be positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if np.any(grid[1:] <= grid[:-1]):
         raise ValueError("rabi_grid must be strictly increasing")
     if not lambda_mirror >= 5.0:
         raise ValueError("lambda_mirror must be in the good-cavity regime (>= 5)")
@@ -145,15 +146,16 @@ def figure2_sweep(
         )
     kappa = n * _group_velocity(w, 1.0, b4) * k_bare  # 2 n v_g / (Lambda^2 L)
 
-    modes = [diagonalize(BogoliubovProblem(photon_freq=1.0, rabi=r)) for r in grid]
+    modes = hopfield_modes(1.0, 1.0, grid)
+    rwa = kappa_rwa(modes, k0)
     return SweepTable([
         ("rabi_over_wt", grid),
         ("omega_L_mbc", w[:, 0]),
         ("omega_U_mbc", w[:, 1]),
-        ("omega_L_disc", [low.omega for low, _ in modes]),
-        ("omega_U_disc", [up.omega for _, up in modes]),
+        ("omega_L_disc", modes.omega[0]),
+        ("omega_U_disc", modes.omega[1]),
         ("kappa_L_mbc", kappa[:, 0]),
         ("kappa_U_mbc", kappa[:, 1]),
-        ("kappa_L_rwa", [kappa_rwa(low, k0) for low, _ in modes]),
-        ("kappa_U_rwa", [kappa_rwa(up, k0) for _, up in modes]),
+        ("kappa_L_rwa", rwa[0]),
+        ("kappa_U_rwa", rwa[1]),
     ])

@@ -1,7 +1,9 @@
 """Independent reference computations the tests compare against.
 
 Everything here recomputes results along a different route than the
-package: dense eigendecomposition instead of closed forms, a direct
+package: dense eigendecomposition instead of closed forms, the
+per-coupling scalar closed forms instead of the whole-sweep array
+kernel of hopfield_modes, a direct
 two-unknown boundary-value solve instead of the assembled Green
 function, windowed resonance scans instead of the analytic m = 1
 brackets of figure2_sweep, a bracket-walking bisection of n(W) W = q
@@ -21,11 +23,117 @@ from polariton_mbc import (
     BranchError,
     CavityConfig,
     MediumParams,
-    bogoliubov_matrix,
     find_resonances,
+    group_velocity,
     refractive_index,
     tuned_length,
 )
+
+
+def bogoliubov_matrix(prob: BogoliubovProblem) -> np.ndarray:
+    """The 4x4 non-Hermitian matrix of the eigenproblem M v = omega v.
+
+    Basis order (photon, excitation, anti-photon, anti-excitation);
+    the spectrum consists of the two polariton frequencies and their
+    negatives.
+    """
+    wc, wt, g = prob.photon_freq, prob.omega_t, prob.rabi
+    a2 = 2.0 * prob.diamagnetic
+    return np.array(
+        [
+            [wc + a2, -1j * g, -a2, -1j * g],
+            [1j * g, wt, -1j * g, 0.0],
+            [a2, -1j * g, -wc - a2, -1j * g],
+            [-1j * g, 0.0, 1j * g, -wt],
+        ],
+        dtype=complex,
+    )
+
+
+def mode_vector(mode) -> np.ndarray:
+    """A HopfieldMode's coefficients (w, x, y, z) as one complex vector."""
+    return np.array([mode.w, mode.x, mode.y, mode.z], dtype=complex)
+
+
+def bosonic_norm(mode) -> float:
+    """Bosonic normalization |w|^2 + |x|^2 - |y|^2 - |z|^2 (should be 1)."""
+    return abs(mode.w) ** 2 + abs(mode.x) ** 2 - abs(mode.y) ** 2 - abs(mode.z) ** 2
+
+
+def medium_rabi(med: MediumParams) -> float:
+    """Vacuum Rabi frequency omega_t*sqrt(4*pi*beta)/2 of a bulk medium."""
+    return 0.5 * med.omega_t * math.sqrt(med.beta4pi)
+
+
+def good_cavity_ratio(cfg: CavityConfig, omega: float) -> float:
+    """Lambda / |n(omega)|; >> 1 in the good-cavity regime."""
+    return cfg.lambda_mirror / abs(refractive_index(omega, cfg.medium))
+
+
+def lorentzian_prefactor(omega: float, cfg: CavityConfig) -> float:
+    """sqrt(2 v_g / (n L)): mode-normalization prefactor of the near-resonance form.
+
+    Near a good-cavity resonance W the intracavity amplitude is
+    T(w) ~ prefactor * i*sqrt(kappa) / (w - W + i*kappa/2), so the peak
+    of |T|^2 is 4 prefactor^2 / kappa.
+    """
+    p = cfg.medium.lossless()
+    n = refractive_index(omega, p).real
+    vg = group_velocity(omega, p)
+    return math.sqrt(2.0 * vg / (n * cfg.length))
+
+
+def _looped_mode(omega, sign, wc, wt, g4):
+    # the eigenvector template at omega in scalar arithmetic; the upper
+    # branch carries an overall minus sign so that w stays real positive
+    sq = 0.5 * math.sqrt(g4)
+    rw = omega / wt
+    d = 1.0 - rw * rw
+    pref = sign / math.sqrt(rw * (d * d + g4))
+    scale = math.sqrt(wt / wc) / (2.0 * wt)
+    return (
+        complex(pref * d * (omega + wc) * scale),
+        complex(pref * (-1j) * sq * (1.0 + rw)),
+        complex(pref * d * (omega - wc) * scale),
+        complex(pref * (-1j) * sq * (1.0 - rw)),
+    )
+
+
+def looped_modes(prob: BogoliubovProblem):
+    """((omega, w, x, y, z) lower, (...) upper) of one problem, in scalar arithmetic.
+
+    The per-coupling closed forms as the package evaluated them before
+    the array kernel: Python floats and complex numbers, squares by
+    `** 2`, and the decoupled case rabi = 0 resolved by hand (photon-like
+    mode lower at the degeneracy).
+    """
+    wc, wt = prob.photon_freq, prob.omega_t
+    if prob.rabi == 0.0:
+        if wc <= wt:
+            return (wc, 1 + 0j, 0j, 0j, 0j), (wt, 0j, 1j, 0j, 0j)
+        return (wt, 0j, -1j, 0j, 0j), (wc, 1 + 0j, 0j, 0j, 0j)
+    g4 = 4.0 * prob.rabi * prob.rabi * wc / wt**3
+    r = (wc / wt) ** 2
+    s = 1.0 + g4 + r
+    disc = math.sqrt(s * s - 4.0 * r)
+    lower = wt * math.sqrt(2.0 * r / (s + disc))
+    upper = wt * math.sqrt(0.5 * (s + disc))
+    return (
+        (lower, *_looped_mode(lower, 1.0, wc, wt, g4)),
+        (upper, *_looped_mode(upper, -1.0, wc, wt, g4)),
+    )
+
+
+def looped_hopfield_rows(grid, omega_t=1.0):
+    """The rows of hopfield.csv, one coupling at a time (rabi/omega_t in grid)."""
+    rows = []
+    for r in grid:
+        lo, up = looped_modes(BogoliubovProblem(omega_t, omega_t, float(r) * omega_t))
+        row = [float(r), lo[0] / omega_t, up[0] / omega_t]
+        for mode in (lo, up):
+            row += [abs(c) ** 2 for c in mode[1:]]
+        rows.append(row)
+    return rows
 
 
 def dense_modes(prob: BogoliubovProblem):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import good_cavity_ratio, lorentzian_prefactor
 from polariton_mbc import (
     Branch,
     CavityConfig,
@@ -20,7 +21,6 @@ from polariton_mbc import (
     kappa_bare,
     kappa_mbc,
     lorentzian_extract,
-    lorentzian_prefactor,
     reflection,
     refractive_index,
     tuned_length,
@@ -296,7 +296,7 @@ def test_good_cavity_ratio():
     cfg = make_cavity(beta4pi=3.0)
     w = 0.5
     n = abs(refractive_index(w, cfg.medium))
-    assert cfg.good_cavity_ratio(w) == pytest.approx(LAM / n, rel=1e-15)
+    assert good_cavity_ratio(cfg, w) == pytest.approx(LAM / n, rel=1e-15)
 
 
 def test_cavity_config_validation():

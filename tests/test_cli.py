@@ -14,6 +14,9 @@ import pytest
 
 import polariton_mbc
 import polariton_mbc.greens as greens
+import polariton_mbc.hopfield as hopfield
+from oracles import looped_hopfield_rows
+from polariton_mbc import figure2_sweep
 from polariton_mbc.cli import _random_transparent, main
 from polariton_mbc.config import MAX_SWEEP_COUNT, load_config
 from polariton_mbc.errors import ConfigError
@@ -336,6 +339,59 @@ def test_hopfield_weights_are_normalized(tmp_path):
             assert a + b - c - d == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("start, stop, first_bad", [
+    ("1e-163", "1", "1e-163"),  # 4 rabi^2 underflows to 0 at the degeneracy
+    ("0.1", "1e160", "5e+159"),  # s^2 overflows above rabi ~ 1e77
+])
+def test_hopfield_refuses_couplings_outside_the_float_range(tmp_path, capsys, start, stop, first_bad):
+    code = main([
+        "hopfield", "--out", str(tmp_path), "--svg", "--set", "sweep.count=3",
+        "--set", f"sweep.start={start}", "--set", f"sweep.stop={stop}",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config error: the two-mode closed forms leave the float range at rabi/omega_t = {first_bad}" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_hopfield_keeps_the_decoupled_row(tmp_path):
+    assert main([
+        "hopfield", "--out", str(tmp_path), "--set", "sweep.start=0",
+        "--set", "sweep.stop=1", "--set", "sweep.count=3",
+    ]) == 0
+    _, header, rows = read_csv(tmp_path / "hopfield.csv")
+    first = dict(zip(header, map(float, rows[0])))
+    # rabi = 0 at the degeneracy: the photon is the lower mode, the excitation the upper
+    assert first == {
+        "rabi_over_wt": 0.0, "omega_L": 1.0, "omega_U": 1.0,
+        "w2_L": 1.0, "x2_L": 0.0, "y2_L": 0.0, "z2_L": 0.0,
+        "w2_U": 0.0, "x2_U": 1.0, "y2_U": 0.0, "z2_U": 0.0,
+    }
+
+
+def test_hopfield_matches_the_per_coupling_loop(tmp_path):
+    # the whole-sweep kernel squares by multiplication, the scalar loop by
+    # pow: at most one ulp apart in any cell
+    assert main(["hopfield", "--out", str(tmp_path), "--set", "sweep.count=2000"]) == 0
+    _, header, rows = read_csv(tmp_path / "hopfield.csv")
+    got = np.array(rows, dtype=float)
+    want = np.array(looped_hopfield_rows(got[:, 0]))
+    assert got.shape == want.shape == (2000, 11)
+    assert np.all(np.sign(got) == np.sign(want))
+    assert np.max(np.abs(got.view(np.int64) - want.view(np.int64))) <= 1
+
+
+def test_sweeps_make_no_per_coupling_hopfield_call(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-coupling call into hopfield")
+
+    monkeypatch.setattr(hopfield, "diagonalize", refuse)
+    monkeypatch.setattr(hopfield, "eigenfrequencies", refuse)
+    assert main(["hopfield", "--out", str(tmp_path), "--set", "sweep.count=200"]) == 0
+    assert main(["figure2", "--out", str(tmp_path), "--set", "sweep.count=50"]) == 0
+    assert len(figure2_sweep(np.linspace(0.05, 1.5, 50), 7.822)) == 50
+
+
 def test_config_file_layering_and_set_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -524,6 +580,18 @@ def test_installed_console_script():
     proc = subprocess.run([script, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "dispersion" in proc.stdout
+
+
+def test_resonances_refuse_a_window_inside_the_stop_band(tmp_path, capsys):
+    # the window, not the root solver, is at fault: exit 1 as for
+    # greens-check and kappa-sweep
+    code = main([
+        "resonances", "--out", str(tmp_path), "--set", "medium.beta4pi=0.36",
+        "--set", "sweep.start=1.01", "--set", "sweep.stop=1.1",
+    ])
+    assert code == 1
+    assert "config error: resonances window" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_resonance_scan_failure_exits_two(tmp_path):

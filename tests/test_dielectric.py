@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import medium_rabi
 from polariton_mbc import (
     MediumParams,
     StopBandError,
@@ -214,4 +215,4 @@ def test_medium_params_validation():
 def test_rabi_and_beta_round_trip():
     med = MediumParams(omega_t=2.0, beta4pi=4.0, gamma=0.0)
     # 4pi*beta = 4 rabi^2 / omega_t^2 so rabi = omega_t * sqrt(4pi*beta) / 2
-    assert med.rabi == pytest.approx(2.0 * 2.0 / 2.0, rel=1e-15)
+    assert medium_rabi(med) == pytest.approx(2.0 * 2.0 / 2.0, rel=1e-15)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import dense_modes
+from oracles import bogoliubov_matrix, bosonic_norm, dense_modes, mode_vector
 from polariton_mbc import (
     BogoliubovProblem,
     Branch,
-    bogoliubov_matrix,
     diagonalize,
     eigenfrequencies,
+    hopfield_modes,
     photon_weight,
 )
 
@@ -20,6 +20,49 @@ def random_problem(rng):
         omega_t=rng.uniform(0.5, 2.0),
         rabi=rng.uniform(0.01, 1.5),
     )
+
+
+def random_arrays(rng, size=300):
+    """photon_freq, omega_t, rabi with off-resonant, decoupled and degenerate draws."""
+    wc = rng.uniform(0.1, 3.0, size)
+    wt = rng.uniform(0.5, 2.0, size)
+    rabi = rng.uniform(0.01, 1.5, size)
+    kind = rng.integers(0, 4, size)
+    wc[kind == 1] = wt[kind == 1]  # degenerate
+    rabi[kind == 2] = 0.0  # decoupled
+    wc[kind == 3], rabi[kind == 3] = wt[kind == 3], 0.0  # both
+    return wc, wt, rabi
+
+
+def test_kernel_matches_scalar_diagonalize_bit_for_bit():
+    rng = np.random.default_rng(37)
+    wc, wt, rabi = random_arrays(rng)
+    sweep = hopfield_modes(wc, wt, rabi)
+    assert sweep.omega.shape == (2, wc.size)
+    rows = []
+    for i in range(wc.size):
+        lo, up = diagonalize(BogoliubovProblem(wc[i], wt[i], rabi[i]))
+        assert (lo.branch, up.branch) == (Branch.LOWER, Branch.UPPER)
+        assert eigenfrequencies(BogoliubovProblem(wc[i], wt[i], rabi[i])) == (lo.omega, up.omega)
+        rows.append([[m.omega, m.w, m.x, m.y, m.z] for m in (lo, up)])
+    scalar = np.array(rows).transpose(2, 1, 0)  # (part, branch, problem)
+    kernel = np.array([sweep.omega, sweep.w, sweep.x, sweep.y, sweep.z])
+    assert scalar.tobytes() == kernel.tobytes()
+
+
+def test_kernel_and_scalar_match_dense_eigensolver():
+    rng = np.random.default_rng(39)
+    wc, wt, rabi = random_arrays(rng, 200)
+    coupled = rabi > 0.0  # the dense phase fix needs w != 0 on both modes
+    sweep = hopfield_modes(wc, wt, rabi)
+    for i in np.flatnonzero(coupled):
+        prob = BogoliubovProblem(wc[i], wt[i], rabi[i])
+        freqs, vecs = dense_modes(prob)
+        for j, mode in enumerate(diagonalize(prob)):
+            column = np.array([sweep.w[j, i], sweep.x[j, i], sweep.y[j, i], sweep.z[j, i]])
+            for omega, vector in ((mode.omega, mode_vector(mode)), (sweep.omega[j, i], column)):
+                assert abs(omega - freqs[j]) < 1e-10 * freqs[j]
+                assert np.max(np.abs(vector - vecs[j])) < 1e-9
 
 
 def test_matrix_is_pseudo_hermitian():
@@ -59,7 +102,7 @@ def test_eigenvectors_satisfy_matrix_equation():
         prob = random_problem(rng)
         mat = bogoliubov_matrix(prob)
         for mode in diagonalize(prob):
-            v = mode.vector()
+            v = mode_vector(mode)
             assert np.max(np.abs(mat @ v - mode.omega * v)) < 1e-10
 
 
@@ -71,8 +114,8 @@ def test_closed_forms_match_dense_eigensolver():
         lo, up = diagonalize(prob)
         assert abs(lo.omega - freqs[0]) < 1e-10 * freqs[0]
         assert abs(up.omega - freqs[1]) < 1e-10 * freqs[1]
-        assert np.max(np.abs(lo.vector() - vecs[0])) < 1e-9
-        assert np.max(np.abs(up.vector() - vecs[1])) < 1e-9
+        assert np.max(np.abs(mode_vector(lo) - vecs[0])) < 1e-9
+        assert np.max(np.abs(mode_vector(up) - vecs[1])) < 1e-9
 
 
 def test_bosonic_norm_and_sum_rules():
@@ -80,8 +123,8 @@ def test_bosonic_norm_and_sum_rules():
     for _ in range(300):
         prob = random_problem(rng)
         lo, up = diagonalize(prob)
-        assert lo.norm == pytest.approx(1.0, abs=1e-12)
-        assert up.norm == pytest.approx(1.0, abs=1e-12)
+        assert bosonic_norm(lo) == pytest.approx(1.0, abs=1e-12)
+        assert bosonic_norm(up) == pytest.approx(1.0, abs=1e-12)
         # completeness across the two branches, photon and matter sectors
         w_sum = abs(lo.w) ** 2 - abs(lo.y) ** 2 + abs(up.w) ** 2 - abs(up.y) ** 2
         x_sum = abs(lo.x) ** 2 - abs(lo.z) ** 2 + abs(up.x) ** 2 - abs(up.z) ** 2
@@ -140,7 +183,7 @@ def test_decoupled_limit_is_continuous():
         probs = BogoliubovProblem(photon_freq=wc, omega_t=1.0, rabi=1e-6)
         for m0, ms in zip(diagonalize(prob0), diagonalize(probs)):
             assert abs(m0.omega - ms.omega) < 1e-6
-            assert np.max(np.abs(m0.vector() - ms.vector())) < 1e-4
+            assert np.max(np.abs(mode_vector(m0) - mode_vector(ms))) < 1e-4
 
 
 def test_weak_coupling_splitting_is_twice_rabi():
@@ -187,6 +230,11 @@ def test_problem_validation():
         BogoliubovProblem(photon_freq=1.0, omega_t=-1.0)
     with pytest.raises(ValueError):
         BogoliubovProblem(photon_freq=1.0, rabi=-0.1)
+    # 4 rabi^2 underflows to 0 at the degeneracy: no finite closed form
+    with pytest.raises(ValueError, match="float range"):
+        diagonalize(BogoliubovProblem(photon_freq=1.0, rabi=1e-163))
+    with pytest.raises(ValueError):
+        hopfield_modes(1.0, 1.0, [0.5, -0.1])
 
 
 def test_small_photon_freq_has_no_cancellation():
