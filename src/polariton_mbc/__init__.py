@@ -48,12 +48,11 @@ from .fluct import (
     solve_omega_q,
 )
 from .greens import (
-    GreenCoefficients,
     delta_jump,
     fd_error,
     fd_step,
-    green_coefficients,
     green_function,
+    membrane_jump,
     ode_residual,
 )
 from .hopfield import (
@@ -85,7 +84,6 @@ __all__ = [
     "CavityConfig",
     "ConfigError",
     "FieldCommutators",
-    "GreenCoefficients",
     "HopfieldMode",
     "HopfieldModes",
     "MediumParams",
@@ -108,7 +106,6 @@ __all__ = [
     "figure2_sweep",
     "find_resonances",
     "forward_commutator_decay",
-    "green_coefficients",
     "green_function",
     "group_velocity",
     "hopfield_modes",
@@ -119,6 +116,7 @@ __all__ = [
     "kappa_mbc",
     "kappa_rwa",
     "lorentzian_extract",
+    "membrane_jump",
     "mode_commutators",
     "ode_residual",
     "output_amplitude",

@@ -73,34 +73,45 @@ class Resonance:
     mode_index: int
 
 
-def intracavity_transfer(omega, cfg: CavityConfig):
-    """Intracavity amplitude per unit incoming amplitude.
+def _amplitude_kernel(omega, cfg: CavityConfig):
+    """n, e = exp(i k L) and D = (1 - i*Lambda)(e^2 - 1) - n (e^2 + 1), k = n omega.
 
-    T(w) = 2 / {(1 - i*Lambda) sin(k L) + i n cos(k L)},  k = n w.
-
-    |T| peaks at the resonances. If n is non-finite (gamma = 0 exactly
-    at the pole) the non-finite sentinel propagates to the result.
+    D is the one denominator of the membrane boundary conditions, shared
+    by T, r and the Green's function. Im n >= 0 keeps |e| <= 1, so no
+    term overflows. At least 1-d, as in dielectric._epsilon, so that a
+    scalar omega rounds as it does inside an array.
     """
-    n = np.asarray(refractive_index(omega, cfg.medium))
-    kl = n * np.asarray(omega, dtype=complex) * cfg.length
-    den = (1.0 - 1j * cfg.lambda_mirror) * np.sin(kl) + 1j * n * np.cos(kl)
-    t = 2.0 / den
-    return _unwrap(t, complex)
+    w = np.array(omega, dtype=complex, ndmin=1)
+    p = cfg.medium
+    n = _refractive_index(w, p.omega_t, p.beta4pi, p.gamma)
+    e = np.exp(1j * cfg.length * (n * w))
+    e2 = e * e
+    return n, e, (1.0 - 1j * cfg.lambda_mirror) * (e2 - 1.0) - n * (e2 + 1.0)
+
+
+def intracavity_transfer(omega, cfg: CavityConfig):
+    """Intracavity amplitude per unit incoming amplitude, T(w) = 4i e / D.
+
+    This is 2 / {(1 - i*Lambda) sin(k L) + i n cos(k L)} divided through
+    by e^{-ikL}, which stays finite deep in the stop band; the field in
+    the cavity is T sin(k(L - z)). |T| peaks at the resonances. If n is
+    non-finite (gamma = 0 exactly at the pole) the non-finite sentinel
+    propagates to the result.
+    """
+    _, e, den = _amplitude_kernel(omega, cfg)
+    return _unwrap((4j * e / den).reshape(np.shape(omega)), complex)
 
 
 def reflection(omega, cfg: CavityConfig):
-    """Reflected amplitude r(w) = T(w) sin(k L) - 1.
+    """Reflected amplitude r(w) = T(w) sin(k L) - 1 = 2 (e^2 - 1) / D - 1.
 
-    For gamma = 0 and omega in a transparency window the numerator of
-    the combined expression is the conjugate of its denominator, so
-    |r| = 1: the loss-less cavity with a perfect back mirror returns
-    all the energy. Absorption (gamma > 0, beta4pi > 0) pulls |r|
-    below 1 near the excitation resonance.
+    For real n this is -e^2 conj(D) / D, so |r| = 1 with gamma = 0 in a
+    transparency window: the loss-less cavity with a perfect back mirror
+    returns all the energy. Absorption (gamma > 0, beta4pi > 0) pulls
+    |r| below 1 near the excitation resonance.
     """
-    n = np.asarray(refractive_index(omega, cfg.medium))
-    kl = n * np.asarray(omega, dtype=complex) * cfg.length
-    r = intracavity_transfer(omega, cfg) * np.sin(kl) - 1.0
-    return _unwrap(r, complex)
+    _, e, den = _amplitude_kernel(omega, cfg)
+    return _unwrap((2.0 * (e * e - 1.0) / den - 1.0).reshape(np.shape(omega)), complex)
 
 
 def tuned_length(lambda_mirror: float, medium: MediumParams) -> float:

@@ -1,118 +1,82 @@
 """One-dimensional Green's function of the mirror-terminated cavity.
 
-Independent oracle for the boundary-condition solution in `cavity`:
-the same scattering amplitudes fall out of the piecewise Green's
-function of
+G(z, z') solves
 
     -[d^2/dz^2 + omega^2 eps(z, omega)] G(z, z') = delta(z - z')
 
 with eps = 1 for z < 0 (region 1), the medium dielectric function for
-0 < z < L (region 2), and G = 0 at the perfect mirror z = L. The
-closed forms below are written directly from the two-sided matching
-recipe, so agreement with `cavity.reflection` and
-`cavity.intracavity_transfer` is a genuine cross-check of two
-derivations, not a tautology.
+0 < z < L (region 2), and G = 0 at the perfect mirror z = L. Its closed
+form divides by the membrane denominator D of `cavity`, the one behind
+r and T, so comparing G with those amplitudes would compare D with
+itself. The checks here use only the defining properties, by finite
+differences: `ode_residual` (the wave equation in both regions),
+`delta_jump` (the unit kink at the source) and `membrane_jump` (the
+kink G'(0+) - G'(0-) = -Lambda omega G(0) at the membrane). With
+G(L) = 0 they fix G without the shared formula.
 
-All formulas use c = 1; `ode_residual` verifies the defining equation
-by central finite differences.
+All formulas use c = 1.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cavity import CavityConfig
+from .cavity import CavityConfig, _amplitude_kernel
 from .dielectric import _unwrap, epsilon, refractive_index
 from .errors import StepSizeError
 
 __all__ = [
-    "GreenCoefficients",
-    "green_coefficients",
     "green_function",
     "ode_residual",
     "delta_jump",
+    "membrane_jump",
     "fd_error",
     "fd_step",
 ]
 
 
-@dataclass(frozen=True)
-class GreenCoefficients:
-    """Scattering coefficients entering the piecewise Green's function.
-
-    g_r21: reflection back into region 1 of a region-1 source.
-    g_t21: transmission of a region-1 source into the cavity.
-    g_t12: transmission of a cavity source out into region 1;
-           equals n(omega) * g_t21 by reciprocity.
-    """
-
-    g_r21: complex
-    g_t21: complex
-    g_t12: complex
-
-
-def _cmul(a, b):
-    """a * b by the textbook formula, as scalars round it; numpy's complex
-    vector loops may fuse it into FMAs and round an array differently."""
-    out = np.asarray(a.real * b.real - a.imag * b.imag, dtype=complex)
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def green_coefficients(omega, cfg: CavityConfig) -> GreenCoefficients:
-    """Closed-form coefficients at a scalar or an array omega (omega != 0).
-
-    g_r21 = {(1 + i*Lambda) sin(kL) - i n cos(kL)} / D
-    g_t21 = 2 / D
-    g_t12 = n * g_t21
-    with D = (1 - i*Lambda) sin(kL) + i n cos(kL). Each element comes
-    out the same as a scalar call at that frequency, to the bit.
-    """
-    w = np.asarray(omega)
-    if np.any(w == 0):
-        raise ValueError("green_coefficients needs omega != 0")
-    a = 1.0 - 1j * cfg.lambda_mirror
-    n = np.asarray(refractive_index(w, cfg.medium))
-    kl = n * w * cfg.length
-    s, c = np.sin(kl), np.cos(kl)
-    i_n_c = _cmul(1j * n, c)
-    den = _cmul(a, s) + i_n_c
-    g_t21 = 2.0 / den
-    g_r21 = (_cmul(a.conjugate(), s) - i_n_c) / den
-    g_t12 = _cmul(n, g_t21)
-    return GreenCoefficients(*(_unwrap(g, complex) for g in (g_r21, g_t21, g_t12)))
-
-
 def green_function(z, zprime, omega, cfg: CavityConfig):
-    """G(z, z') of the defining equation above.
+    """G(z, z') of the defining equation above, at omega != 0.
+
+    With k = n omega, D from `cavity` and s(y) = e^{ik(2L - y)} - e^{iky}
+    = 2i e^{ikL} sin(k(L - y)), so that T sin(k(L - y)) = 2 s(y)/D, -2i G is
+
+        source, field in region 1: [e^{i omega|z - z'|} + r e^{-i omega(z + z')}] / omega
+        source in 1, field in 2:   2 s(z) e^{-i omega z'} / (D omega)
+        source in 2, field in 1:   2 n e^{-i omega z} s(z') / (D k)
+        source, field in 2:  [e^{ik|z - z'|} - e^{ik(2L - z - z')} + c s(z) s(z')] / k
+
+    with r = 2 s(0)/D - 1 and c = (1 - i*Lambda - n)/D. No exponential
+    grows, as Im k >= 0, so G stays finite deep in the stop band.
 
     z, zprime and omega broadcast together, so one call can evaluate a
     grid for one source or many (z, z', omega) triples at once. Region
     rule: z <= 0 is region 1 (vacuum), 0 < z <= L is region 2 (the
     cavity medium), and likewise for the source; at the perfect mirror
-    z = L the function vanishes through its sin(k(L - z)) factor. Each
-    point is evaluated by the formula of its own pair of regions only.
-    Points and sources must satisfy z, z' in [-5L, L].
+    z = L the function vanishes as s(L) = 0. Each point is evaluated by
+    the formula of its own pair of regions only. Points and sources must
+    satisfy z, z' in [-5L, L].
     """
     L = cfg.length
     z = np.asarray(z, dtype=float)
     zp = np.asarray(zprime, dtype=float)
     if np.any(z < -5.0 * L) or np.any(z > L) or np.any(zp < -5.0 * L) or np.any(zp > L):
         raise ValueError("green_function is defined for z, z' in [-5L, L]")
+    if np.any(np.asarray(omega) == 0):
+        raise ValueError("green_function needs omega != 0")
     shape = np.broadcast_shapes(z.shape, zp.shape, np.shape(omega))
-    q = _unwrap(np.asarray(omega, dtype=complex), complex)  # vacuum wavenumber, c = 1
-    n = refractive_index(omega, cfg.medium)
+    q = np.asarray(omega, dtype=complex)  # vacuum wavenumber, c = 1
+    n, _, den = (x.reshape(q.shape) for x in _amplitude_kernel(omega, cfg))
     kp = n * q
-    co = green_coefficients(omega, cfg)
 
     def at(x, mask):
         """x on the points of mask; a scalar stays one."""
         if np.ndim(x) == 0:
             return x[()] if isinstance(x, np.ndarray) else x
         return np.broadcast_to(x, shape)[mask]
+
+    def s(y, k):
+        return np.exp(1j * k * (2.0 * L - y)) - np.exp(1j * k * y)
 
     out = np.empty(shape, dtype=complex)
     field_out, source_out = z <= 0.0, zp <= 0.0
@@ -121,31 +85,23 @@ def green_function(z, zprime, omega, cfg: CavityConfig):
             mask = np.broadcast_to((source_out == src) & (field_out == fld), shape)
             if not mask.any():
                 continue
-            x, s, w, k = at(z, mask), at(zp, mask), at(q, mask), at(kp, mask)
-            if src and fld:  # source and field in region 1
+            x, y, w, k = at(z, mask), at(zp, mask), at(q, mask), at(kp, mask)
+            d = at(den, mask)
+            if src and fld:
+                r = 2.0 * s(0.0, k) / d - 1.0
+                g = (np.exp(1j * w * np.abs(x - y)) + r * np.exp(-1j * w * (x + y))) / w
+            elif src:
+                g = 2.0 * s(x, k) * np.exp(-1j * w * y) / (d * w)
+            elif fld:
+                g = 2.0 * at(n, mask) * np.exp(-1j * w * x) * s(y, k) / (d * k)
+            else:
+                c = (1.0 - 1j * cfg.lambda_mirror - at(n, mask)) / d
                 g = (
-                    np.exp(1j * w * np.abs(x - s))
-                    + np.exp(-1j * w * x) * at(co.g_r21, mask) * np.exp(-1j * w * s)
-                ) / (-2j * w)
-            elif src:  # region-1 source, field in the cavity
-                g = (
-                    np.sin(k * (L - x)) * at(co.g_t21, mask) * np.exp(-1j * w * s)
-                ) / (-2j * w)
-            elif fld:  # cavity source, field in region 1
-                g = (
-                    np.exp(-1j * w * x) * at(co.g_t12, mask) * np.sin(k * (L - s))
-                ) / (-2j * k)
-            else:  # source and field in the cavity
-                m = at(n, mask)
-                lam = cfg.lambda_mirror
-                den = (1.0 - 1j * lam) * np.sin(k * L) + 1j * m * np.cos(k * L)
-                back = 2j * np.exp(1j * k * L) * (1.0 - 1j * lam - m) / den
-                g = (
-                    np.exp(1j * k * np.abs(x - s))
-                    - np.exp(-1j * k * (x - L)) * np.exp(-1j * k * (s - L))
-                    + back * np.sin(k * (L - x)) * np.sin(k * (L - s))
-                ) / (-2j * k)
-            out[mask] = g
+                    np.exp(1j * k * np.abs(x - y))
+                    - np.exp(1j * k * (2.0 * L - x - y))
+                    + c * s(x, k) * s(y, k)
+                ) / k
+            out[mask] = g / -2j
     return _unwrap(out, complex)
 
 
@@ -178,7 +134,7 @@ def _check_step(omega, zprime: float, cfg: CavityConfig, h: float):
 
 
 def fd_error(omega: float, cfg: CavityConfig, h: float) -> float:
-    """The error `ode_residual` and `delta_jump` leave at step h for the exact G.
+    """The error `ode_residual` and the kink checks leave at step h for the exact G.
 
     (hk)^2/3 + 2 eps (5 + 1/(omega L)) / (hk)^2 with k = max(|n omega|,
     omega). The first term is the truncation error of `delta_jump`'s
@@ -192,7 +148,7 @@ def fd_error(omega: float, cfg: CavityConfig, h: float) -> float:
 
 
 def fd_step(omega: float, cfg: CavityConfig, clearance: float, tol: float) -> float:
-    """Step h for `ode_residual` and `delta_jump` at omega.
+    """Step h for `ode_residual`, `delta_jump` and `membrane_jump` at omega.
 
     The h that minimizes `fd_error`, hk = (3 R)^(1/4), which is 3e-4 for
     omega L >= 1 and grows slowly below. It is kept within
@@ -264,14 +220,30 @@ def ode_residual(zprime: float, omega: float, cfg: CavityConfig, h: float) -> fl
     return float(np.max(resid)) / scale
 
 
-def delta_jump(zprime: float, omega: float, cfg: CavityConfig, h: float) -> float:
-    """One-sided-difference jump of dG/dz across the source (should be -1).
-
-    Second-order stencils on either side of z', never straddling it.
-    """
-    _check_step(omega, zprime, cfg, h)
-    stencil = zprime + h * np.arange(-2, 3)
+def _kink(z0: float, zprime: float, omega: float, cfg: CavityConfig, h: float):
+    """G(z0) and dG/dz on either side of z0, by second-order one-sided
+    stencils that never straddle z0."""
+    stencil = z0 + h * np.arange(-2, 3)
     gm2, gm1, g0, gp1, gp2 = green_function(stencil, zprime, omega, cfg).tolist()
     right = (-3.0 * g0 + 4.0 * gp1 - gp2) / (2.0 * h)
     left = (3.0 * g0 - 4.0 * gm1 + gm2) / (2.0 * h)
+    return g0, left, right
+
+
+def delta_jump(zprime: float, omega: float, cfg: CavityConfig, h: float) -> float:
+    """One-sided-difference jump of dG/dz across the source (should be -1)."""
+    _check_step(omega, zprime, cfg, h)
+    _, left, right = _kink(zprime, zprime, omega, cfg, h)
     return (right - left).real
+
+
+def membrane_jump(zprime: float, omega: float, cfg: CavityConfig, h: float) -> float:
+    """Miss of G'(0+) - G'(0-) = -Lambda omega G(0), relative to |G'(0+)| + |G'(0-)|.
+
+    By the one-sided stencils of `delta_jump`, whose truncation error
+    relative to those two slopes is at most the (hk)^2/3 of `fd_error`.
+    The step G would have if discontinuous at z = 0 enters divided by h.
+    """
+    _check_step(omega, zprime, cfg, h)
+    g0, left, right = _kink(0.0, zprime, omega, cfg, h)
+    return abs(right - left + cfg.lambda_mirror * omega * g0) / (abs(right) + abs(left))

@@ -108,9 +108,11 @@ def figure2_sweep(
     d tan(qL)/dq >= L > pi, so tan(qL) - n/Lambda increases strictly and
     each bracket holds exactly one root for Lambda >= 5. One lockstep
     bisection solves all (coupling, branch) brackets with the stopping
-    rule of find_resonances. ResonanceScanError names the first coupling
-    whose bracket has no sign change or whose root misses |f| < 1e-9 or
-    floor(n W L/pi) = 1.
+    rule of find_resonances. By the same monotonicity, |f| < 1e-9 at a
+    W with floor(n W L/pi) = 1 certifies that unique root, so the bracket
+    ends need no sign test: at small couplings the lower bracket's top
+    rounds onto omega_t, where f is not defined. ResonanceScanError names
+    the first coupling whose root misses |f| < 1e-9 or floor(n W L/pi) = 1.
 
     Columns: rabi_over_wt, omega_L_mbc, omega_U_mbc, omega_L_disc,
     omega_U_disc, kappa_L_mbc, kappa_U_mbc, kappa_L_rwa, kappa_U_rwa.
@@ -135,14 +137,14 @@ def figure2_sweep(
     lo = np.hstack(_branches(q_lo, 1.0, np.sqrt(1.0 + b4)))  # (coupling, branch)
     hi = np.hstack(_branches(q_hi, 1.0, np.sqrt(1.0 + b4)))
     f = _resonance_function(length, lambda_mirror, 1.0, b4)
-    w = _bisect(f, lo, hi, 1e-12)
+    with np.errstate(invalid="ignore"):  # f(omega_t) = tan(inf) - inf
+        w = _bisect(f, lo, hi, 1e-12)
     n = _refractive_index(w, 1.0, b4, 0.0).real
-    bad = ~(f(lo) * f(hi) < 0.0) | ~(np.abs(f(w)) < 1e-9)
-    bad |= np.floor(n * w * length / math.pi) != 1
+    bad = ~(np.abs(f(w)) < 1e-9) | (np.floor(n * w * length / math.pi) != 1)
     if bad.any():
         raise ResonanceScanError(
-            "m = 1 bracket without a sign change, or root with |f| >= 1e-9 or mode "
-            f"index != 1, at rabi/omega_t = {grid[np.flatnonzero(bad.any(axis=1))[0]]:g}"
+            "no m = 1 root with |f| < 1e-9 and mode index 1 "
+            f"at rabi/omega_t = {grid[np.flatnonzero(bad.any(axis=1))[0]]:g}"
         )
     kappa = n * _group_velocity(w, 1.0, b4) * k_bare  # 2 n v_g / (Lambda^2 L)
 

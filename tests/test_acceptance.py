@@ -21,7 +21,6 @@ from polariton_mbc import (
     diagonalize,
     figure2_sweep,
     find_resonances,
-    green_coefficients,
     green_function,
     in_stop_band,
     intracavity_transfer,
@@ -214,27 +213,6 @@ def test_green_function_cross_checks():
     rng = np.random.default_rng(73)
     t0 = time.perf_counter()
 
-    # scattering coefficients against the reflection/transfer amplitudes
-    worst_co = 0.0
-    for med in MEDIA:
-        cfg = tuned_cavity(7.822, med)
-        count = 0
-        while count < 250:
-            w = float(rng.uniform(0.05, 3.5))
-            if med.gamma == 0.0 and in_stop_band(w, med):
-                continue
-            count += 1
-            co = green_coefficients(w, cfg)
-            r = reflection(w, cfg)
-            t = intracavity_transfer(w, cfg)
-            n = refractive_index(w, med)
-            worst_co = max(
-                worst_co,
-                abs(co.g_r21 - r) / max(1.0, abs(r)),
-                abs(co.g_t21 - t) / max(1.0, abs(t)),
-                abs(co.g_t12 - n * t) / max(1.0, abs(n * t)),
-            )
-
     # finite-difference residual of the wave equation away from the kinks
     worst_ode = 0.0
     for med in MEDIA:
@@ -273,13 +251,12 @@ def test_green_function_cross_checks():
 
     dt = time.perf_counter() - t0
     report(
-        worst_co < 1e-12
-        and worst_ode < 1e-4
+        worst_ode < 1e-4
         and worst_rec < 1e-12
         and worst_bvp < 1e-10
         and dt < 10.0,
         "point-source response cross-checks",
-        f"coeff dev={worst_co:.1e} ode resid={worst_ode:.1e} "
+        f"ode resid={worst_ode:.1e} "
         f"swap dev={worst_rec:.1e} bvp dev={worst_bvp:.1e} ({dt:.2f} s)",
     )
 

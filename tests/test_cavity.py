@@ -216,6 +216,31 @@ def test_reflection_transfer_consistency():
         assert reflection(w, cfg) == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("beta4pi", [0.36, 4.0, 16.0])
+def test_array_amplitudes_equal_the_scalar_loop_to_the_bit(beta4pi):
+    # with a complex index, numpy rounds complex products of scalars and
+    # of arrays differently; a frequency's T and r must not depend on it
+    rng = np.random.default_rng(int(10 * beta4pi) + 57)
+    cfg = make_cavity(beta4pi=beta4pi, gamma=1e-9)
+    ws = rng.uniform(0.05, 3.5, 4000)
+    ws = ws[~in_stop_band(ws, cfg.medium)]
+    for amplitude in (intracavity_transfer, reflection):
+        one_by_one = np.array([amplitude(float(w), cfg) for w in ws])
+        assert amplitude(ws, cfg).tobytes() == one_by_one.tobytes(), amplitude
+        assert type(amplitude(float(ws[0]), cfg)) is complex
+
+
+@pytest.mark.parametrize("beta4pi", [0.36, 4.0, 16.0])
+def test_amplitudes_stay_finite_deep_in_the_stop_band(beta4pi):
+    # next to omega_t at gamma = 1e-9, |n| reaches 1e4 and Im(kL) passes
+    # the exp() range; T decays there instead of overflowing
+    cfg = make_cavity(beta4pi=beta4pi, gamma=1e-9)
+    ws = np.linspace(0.9, 1.1, 50_001)
+    t, r = intracavity_transfer(ws, cfg), reflection(ws, cfg)
+    assert np.all(np.isfinite(t)) and np.all(np.isfinite(r))
+    assert np.all(np.abs(r) <= 1.0 + 1e-12)
+
+
 def test_scattering_accepts_arrays():
     cfg = make_cavity(beta4pi=0.5)
     ws = np.linspace(0.1, 0.9, 64)

@@ -150,17 +150,52 @@ def test_greens_check_passes(tmp_path):
     assert header == ["check", "value", "tolerance", "status"]
     names = column(header, rows, "check", cast=str)
     assert names == [
-        "reflection_coefficient",
-        "transfer_coefficient",
         "cross_region_symmetry",
         "ode_residual_outside_source",
         "ode_residual_inside_source",
         "source_jump",
+        "membrane_jump",
     ]
     assert all(s == "pass" for s in column(header, rows, "status", cast=str))
     payload = (tmp_path / "greens_check.csv").read_bytes()
     assert main(["greens-check", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "greens_check.csv").read_bytes() == payload
+
+
+def test_greens_check_deep_in_a_lossy_band(tmp_path):
+    # Im(kL) passes the exp() range next to omega_t in this longer cavity;
+    # every row still comes out finite and passes
+    assert main([
+        "greens-check", "--out", str(tmp_path),
+        "--set", "medium.beta4pi=16", "--set", "medium.gamma=1e-3",
+        "--set", "cavity.length=15",
+        "--set", "sweep.start=0.9999", "--set", "sweep.stop=1.0005",
+    ]) == 0
+    _, header, rows = read_csv(tmp_path / "greens_check.csv")
+    assert all(math.isfinite(v) for v in column(header, rows, "value"))
+    assert all(s == "pass" for s in column(header, rows, "status", cast=str))
+
+
+@pytest.mark.parametrize("sets", [[], ["medium.beta4pi=0.36", "medium.gamma=1e-3"]])
+def test_membrane_jump_catches_a_perturbed_denominator(tmp_path, monkeypatch, sets):
+    # G built on a D that is off by one part in 1e6 still solves the wave
+    # equation on each side of the membrane and keeps its source kink and
+    # its symmetry; only the membrane condition sees it
+    exact = greens._amplitude_kernel
+
+    def perturbed(omega, cfg):
+        n, e, den = exact(omega, cfg)
+        return n, e, den * (1.0 + 1e-6)
+
+    monkeypatch.setattr(greens, "_amplitude_kernel", perturbed)
+    argv = ["greens-check", "--out", str(tmp_path)]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert main(argv) == 2
+    _, header, rows = read_csv(tmp_path / "greens_check.csv")
+    status = dict(zip(column(header, rows, "check", cast=str),
+                      column(header, rows, "status", cast=str)))
+    assert [name for name, s in status.items() if s == "fail"] == ["membrane_jump"]
 
 
 def test_greens_check_refuses_a_window_inside_the_stop_band(tmp_path):
@@ -510,11 +545,11 @@ DEFAULT_CSV_BODIES = {
     "fig2_frequencies.csv": "58f4d357461827496aabc8aa79bae22d9113c44d2081325f77c9bcd7e09a5c55",
     "fig2_rates.csv": "6331091672b91c6d2976e80ca6f12cdc166e79957cc2820966a7e355abab9923",
     "fluct.csv": "d2160213f43336dad3f2496eb70ece62c93270a2bcf66042a52302c8e286ecaf",
-    "greens_check.csv": "c14cc83169fe5ecad3226b1de132c1dc4b993ad3369cde71cba495c1f8d824aa",
+    "greens_check.csv": "fe69aca69ed10021b611f0e565ef768cb56b0f755fab9c708af0df568de46838",
     "hopfield.csv": "9518d5bf6950d3d522e6eb18bc99d1fec883ee330931a5d3cb56df1e1251fac1",
     "kappa_sweep.csv": "7cceabaaa002a0c7191761c2175708eb0a4f356f1ed71bf980d7a741435aebcd",
     "resonances.csv": "ff82531b6866bb5200855cc4a40141fc21fd32e8774249ddc302ccdd5571070c",
-    "spectrum.csv": "44bf97c418cefd9de4b64a4d26303f085c8abbb9319084586e10ecb9332f9fb2",
+    "spectrum.csv": "3467adb7c198e74adbdf5006127e5cbc9b258bb75aaf9066291797049da6125c",
 }
 
 

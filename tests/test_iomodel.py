@@ -184,8 +184,9 @@ def test_sweep_validation():
 @pytest.mark.parametrize("lam", [5.0, 7.822, 50.0, 1e3])
 def test_sweep_matches_per_coupling_scans(lam):
     # analytic brackets and one batched bisection against a windowed
-    # find_resonances scan per coupling and branch
-    grid = np.linspace(0.01, 2.0, 25)
+    # find_resonances scan per coupling and branch; below rabi = 3e-7 the
+    # lower bracket's top rounds onto omega_t
+    grid = np.concatenate([[1e-8, 1e-7, 3e-7, 1e-6, 1e-5], np.linspace(0.01, 2.0, 25)])
     tab = figure2_sweep(grid, lam)
     for i, rabi in enumerate(grid):
         lower, upper = scanned_fundamentals(float(rabi), lam)
@@ -193,7 +194,11 @@ def test_sweep_matches_per_coupling_scans(lam):
             omega = tab.column(f"omega_{tag}_mbc")[i]
             kappa = tab.column(f"kappa_{tag}_mbc")[i]
             assert omega == pytest.approx(res.omega, rel=1e-11), (rabi, tag)
-            assert kappa == pytest.approx(res.kappa, rel=1e-10), (rabi, tag)
+            # kappa's relative error is about that of W times W/rabi (it goes
+            # through (W^2 - 1)^2 against 4 rabi^2), so the 1e-12 stopping
+            # width of both bisections leaves it up to 4e-5 off at rabi = 1e-8
+            if rabi >= 0.01:
+                assert kappa == pytest.approx(res.kappa, rel=1e-10), (rabi, tag)
 
 
 def test_sweep_refuses_a_bracket_without_sign_change():
