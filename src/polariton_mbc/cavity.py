@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dielectric import MediumParams, _refractive_index, _unwrap, group_velocity
-from .dielectric import refractive_index
+from .dielectric import MediumParams, _branches, _refractive_index, _unwrap
+from .dielectric import group_velocity, refractive_index
 from .errors import PeakExtractionError, ResonanceScanError, StopBandError
 from .hopfield import Branch
 from .tables import SweepTable
@@ -142,16 +142,6 @@ def kappa_bare(cfg: CavityConfig) -> float:
     return 2.0 / (cfg.lambda_mirror**2 * cfg.length)
 
 
-def _resonance_function(length: float, lambda_mirror: float, omega_t: float, beta4pi):
-    """f(W) = tan(n W L) - n/Lambda at gamma = 0; beta4pi may be an array."""
-
-    def f(w):
-        n = _refractive_index(w, omega_t, beta4pi, 0.0).real
-        return np.tan(n * w * length) - n / lambda_mirror
-
-    return f
-
-
 def _bisect(f, a, b, tol: float):
     """Bisect an elementwise f on every bracket [a, b] at once.
 
@@ -176,39 +166,62 @@ def _bisect(f, a, b, tol: float):
     return np.where(np.abs(fa) <= np.abs(fb), a, b)
 
 
-def _transparent_legs(lo: float, hi: float, p: MediumParams):
-    """Clip [lo, hi] to the transparency windows, skipping the stop band."""
-    if p.beta4pi == 0.0:
-        return [(lo, hi)]
-    wt, wl = p.stop_band()
-    edge = 1e-9 * p.omega_t
-    legs = []
-    if lo < wt:
-        legs.append((lo, min(hi, wt - edge)))
-    if hi > wl:
-        legs.append((max(lo, wl + edge), hi))
-    return [(a, b) for a, b in legs if b > a]
+def _mode_roots(m, length, lambda_mirror, omega_t, beta4pi, upper, lo=0.0, hi=math.inf):
+    """Mode m's root of tan(n W L) = n/Lambda on one branch: (W, n, inside, certified).
+
+    The root has qL in (m pi, (m + 1/2) pi), q = n(W) W, where tan runs
+    from 0 to +inf; the top stops 1e-6 short of the pole, where rounding
+    loses the sign of tan. `_branches` maps both ends to W on the lower
+    or, where `upper`, the upper branch (W = q in vacuum), and [lo, hi]
+    clips them. `inside` is False where a clipped end shows the root
+    outside [lo, hi] (f > 0 at a clipped bottom, f < 0 at a clipped top).
+    All brackets are bisected at once to |dW| < 1e-12 omega_t, at gamma =
+    0; m, beta4pi and upper broadcast together.
+
+    While L Lambda omega_t > 1, f = tan(qL) - n/Lambda increases strictly
+    in each bracket: d tan(qL)/dq >= L, while dn/dq = 4 pi beta W /
+    ((u - 1)^2 + 4 pi beta), u = W^2 (omega_t = 1), stays below its sup
+    1/omega_t at the lower band edge. So `certified`, |f| < 1e-9 at a W
+    with floor(n W L/pi) = m, identifies the bracket's one root, and an
+    unclipped end needs no sign test: next to omega_t f is not defined.
+    """
+
+    def f(w):
+        n = _refractive_index(w, omega_t, beta4pi, 0.0).real
+        return np.tan(n * w * length) - n / lambda_mirror
+
+    bottom, top = m * math.pi / length, ((m + 0.5) * math.pi - 1e-6) / length
+    if np.ndim(beta4pi) or beta4pi > 0.0:  # else vacuum, W = q
+        omega_l = omega_t * np.sqrt(1.0 + beta4pi)
+        bottom, top = (
+            np.where(upper, *_branches(q, omega_t, omega_l)[::-1]) for q in (bottom, top)
+        )
+    a, b = np.maximum(bottom, lo), np.minimum(top, hi)
+    with np.errstate(invalid="ignore"):  # f(omega_t) = tan(inf) - inf
+        inside = a <= b
+        if np.any(bottom < lo) or np.any(top > hi):  # f only where an end is clipped
+            inside &= ~((bottom < lo) & (f(a) > 0.0)) & ~((top > hi) & (f(b) < 0.0))
+        w = _bisect(f, a, b, 1e-12 * omega_t)
+        n = _refractive_index(w, omega_t, beta4pi, 0.0).real
+        certified = (np.abs(f(w)) < 1e-9) & (np.floor(n * w * length / math.pi) == m)
+    return w, n, inside, certified
 
 
 def find_resonances(
     cfg: CavityConfig,
     omega_range: tuple[float, float],
     max_count: int | None = None,
-    subintervals: int = 2000,
 ) -> list[Resonance]:
-    """All resolvable roots of tan(n W L) = n/Lambda in omega_range, ascending.
+    """All roots of tan(n W L) = n/Lambda in omega_range, ascending.
 
-    Sign-change scan over `subintervals` cells per transparent leg, then
-    all crossing cells of the leg are bisected together to |dW| < 1e-12
-    * omega_t, and their rates come from one kappa_mbc call. Cells that
-    bracket a pole of tan instead of a root are rejected by the residual
-    magnitude test. The stop band is skipped when the range straddles it.
-
-    At most `max_count` roots are returned, and none past them is
-    checked. Within a leg the mode indices of consecutive roots must be
-    consecutive integers; a gap means two crossings shared one scan cell
-    and raises ResonanceScanError (raise `subintervals`, shrink the
-    window, or use `max_count` to stop before the unresolvable region).
+    On each transparent leg (the stop band is skipped) every mode m from
+    floor(n W L/pi) at the leg's bottom to that at its top is solved in
+    its own bracket by one `_mode_roots` call, and the rates come from
+    one kappa_mbc call. At most `max_count` roots are returned, and none
+    past them is checked. A root in the window that cannot be certified
+    raises ResonanceScanError naming its mode, as happens next to
+    omega_t where the lower-branch modes pile up; none is dropped. A
+    medium needs L Lambda omega_t > 1, else ValueError.
     """
     lo, hi = omega_range
     if not (lo < hi):
@@ -216,46 +229,44 @@ def find_resonances(
     if not lo > 0:
         raise ValueError("range must be positive")
     p = cfg.medium.lossless()
-    legs = _transparent_legs(lo, hi, p)
+    if p.beta4pi > 0.0 and not cfg.length * cfg.lambda_mirror * p.omega_t > 1.0:
+        raise ValueError("one root per mode needs length * lambda_mirror * omega_t > 1")
+    legs = [(lo, hi)]
+    if p.beta4pi > 0.0:  # skip the stop band
+        wt, wl = p.stop_band()
+        edge = 1e-9 * p.omega_t
+        legs = [(lo, min(hi, wt - edge)), (max(lo, wl + edge), hi)]
+    legs = [(a, b) for a, b in legs if b > a]
     if not legs:
         raise StopBandError(
             f"range [{lo:g}, {hi:g}] lies inside the stop band {p.stop_band()}"
         )
 
-    f = _resonance_function(cfg.length, cfg.lambda_mirror, p.omega_t, p.beta4pi)
     found: list[Resonance] = []
-    for leg_lo, leg_hi in legs:
-        grid = np.linspace(leg_lo, leg_hi, subintervals + 1)
-        sign = np.sign(f(grid))
-        # a grid point landing exactly on a root gives sign 0 and would
-        # hide the crossing from the product test; the cell it starts
-        # claims it, and the last cell also claims its right end
-        hits = sign == 0.0
-        crossing = (sign[:-1] * sign[1:] < 0.0) | hits[:-1]
-        crossing[-1:] |= hits[-1:]
-        cells = np.flatnonzero(crossing)
-        a, b = grid[cells], grid[cells + 1]
-        roots = _bisect(f, a, b, 1e-12 * p.omega_t)
-        roots = np.where(hits[cells], a, np.where(hits[cells + 1], b, roots))
-        roots = roots[np.abs(f(roots)) < 1e-9]  # the rest bracket poles of tan
-        if max_count is not None:
-            roots = roots[: max(max_count - len(found), 0)]
-        n = _refractive_index(roots, p.omega_t, p.beta4pi, 0.0).real
-        modes = np.floor(n * roots * cfg.length / math.pi).astype(int)
-        gaps = np.flatnonzero(np.diff(modes) != 1)
-        if gaps.size:
-            j = gaps[0] + 1
+    for leg in legs:
+        upper = leg[0] > p.omega_t
+        ends = np.array(leg)
+        n = _refractive_index(ends, p.omega_t, p.beta4pi, 0.0).real
+        m_lo, m_hi = np.floor(n * ends * cfg.length / math.pi)
+        if not m_hi < 2.0**53:  # else consecutive mode indices are not distinct floats
+            raise ResonanceScanError(f"mode index {m_hi:g} exceeds floating-point resolution")
+        if max_count is not None:  # one spare: the first root may lie below the leg
+            m_hi = min(m_hi, m_lo + max_count - len(found))
+        modes = np.arange(int(m_lo), int(m_hi) + 1)
+        roots, _, inside, certified = _mode_roots(
+            modes, cfg.length, cfg.lambda_mirror, p.omega_t, p.beta4pi, upper, *leg
+        )
+        take = np.flatnonzero(inside)[: None if max_count is None else max_count - len(found)]
+        roots, modes, certified = roots[take], modes[take], certified[take]
+        if not certified.all():
+            j = int(np.argmin(certified))
             raise ResonanceScanError(
-                f"roots skipped between mode {modes[j - 1]} and mode {modes[j]} near "
-                f"omega = {roots[j]:g}: scan resolution insufficient"
+                f"mode {modes[j]} has no root with |f| < 1e-9 and mode index "
+                f"{modes[j]} near omega = {roots[j]:g}"
             )
-        branch = Branch.BARE
-        if p.beta4pi > 0.0:
-            branch = Branch.LOWER if leg_hi < p.omega_t else Branch.UPPER
+        branch = Branch.BARE if p.beta4pi == 0.0 else Branch.UPPER if upper else Branch.LOWER
         for root, kappa, m in zip(roots, kappa_mbc(roots, cfg), modes):
             found.append(Resonance(float(root), float(kappa), branch, int(m)))
-        if max_count is not None and len(found) >= max_count:
-            return found
     return found
 
 

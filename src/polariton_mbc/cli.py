@@ -96,12 +96,7 @@ def cmd_hopfield(cfg: RunConfig) -> None:
     wt = cfg.medium.omega_t
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     modes = hopfield_modes(wt, wt, grid * wt)
-    bad = ~modes.finite
-    if np.any(bad):
-        raise ConfigError(
-            "the two-mode closed forms leave the float range at "
-            f"rabi/omega_t = {grid[bad][0]:g}"
-        )
+    modes.require_finite(grid)
     cols = {"omega_L": modes.omega[0] / wt, "omega_U": modes.omega[1] / wt}
     for i, tag in enumerate("LU"):
         for part in "wxyz":
@@ -124,11 +119,11 @@ def cmd_hopfield(cfg: RunConfig) -> None:
 
 
 def cmd_resonances(cfg: RunConfig) -> None:
-    """Scan a frequency window for cavity resonances; count = scan subintervals."""
+    """Cavity resonances in a frequency window, ascending; count caps the number of roots."""
     cavity = cfg.cavity()
     window = (cfg.sweep_start, cfg.sweep_stop)
     try:
-        found = find_resonances(cavity, window, subintervals=max(cfg.sweep_count, 2))
+        found = find_resonances(cavity, window, max_count=cfg.sweep_count)
     except StopBandError as err:  # the window, not the solver, is at fault
         raise ConfigError(f"resonances window: {err}") from err
     rows = [(res.omega, res.kappa, str(res.branch), res.mode_index) for res in found]

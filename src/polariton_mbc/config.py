@@ -21,8 +21,8 @@ The sweep axis means different things per command: wavenumber for
 `dispersion`, coupling rabi/omega_t for `hopfield` and `figure2`,
 frequency window for `resonances`, `spectrum` and `kappa-sweep`, vacuum
 wavenumber for `fluct`, and the random-frequency window for
-`greens-check`. For `resonances` the count is the number of scan
-subintervals; for `greens-check` it is the number of random draws.
+`greens-check`. For `resonances` the count caps the number of roots
+(the lowest ones); for `greens-check` it is the number of random draws.
 Every command allocates in proportion to the count, so a count above
 MAX_SWEEP_COUNT is a configuration error, raised before any computation.
 """
@@ -37,7 +37,7 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "load_config", "SWEEP_DEFAULTS", "MAX_SWEEP_COUNT"]
 
-# 10x the largest count any benchmark workload runs (100,000 scan cells)
+# 10x the largest count any benchmark workload runs (a 100,000-root cap)
 MAX_SWEEP_COUNT = 1_000_000
 
 _GLOBAL_DEFAULTS = {

@@ -10,7 +10,7 @@ class StopBandError(PolaritonError):
 
 
 class ResonanceScanError(PolaritonError):
-    """The resonance scan could not resolve or bracket the requested roots."""
+    """A resonance in the requested window could not be certified."""
 
 
 class PeakExtractionError(PolaritonError):

@@ -122,6 +122,14 @@ class HopfieldModes(NamedTuple):
         """Per coupling, whether both modes' frequencies and coefficients are finite."""
         return np.isfinite(tuple(self)).all(axis=(0, 1))
 
+    def require_finite(self, rabi_over_wt) -> None:
+        """Raise ValueError naming the first coupling that is not `finite`."""
+        bad = np.atleast_1d(rabi_over_wt)[~self.finite]
+        if bad.size:
+            raise ValueError(
+                f"the two-mode closed forms leave the float range at rabi/omega_t = {bad[0]:g}"
+            )
+
 
 def hopfield_modes(photon_freq, omega_t, rabi) -> HopfieldModes:
     """Closed-form frequencies and Hopfield coefficients of both modes.
@@ -189,8 +197,7 @@ def diagonalize(prob: BogoliubovProblem) -> tuple[HopfieldMode, HopfieldMode]:
     ValueError where the closed forms leave the float range.
     """
     m = hopfield_modes(prob.photon_freq, prob.omega_t, prob.rabi)
-    if not m.finite[0]:
-        raise ValueError(f"the closed forms leave the float range at rabi = {prob.rabi:g}")
+    m.require_finite(prob.rabi / prob.omega_t)
     return tuple(
         HopfieldMode(
             branch, float(m.omega[i, 0]),

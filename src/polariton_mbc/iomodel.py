@@ -21,11 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cavity import (
-    CavityConfig, Resonance, _bisect, _resonance_function, kappa_bare, tuned_length,
-)
-from .dielectric import MediumParams, _branches, _group_velocity, _refractive_index
-from .dielectric import _unwrap
+from .cavity import CavityConfig, Resonance, _mode_roots, kappa_bare, tuned_length
+from .dielectric import MediumParams, _group_velocity, _unwrap
 from .errors import ResonanceScanError
 from .hopfield import HopfieldMode, HopfieldModes, hopfield_modes, photon_weight
 from .tables import SweepTable
@@ -101,18 +98,13 @@ def figure2_sweep(
     |w|^2-rescaled rates, all couplings in one `hopfield_modes` call.
     kappa0 defaults to kappa_bare of the tuned cavity.
 
-    L does not depend on the coupling, so the m = 1 root of tan(qL) =
-    n/Lambda, q = n(W) W, lies at qL in (pi, 3 pi/2), which the closed
-    form of bulk_dispersion maps to a W bracket on each branch. There
-    dn/dq = 4 pi beta W / ((u - 1)^2 + 4 pi beta) < 1 with u = W^2, while
-    d tan(qL)/dq >= L > pi, so tan(qL) - n/Lambda increases strictly and
-    each bracket holds exactly one root for Lambda >= 5. One lockstep
-    bisection solves all (coupling, branch) brackets with the stopping
-    rule of find_resonances. By the same monotonicity, |f| < 1e-9 at a
-    W with floor(n W L/pi) = 1 certifies that unique root, so the bracket
-    ends need no sign test: at small couplings the lower bracket's top
-    rounds onto omega_t, where f is not defined. ResonanceScanError names
-    the first coupling whose root misses |f| < 1e-9 or floor(n W L/pi) = 1.
+    L does not depend on the coupling, so every (coupling, branch) root
+    is the m = 1 root of `cavity._mode_roots`, all solved in one call:
+    its bracket comes from the closed form of bulk_dispersion, and the
+    tuned L Lambda > 1 for Lambda >= 5 makes that root unique.
+    ResonanceScanError names the first coupling whose root cannot be
+    certified (|f| < 1e-9 and floor(n W L/pi) = 1). A coupling whose
+    two-mode closed forms leave the float range raises ValueError.
 
     Columns: rabi_over_wt, omega_L_mbc, omega_U_mbc, omega_L_disc,
     omega_U_disc, kappa_L_mbc, kappa_U_mbc, kappa_L_rwa, kappa_U_rwa.
@@ -130,25 +122,16 @@ def figure2_sweep(
     k_bare = kappa_bare(CavityConfig(length, lambda_mirror, bare))
     k0 = k_bare if kappa0 is None else kappa0
 
-    b4 = 4.0 * np.square(grid)[:, None]  # (coupling, 1)
-    # qL stops 1e-6 short of the tan pole at 3 pi/2, where rounding loses
-    # the sign of tan; tan there (1e6) still exceeds n/Lambda
-    q_lo, q_hi = math.pi / length, (1.5 * math.pi - 1e-6) / length
-    lo = np.hstack(_branches(q_lo, 1.0, np.sqrt(1.0 + b4)))  # (coupling, branch)
-    hi = np.hstack(_branches(q_hi, 1.0, np.sqrt(1.0 + b4)))
-    f = _resonance_function(length, lambda_mirror, 1.0, b4)
-    with np.errstate(invalid="ignore"):  # f(omega_t) = tan(inf) - inf
-        w = _bisect(f, lo, hi, 1e-12)
-    n = _refractive_index(w, 1.0, b4, 0.0).real
-    bad = ~(np.abs(f(w)) < 1e-9) | (np.floor(n * w * length / math.pi) != 1)
-    if bad.any():
+    modes = hopfield_modes(1.0, 1.0, grid)
+    modes.require_finite(grid)
+    b4 = 4.0 * np.square(grid)[:, None]  # (coupling, 1) against (branch,) below
+    w, n, _, certified = _mode_roots(1, length, lambda_mirror, 1.0, b4, [False, True])
+    if not certified.all():
         raise ResonanceScanError(
             "no m = 1 root with |f| < 1e-9 and mode index 1 "
-            f"at rabi/omega_t = {grid[np.flatnonzero(bad.any(axis=1))[0]]:g}"
+            f"at rabi/omega_t = {grid[np.flatnonzero(~certified.all(axis=1))[0]]:g}"
         )
     kappa = n * _group_velocity(w, 1.0, b4) * k_bare  # 2 n v_g / (Lambda^2 L)
-
-    modes = hopfield_modes(1.0, 1.0, grid)
     rwa = kappa_rwa(modes, k0)
     return SweepTable([
         ("rabi_over_wt", grid),

@@ -5,8 +5,9 @@ package: dense eigendecomposition instead of closed forms, the
 per-coupling scalar closed forms instead of the whole-sweep array
 kernel of hopfield_modes, a direct
 two-unknown boundary-value solve instead of the assembled Green
-function, windowed resonance scans instead of the analytic m = 1
-brackets of figure2_sweep, a bracket-walking bisection of n(W) W = q
+function, sign-change scans of a frequency window instead of the
+per-mode analytic brackets of find_resonances and figure2_sweep, a
+bracket-walking bisection of n(W) W = q
 instead of the closed-form roots of solve_omega_q, and cell-by-cell and
 point-by-point text rendering instead of the columnar CSV and SVG
 writers. Agreement between
@@ -20,11 +21,15 @@ import numpy as np
 
 from polariton_mbc import (
     BogoliubovProblem,
+    Branch,
     BranchError,
     CavityConfig,
     MediumParams,
-    find_resonances,
+    Resonance,
+    ResonanceScanError,
+    StopBandError,
     group_velocity,
+    kappa_mbc,
     refractive_index,
     tuned_length,
 )
@@ -234,11 +239,77 @@ def matched_green(zprime: float, omega: float, cfg: CavityConfig):
     return green
 
 
+def _bisect_cells(f, a, b):
+    """Bisect every cell [a, b] with f(a) f(b) <= 0 down to floating-point resolution."""
+    fa = f(a)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        split = (mid > a) & (mid < b)
+        if not split.any():
+            break
+        fm = f(mid)
+        left = fa * fm <= 0.0
+        b = np.where(split & left, mid, b)
+        a, fa = np.where(split & ~left, mid, a), np.where(split & ~left, fm, fa)
+    return np.where(np.abs(fa) <= np.abs(f(b)), a, b)
+
+
+def scanned_resonances(cfg: CavityConfig, omega_range, subintervals=2000, max_count=None):
+    """Roots of tan(n W L) = n/Lambda in omega_range from a sign-change scan.
+
+    Each transparent part of the window (the stop band widened by 1e-9
+    omega_t is skipped) gets `subintervals` equal cells; every cell whose
+    ends change sign, or start on an exact zero, is bisected to
+    floating-point resolution, and a root with |f| >= 1e-9 is taken for
+    the pole of tan it brackets and dropped. Mode indices floor(n W L/pi)
+    that are not consecutive within a part mean two crossings shared a
+    cell and raise ResonanceScanError. At most max_count roots are kept,
+    and none past them is checked. Returns Resonance objects, ascending.
+    """
+    lo, hi = omega_range
+    med = cfg.medium.lossless()
+    legs = [(lo, hi, Branch.BARE)]
+    if med.beta4pi > 0.0:
+        wt, wl = med.stop_band()
+        edge = 1e-9 * med.omega_t
+        legs = [(lo, min(hi, wt - edge), Branch.LOWER), (max(lo, wl + edge), hi, Branch.UPPER)]
+    legs = [leg for leg in legs if leg[1] > leg[0]]
+    if not legs:
+        raise StopBandError(f"range [{lo:g}, {hi:g}] lies inside the stop band")
+
+    def f(w):
+        n = refractive_index(w, med).real
+        return np.tan(n * w * cfg.length) - n / cfg.lambda_mirror
+
+    found = []
+    for leg_lo, leg_hi, branch in legs:
+        grid = np.linspace(leg_lo, leg_hi, subintervals + 1)
+        sign = np.sign(f(grid))
+        hits = sign == 0.0  # the cell it starts claims an exact zero; the last cell its end
+        crossing = (sign[:-1] * sign[1:] < 0.0) | hits[:-1]
+        crossing[-1] |= hits[-1]
+        cells = np.flatnonzero(crossing)
+        roots = _bisect_cells(f, grid[cells], grid[cells + 1])
+        roots = roots[np.abs(f(roots)) < 1e-9]
+        if max_count is not None:
+            roots = roots[: max(max_count - len(found), 0)]
+        modes = np.floor(refractive_index(roots, med).real * roots * cfg.length / math.pi)
+        gaps = np.flatnonzero(np.diff(modes) != 1)
+        if gaps.size:
+            raise ResonanceScanError(
+                f"roots skipped between mode {modes[gaps[0]]:g} and mode {modes[gaps[0] + 1]:g}"
+            )
+        kappas = kappa_mbc(roots, cfg)
+        found += [Resonance(float(w), float(k), branch, int(m))
+                  for w, k, m in zip(roots, kappas, modes)]
+    return found
+
+
 def scanned_fundamentals(rabi: float, lambda_mirror: float):
     """The two m = 1 resonances of the figure2_sweep cavity, one coupling at a time.
 
-    Scans a window on each side of the stop band with find_resonances
-    (2000 cells, per-cell polish) and keeps the root with mode_index 1.
+    Scans a window on each side of the stop band with scanned_resonances
+    (2000 cells) and keeps the root with mode_index 1.
     The windows surround the tuned-root estimates from n(W) W = omega_t,
     x^2 - (2 + 4 pi beta) x + 1 = 0 with x = W^2, wide enough for the
     good-cavity pull. Returns (lower, upper) Resonance objects.
@@ -255,7 +326,7 @@ def scanned_fundamentals(rabi: float, lambda_mirror: float):
     )
     out = []
     for window in windows:
-        fundamentals = [r for r in find_resonances(cfg, window) if r.mode_index == 1]
+        fundamentals = [r for r in scanned_resonances(cfg, window) if r.mode_index == 1]
         assert len(fundamentals) == 1, f"rabi {rabi}, window {window}: {fundamentals}"
         out.append(fundamentals[0])
     return tuple(out)

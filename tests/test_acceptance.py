@@ -193,7 +193,7 @@ def test_transmission_linewidths_match_rate_formula():
         med = MediumParams(omega_t=1.0, beta4pi=b4, gamma=0.0)
         cfg = tuned_cavity(50.0, med)
         for window in mode_windows(med):
-            res = find_resonances(cfg, window, max_count=1, subintervals=3000)[0]
+            res = find_resonances(cfg, window, max_count=1)[0]
             ws = np.linspace(res.omega - 6 * res.kappa, res.omega + 6 * res.kappa, 2001)
             t2 = np.abs(intracavity_transfer(ws, cfg)) ** 2
             _, fwhm = lorentzian_extract(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import good_cavity_ratio, lorentzian_prefactor
+from oracles import good_cavity_ratio, lorentzian_prefactor, scanned_resonances
 from polariton_mbc import (
     Branch,
     CavityConfig,
@@ -14,6 +14,7 @@ from polariton_mbc import (
     ResonanceScanError,
     StopBandError,
     SweepTable,
+    bulk_dispersion,
     find_resonances,
     group_velocity,
     in_stop_band,
@@ -71,7 +72,7 @@ def test_resonance_condition_holds_at_roots():
 
 def test_resonances_ascend_with_consecutive_mode_indices():
     cfg = make_cavity(beta4pi=0.36)
-    found = find_resonances(cfg, (0.5, 0.98), subintervals=3000)
+    found = find_resonances(cfg, (0.5, 0.98))
     oms = [r.omega for r in found]
     assert oms == sorted(oms)
     assert [r.mode_index for r in found] == [1, 2, 3]
@@ -80,25 +81,61 @@ def test_resonances_ascend_with_consecutive_mode_indices():
     assert oms[2] == pytest.approx(0.978305, abs=2e-6)
 
 
-def test_coarse_scan_near_band_edge_is_rejected():
-    # lower-branch roots crowd against omega_t; a window reaching into
-    # the crowded zone cannot be resolved and must fail loudly instead
-    # of silently dropping modes
+def test_window_near_band_edge_resolves_every_mode():
+    # lower-branch roots crowd against omega_t, where a 6000-cell scan
+    # skips modes; each mode's own bracket resolves all 19, as does a
+    # scan 30 times finer
     cfg = make_cavity(beta4pi=0.36)
-    with pytest.raises(ResonanceScanError):
-        find_resonances(cfg, (0.5, 0.9995), subintervals=6000)
+    found = find_resonances(cfg, (0.5, 0.9995))
+    assert [r.mode_index for r in found] == list(range(1, 20))
+    scanned = scanned_resonances(cfg, (0.5, 0.9995), subintervals=200_000)
+    assert [r.mode_index for r in scanned] == list(range(1, 20))
+    for res, ref in zip(found, scanned):
+        assert abs(res.omega - ref.omega) < 1e-12, (res, ref)
+
+
+def test_uncertifiable_mode_fails_loudly_and_names_the_mode():
+    # mode 47 sits 9e-5 below omega_t, where tan(n W L) = n/Lambda cannot
+    # be met to 1e-9 in floating point; the modes below it are not
+    # returned without it
+    cfg = make_cavity(beta4pi=0.36)
+    with pytest.raises(ResonanceScanError, match="mode 47 has no root"):
+        find_resonances(cfg, (0.5, 0.99999))
+    assert len(find_resonances(cfg, (0.5, 0.99999), max_count=46)) == 46
+
+
+def test_mode_indices_past_float_resolution_fail_loudly():
+    # past 2^53 consecutive mode indices are no longer distinct floats;
+    # the window holds roots, so an empty answer would be wrong
+    cfg = CavityConfig(1e300, LAM, MediumParams(gamma=0.0))
+    with pytest.raises(ResonanceScanError, match="floating-point resolution"):
+        find_resonances(cfg, (0.5, 1.5))
+
+
+@pytest.mark.parametrize("beta4pi", [0.36, 16.0])
+def test_cavity_too_short_for_one_root_per_bracket_is_refused(beta4pi):
+    # tan(qL) outgrows n/Lambda only where L Lambda omega_t > 1
+    med = MediumParams(omega_t=2.0, beta4pi=beta4pi, gamma=0.0)
+    with pytest.raises(ValueError, match="lambda_mirror"):
+        find_resonances(CavityConfig(0.25, 2.0, med), (0.1, 1.9))
+    cfg = CavityConfig(0.2500001, 2.0, med)
+    found = find_resonances(cfg, (0.1, 1.9))
+    assert found and [r.mode_index for r in found] == list(range(len(found)))
+    for res in found:
+        n = refractive_index(res.omega, med).real
+        assert abs(math.tan(n * res.omega * cfg.length) - n / 2.0) < 1e-9
 
 
 def test_max_count_truncates():
     cfg = make_cavity(beta4pi=0.36)
-    found = find_resonances(cfg, (0.5, 0.98), subintervals=3000, max_count=2)
+    found = find_resonances(cfg, (0.5, 0.98), max_count=2)
     assert [r.mode_index for r in found] == [1, 2]
 
 
 def test_sub_fundamental_mode_exists():
     # below the fundamental there is a low-frequency root with m = 0
     cfg = make_cavity()
-    found = find_resonances(cfg, (0.005, 0.5), subintervals=5000)
+    found = find_resonances(cfg, (0.005, 0.5))
     assert len(found) == 1
     res = found[0]
     assert res.mode_index == 0
@@ -117,42 +154,54 @@ def test_sub_fundamental_mode_exists():
         (0.0, 200.0, (0.5, 2.0), 20000),
         (0.36, 200.0, (1.2, 3.0), 20000),
         (2.0, 200.0, (0.2, 0.8), 20000),
+        (0.36, 200.0, (1.2, 20.0), 100000),  # 1,240 roots
     ],
 )
 def test_batched_polish_matches_brentq_on_each_cell(beta4pi, length, window, subintervals):
-    # every root must be the one an independent solver finds in the
-    # scan cell that holds it; the windows lie inside one transparent
-    # leg, so the cells are those of linspace over the window
+    # every root must be the one an independent solver finds in its own
+    # mode bracket, n W L in (m pi, (m + 1/2) pi) clipped to the window,
+    # and the scan oracle with `subintervals` cells must find the same
+    # modes, within the 1e-12 omega_t stopping width; the windows lie
+    # inside one transparent leg
     optimize = pytest.importorskip("scipy.optimize")
     cfg = make_cavity(beta4pi=beta4pi)
     if length is not None:
         cfg = CavityConfig(length=length, lambda_mirror=LAM, medium=cfg.medium)
-    found = find_resonances(cfg, window, subintervals=subintervals)
+    found = find_resonances(cfg, window)
     assert len(found) >= 2
+    scanned = scanned_resonances(cfg, window, subintervals)
+    assert [r.mode_index for r in found] == [r.mode_index for r in scanned]
+    for res, ref in zip(found, scanned):
+        assert abs(res.omega - ref.omega) < 1e-12 * cfg.medium.omega_t, (res, ref)
 
     def f(w):
         n = refractive_index(w, cfg.medium).real
         return math.tan(n * w * cfg.length) - n / cfg.lambda_mirror
 
-    grid = np.linspace(window[0], window[1], subintervals + 1)
+    def to_omega(q):
+        if beta4pi == 0.0:
+            return q
+        return bulk_dispersion(q, cfg.medium)[0 if window[1] < 1.0 else 1]
+
     for res in found:
-        i = int(np.searchsorted(grid, res.omega)) - 1
-        ref = optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-15)
+        m = res.mode_index
+        lo = max(window[0], to_omega(m * math.pi / cfg.length))
+        hi = min(window[1], to_omega(((m + 0.5) * math.pi - 1e-6) / cfg.length))
+        ref = optimize.brentq(f, lo, hi, xtol=1e-15)
         assert abs(res.omega - ref) < 1e-12 * cfg.medium.omega_t, (res, ref)
 
 
 def test_exact_grid_hit_is_reported_once():
     # choose Lambda so that f = tan(w L) - 1/Lambda is exactly 0 at a
-    # grid point; the hit must come back as itself, once, whether it is
-    # the first, an interior or the last point of the scan grid
+    # window end; the root must come back as itself, once, whether it is
+    # the first or the last point of the window
     w0 = 0.9613
     length = tuned_length(LAM, MediumParams())
     cfg = CavityConfig(length=length, lambda_mirror=1.0 / math.tan(w0 * length),
                        medium=MediumParams(gamma=0.0))
     assert math.tan(w0 * length) - 1.0 / cfg.lambda_mirror == 0.0
-    for window in ((w0 - 0.25, w0 + 0.25), (w0, w0 + 0.3), (w0 - 0.3, w0)):
-        assert w0 in np.linspace(window[0], window[1], 5)
-        found = find_resonances(cfg, window, subintervals=4)
+    for window in ((w0, w0 + 0.3), (w0 - 0.3, w0)):
+        found = find_resonances(cfg, window)
         assert [(r.omega, r.mode_index) for r in found] == [(w0, 1)], window
 
 
@@ -169,7 +218,7 @@ def test_window_reaching_into_band_is_clipped_to_transparency():
     cfg = make_cavity(beta4pi=0.36)
     wl = cfg.medium.omega_longitudinal
     # a window that starts inside the band only searches above it
-    found = find_resonances(cfg, (1.01, wl + 0.9), subintervals=3000)
+    found = find_resonances(cfg, (1.01, wl + 0.9))
     assert len(found) >= 1
     for res in found:
         assert res.omega > wl
@@ -179,12 +228,13 @@ def test_window_reaching_into_band_is_clipped_to_transparency():
 
 def test_straddling_window_fails_loudly_at_the_edge():
     # clipping a straddling window puts the lower leg right against
-    # omega_t where the roots accumulate; no finite grid resolves that,
-    # and silently dropping modes would be worse than refusing
+    # omega_t where the roots accumulate faster than floating point
+    # resolves them, and silently dropping modes would be worse than
+    # refusing
     cfg = make_cavity(beta4pi=0.36)
     wl = cfg.medium.omega_longitudinal
     with pytest.raises(ResonanceScanError):
-        find_resonances(cfg, (0.5, wl + 0.8), subintervals=4000)
+        find_resonances(cfg, (0.5, wl + 0.8))
 
 
 def test_reflection_is_unimodular_without_absorption():

@@ -389,6 +389,18 @@ def test_hopfield_refuses_couplings_outside_the_float_range(tmp_path, capsys, st
     assert os.listdir(tmp_path) == []
 
 
+def test_figure2_refuses_couplings_outside_the_float_range(tmp_path, capsys):
+    # the same refusal as hopfield's: 4 rabi^2 underflows at 1e-163, where
+    # the *_rwa rates would otherwise be written as nan
+    code = main([
+        "figure2", "--out", str(tmp_path), "--svg", "--set", "sweep.start=1e-163",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error: the two-mode closed forms leave the float range at rabi/omega_t = 1e-163" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_hopfield_keeps_the_decoupled_row(tmp_path):
     assert main([
         "hopfield", "--out", str(tmp_path), "--set", "sweep.start=0",
@@ -548,7 +560,7 @@ DEFAULT_CSV_BODIES = {
     "greens_check.csv": "fe69aca69ed10021b611f0e565ef768cb56b0f755fab9c708af0df568de46838",
     "hopfield.csv": "9518d5bf6950d3d522e6eb18bc99d1fec883ee330931a5d3cb56df1e1251fac1",
     "kappa_sweep.csv": "7cceabaaa002a0c7191761c2175708eb0a4f356f1ed71bf980d7a741435aebcd",
-    "resonances.csv": "ff82531b6866bb5200855cc4a40141fc21fd32e8774249ddc302ccdd5571070c",
+    "resonances.csv": "661973c7aa8558c7707133ab329ceb00b6bd9fa3baf7cb9f491ec5f8bbabe268",
     "spectrum.csv": "3467adb7c198e74adbdf5006127e5cbc9b258bb75aaf9066291797049da6125c",
 }
 
@@ -630,12 +642,24 @@ def test_resonances_refuse_a_window_inside_the_stop_band(tmp_path, capsys):
 
 
 def test_resonance_scan_failure_exits_two(tmp_path):
-    # a window pressed against the band edge cannot be resolved
+    # a window pressed against the band edge holds a mode (47, near
+    # omega = 0.99991) whose root cannot be certified
     code = main([
         "resonances", "--out", str(tmp_path),
-        "--set", "medium.beta4pi=0.36", "--set", "sweep.stop=0.9999",
+        "--set", "medium.beta4pi=0.36", "--set", "sweep.stop=0.99999",
     ])
     assert code == 2
+
+
+def test_resonances_refuse_a_cavity_too_short_for_unique_roots(tmp_path, capsys):
+    # L Lambda omega_t = 0.5: one root per mode bracket is not guaranteed
+    code = main([
+        "resonances", "--out", str(tmp_path), "--set", "medium.beta4pi=0.36",
+        "--set", "cavity.length=0.25", "--set", "cavity.lambda_mirror=2",
+    ])
+    assert code == 1
+    assert "length * lambda_mirror * omega_t > 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_greens_check_medium_variants(tmp_path):

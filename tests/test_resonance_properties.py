@@ -1,0 +1,80 @@
+"""Property test: find_resonances over random media, cavities and windows.
+
+Every call must end in one of two ways: certified roots with consecutive
+mode indices per branch that agree with the scan oracle wherever a scan
+resolves the window, or a typed ResonanceScanError or StopBandError.
+"""
+
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, event, given, seed, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from oracles import scanned_resonances  # noqa: E402
+from polariton_mbc import (  # noqa: E402
+    CavityConfig,
+    MediumParams,
+    ResonanceScanError,
+    StopBandError,
+    find_resonances,
+    refractive_index,
+)
+
+
+@st.composite
+def resonance_problems(draw):
+    omega_t = draw(st.floats(0.5, 2.0))
+    beta4pi = draw(st.one_of(st.just(0.0), st.floats(0.0, 16.0)))
+    lam = 10.0 ** draw(st.floats(-0.3, 3.0))
+    length = 10.0 ** draw(st.floats(-1.0, 2.5)) / omega_t
+    assume(length * lam * omega_t > 1.0)  # one root per mode bracket
+    lo = omega_t * 10.0 ** draw(st.floats(-3.0, 0.7))
+    hi = lo * (1.0 + 10.0 ** draw(st.floats(-3.0, 1.0)))
+    max_count = draw(st.integers(1, 2000))
+    med = MediumParams(omega_t=omega_t, beta4pi=beta4pi, gamma=0.0)
+    return CavityConfig(length, lam, med), (lo, hi), max_count
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(resonance_problems())
+def test_roots_are_certified_consecutive_and_match_the_scan(problem):
+    cfg, window, max_count = problem
+    try:
+        found = find_resonances(cfg, window, max_count)
+    except (ResonanceScanError, StopBandError) as err:
+        event(type(err).__name__)
+        return
+    assert len(found) <= max_count
+    omegas = [r.omega for r in found]
+    assert omegas == sorted(omegas)
+    assert all(window[0] <= w <= window[1] for w in omegas)
+    for res in found:
+        n = refractive_index(res.omega, cfg.medium).real
+        assert abs(math.tan(n * res.omega * cfg.length) - n / cfg.lambda_mirror) < 1e-9
+        assert math.floor(n * res.omega * cfg.length / math.pi) == res.mode_index
+    for branch in {r.branch for r in found}:
+        modes = [r.mode_index for r in found if r.branch is branch]
+        assert modes == list(range(modes[0], modes[0] + len(modes)))
+
+    # a scan resolves the window where refining its grid 4x changes
+    # nothing: a cell holding two roots and a pole between them shows no
+    # crossing and need not leave a gap in the mode indices
+    try:
+        scanned = scanned_resonances(cfg, window, 20_000, max_count)
+        finer = scanned_resonances(cfg, window, 80_000, max_count)
+    except ResonanceScanError:  # two crossings shared a scan cell
+        event("scan unresolved")
+        return
+    if [r.mode_index for r in scanned] != [r.mode_index for r in finer]:
+        event("scan unresolved")
+        return
+    event("compared with the scan" if found else "no root, as the scan")
+    assert [(r.branch, r.mode_index) for r in found] == [
+        (r.branch, r.mode_index) for r in scanned
+    ]
+    for res, ref in zip(found, scanned):
+        assert abs(res.omega - ref.omega) < 1e-12 * cfg.medium.omega_t, (res, ref)
