@@ -55,6 +55,12 @@ class CavityConfig:
             raise ValueError("length must be positive")
         if not self.lambda_mirror > 0:
             raise ValueError("lambda_mirror must be positive")
+        try:
+            self.lambda_mirror**2  # as kappa_mbc and kappa_bare square it
+        except OverflowError:
+            raise ValueError(
+                f"lambda_mirror = {self.lambda_mirror!r} is too large: its square overflows"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -136,9 +136,20 @@ def cmd_resonances(cfg: RunConfig) -> None:
 
 
 def cmd_spectrum(cfg: RunConfig) -> None:
-    """Intracavity intensity and reflected amplitude over a frequency sweep."""
+    """Intracavity intensity and reflected amplitude over a frequency sweep.
+
+    A lossless medium (gamma = 0, beta4pi > 0) has an infinite index at
+    omega_t, so a grid point there is refused with a configuration error
+    before any file is written.
+    """
     cavity = cfg.cavity()
+    med = cfg.medium
     ws = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
+    if med.gamma == 0.0 and med.beta4pi > 0.0 and np.any(ws == med.omega_t):
+        raise ConfigError(
+            f"spectrum grid hits omega_t = {med.omega_t:g}, where the lossless "
+            "index is infinite; set medium.gamma > 0 or move the grid off omega_t"
+        )
     t = np.asarray(intracavity_transfer(ws, cavity))
     r = np.asarray(reflection(ws, cavity))
     table = SweepTable(

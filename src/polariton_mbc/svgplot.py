@@ -3,6 +3,11 @@
 Emits SVG 1.1 documents with axes, ticks, polyline curves, and a small
 legend. Three stroke styles are understood: "solid" for primary curves,
 "dashed" for comparison curves, "dotted" for reference lines.
+
+Polyline points are printed by floatfmt.points_text, as '{:.2f}' prints
+each coordinate: hundredths from rint(100 |v|) wherever that is
+certified, and str.format for non-finite values, |v| >= 999999 and
+coordinates within 1e-6 of a .xx5 tie.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import math
 from typing import Sequence
 
 import numpy as np
+
+from .floatfmt import points_text
 
 __all__ = ["line_plot", "write_svg"]
 
@@ -52,6 +59,15 @@ def _check_range(curves, k: int, axis: str, lo: float, hi: float) -> None:
     raise ValueError(f"series {names}: no finite {axis} axis range")
 
 
+def _span(values) -> tuple[float, float]:
+    """(min, max) as Python's min and max take them over the joined
+    values: a NaN in first position makes both NaN, a later NaN is ignored."""
+    v = np.concatenate(values)
+    if np.isnan(v[0]):
+        return float(v[0]), float(v[0])
+    return float(np.fmin.reduce(v)), float(np.fmax.reduce(v))
+
+
 def _fmt(v: float) -> str:
     return f"{v:g}"
 
@@ -74,14 +90,10 @@ def line_plot(
         (label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), style)
         for label, xs, ys, style in series
     ]
-    # Python min/max over the joined values, not np.min/np.max: a NaN is
-    # ignored unless it comes first, and the plotted ranges depend on that
-    xs_all = np.concatenate([xs for _, xs, _, _ in curves]).tolist()
-    ys_all = np.concatenate([ys for _, _, ys, _ in curves]).tolist()
-    if not xs_all:
+    if not sum(xs.size for _, xs, _, _ in curves):
         raise ValueError("empty series")
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
+    x0, x1 = _span([xs for _, xs, _, _ in curves])
+    y0, y1 = _span([ys for _, _, ys, _ in curves])
     if x1 <= x0:
         x0, x1 = x0 - 0.5, x0 + 0.5
     if y1 <= y0:
@@ -156,7 +168,7 @@ def line_plot(
         # silent, as for Python floats: overflow to inf, NaN from inf - inf
         with np.errstate(over="ignore", invalid="ignore"):
             X, Y = px(xs), py(ys)
-        pts = " ".join(map("{:.2f},{:.2f}".format, X.tolist(), Y.tolist()))
+        pts = points_text(X, Y)
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6"'
             f'{dash_attr} points="{pts}"/>'

@@ -6,10 +6,16 @@ shortest round-trip representation (up to 17 significant digits), so
 identical inputs produce byte-identical files.
 
 A SweepTable stores each column as a 1-D float64 array and writes its
-rows in fixed blocks, formatting a whole block column by column, so the
-file is streamed without a Python call per cell and without holding the
-whole text in memory. The bytes are the same as formatting every cell
-with format_value and joining the rows one by one.
+rows in blocks of about _BLOCK_CELLS cells, each printed by
+floatfmt.repr_rows, so the file is streamed without a Python call per
+cell and without holding the whole text in memory. That kernel
+certifies a cell's digits by long-double arithmetic and leaves to repr
+only the cells it cannot certify: zero, NaN, inf, powers of two,
+magnitudes outside [1e-10, 1e16) and decisions within rounding of a
+tie or interval edge, about 1-2% of a smooth sweep; where long double
+has fewer than 64 significand bits, repr prints every cell. The bytes
+are the same as formatting every cell with format_value and joining
+the rows one by one.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-# Rows formatted per write. Small enough that a block's transient Python
-# floats and strings stay well below the size of the columns themselves.
-_BLOCK_ROWS = 256
+from .floatfmt import repr_rows
+
+# Cells printed per block. Small enough that a block's transient arrays,
+# about 200 bytes a cell, stay near 1 MB.
+_BLOCK_CELLS = 4096
 
 
 def format_value(v) -> str:
@@ -41,14 +49,14 @@ def write_csv(path, names: Sequence[str], rows, comments: Sequence[str] = ()) ->
     rows is an iterable of sequences whose cells format_value formats,
     one row at a time, or a SweepTable, written a block of rows at a time.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(names, comments))
+    with open(path, "wb") as fh:
+        fh.write(_header(names, comments).encode("utf-8"))
         if isinstance(rows, SweepTable):
             for block in rows._csv_blocks():
                 fh.write(block)
         else:
             for row in rows:
-                fh.write(",".join(map(format_value, row)) + "\n")
+                fh.write((",".join(map(format_value, row)) + "\n").encode("utf-8"))
 
 
 def _as_column(values) -> np.ndarray:
@@ -101,10 +109,10 @@ class SweepTable:
         return zip(*(col.tolist() for col in self._data))
 
     def _csv_blocks(self):
-        """The CSV body, _BLOCK_ROWS newline-terminated rows per string."""
-        for s in range(0, len(self), _BLOCK_ROWS):
-            cells = [map(repr, col[s:s + _BLOCK_ROWS].tolist()) for col in self._data]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        """The CSV body as bytes, a block of newline-terminated rows at a time."""
+        step = max(1, _BLOCK_CELLS // len(self._data))
+        for s in range(0, len(self), step):
+            yield repr_rows(np.stack([col[s:s + step] for col in self._data], axis=1))
 
     def write_csv(self, path, comments: Sequence[str] = ()) -> None:
         write_csv(path, self._names, self, comments)

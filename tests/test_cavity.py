@@ -380,3 +380,6 @@ def test_cavity_config_validation():
         CavityConfig(length=0.0, lambda_mirror=LAM, medium=med)
     with pytest.raises(ValueError):
         CavityConfig(length=1.0, lambda_mirror=0.0, medium=med)
+    with pytest.raises(ValueError, match="square overflows"):
+        CavityConfig(length=1.0, lambda_mirror=1.4e154, medium=med)
+    CavityConfig(length=1.0, lambda_mirror=1.3e154, medium=med)

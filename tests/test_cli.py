@@ -527,16 +527,22 @@ def test_svg_outputs_are_valid_xml(tmp_path):
 
 
 def test_failed_plot_leaves_no_svg(tmp_path, capsys):
-    # gamma = 0 puts the pole on the first grid point: |T|^2 starts with NaN
+    # gamma = 0 puts the pole on the first grid point, where the index is
+    # infinite: refused before anything is computed or written
     code = main([
         "spectrum", "--out", str(tmp_path), "--svg",
         "--set", "medium.gamma=0", "--set", "medium.beta4pi=0.36",
         "--set", "sweep.start=1.0", "--set", "sweep.stop=1.1",
     ])
     assert code == 1
-    assert "'intracavity |T|^2'" in capsys.readouterr().err
-    assert (tmp_path / "spectrum.csv").exists()
-    assert not (tmp_path / "spectrum.svg").exists()
+    assert "omega_t = 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    # vacuum has no pole, and the same grid is plotted
+    assert main([
+        "spectrum", "--out", str(tmp_path), "--svg",
+        "--set", "medium.gamma=0", "--set", "sweep.start=1.0", "--set", "sweep.stop=1.1",
+    ]) == 0
+    assert (tmp_path / "spectrum.svg").exists()
 
 
 def test_infinite_plot_value_is_a_typed_error(tmp_path, capsys):
@@ -659,6 +665,17 @@ def test_resonances_refuse_a_cavity_too_short_for_unique_roots(tmp_path, capsys)
     ])
     assert code == 1
     assert "length * lambda_mirror * omega_t > 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_resonances_refuse_a_mirror_whose_square_overflows(tmp_path, capsys):
+    # the rates divide by lambda_mirror**2, which overflows above about 1.3e154
+    code = main([
+        "resonances", "--out", str(tmp_path), "--set", "cavity.lambda_mirror=1e300",
+        "--set", "sweep.start=1.2", "--set", "sweep.stop=1.2001",
+    ])
+    assert code == 1
+    assert "config error: lambda_mirror = 1e+300" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
