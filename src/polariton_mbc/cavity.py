@@ -55,12 +55,16 @@ class CavityConfig:
             raise ValueError("length must be positive")
         if not self.lambda_mirror > 0:
             raise ValueError("lambda_mirror must be positive")
-        try:
-            self.lambda_mirror**2  # as kappa_mbc and kappa_bare square it
-        except OverflowError:
+        try:  # the bare rate, as kappa_bare computes it
+            finite = math.isfinite(2.0 / (self.lambda_mirror**2 * self.length))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
             raise ValueError(
-                f"lambda_mirror = {self.lambda_mirror!r} is too large: its square overflows"
-            ) from None
+                f"lambda_mirror = {self.lambda_mirror!r} with length = {self.length!r} "
+                "is out of range: its square overflows or the bare rate "
+                "2 / (lambda_mirror**2 * length) is not finite"
+            )
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Every command reads the layered configuration (defaults, then an
 optional --config file, then --set overrides), runs one computation,
-and writes CSV files whose comment header carries the fully resolved
-configuration. Exit codes: 0 success, 1 configuration error,
-2 numerical-tolerance failure, 3 I/O error.
+and returns its outputs: tables, each with an optional plot. main then
+refuses any non-finite table cell, renders the plots, and only then
+opens files: the SVGs first, then each CSV under a comment header that
+carries the fully resolved configuration. Exit codes: 0 success,
+1 configuration error, 2 numerical-tolerance failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import functools
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,64 +37,60 @@ from .fluct import FieldCommutators, solve_omega_q
 from .greens import delta_jump, fd_step, green_function, membrane_jump, ode_residual
 from .hopfield import hopfield_modes, weight
 from .iomodel import figure2_sweep, kappa_fit
-from .svgplot import write_svg
-from .tables import SweepTable, write_csv
+from .svgplot import line_plot, write_svg
+from .tables import SweepTable
 
 _GREENS_SEED = 20260817
 # greens-check draws no frequency within this many omega_t of the stop band
 _BAND_MARGIN = 1e-6
 
 
-def _comments(cfg: RunConfig, command: str) -> list[str]:
-    return [f"polariton-mbc {command}", *cfg.resolved()]
+class Plot(NamedTuple):
+    """(label, x, y, style) curves, x and y each the name of a column of
+    the output's table or the values themselves, with the plot's labels."""
+
+    series: list
+    title: str
+    xlabel: str
+    ylabel: str
 
 
-def _csv_path(cfg: RunConfig, name: str) -> str:
-    return os.path.join(cfg.out_dir, name)
+class Output(NamedTuple):
+    """<stem>.csv, written from table, and with --svg <stem>.svg from plot."""
+
+    stem: str
+    table: SweepTable
+    plot: Plot | None = None
 
 
-def cmd_dispersion(cfg: RunConfig) -> None:
+def cmd_dispersion(cfg: RunConfig) -> list[Output]:
     """Bulk branch frequencies, index, and group velocity over a wavenumber sweep."""
     med = cfg.medium
     ks = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     wl, wu = bulk_dispersion(ks, med)
     loss0 = med.lossless()
-    n_l = np.asarray(refractive_index(wl, loss0)).real
-    n_u = np.asarray(refractive_index(wu, loss0)).real
-    vg_l = np.asarray(group_velocity(wl, med))
-    vg_u = np.asarray(group_velocity(wu, med))
-    table = SweepTable(
-        [
-            ("k", ks),
-            ("omega_L", wl),
-            ("omega_U", wu),
-            ("n_L", n_l),
-            ("n_U", n_u),
-            ("vg_L", vg_l),
-            ("vg_U", vg_u),
-        ]
-    )
-    table.write_csv(_csv_path(cfg, "dispersion.csv"), _comments(cfg, "dispersion"))
-    if cfg.svg:
-        write_svg(
-            _csv_path(cfg, "dispersion.svg"),
-            [
-                ("lower branch", ks, wl, "solid"),
-                ("upper branch", ks, wu, "solid"),
-                ("light line", ks, ks, "dotted"),
-            ],
-            title="bulk polariton dispersion",
-            xlabel="wavenumber k (omega_t/c)",
-            ylabel="frequency (omega_t)",
-        )
+    table = SweepTable([
+        ("k", ks),
+        ("omega_L", wl),
+        ("omega_U", wu),
+        ("n_L", np.asarray(refractive_index(wl, loss0)).real),
+        ("n_U", np.asarray(refractive_index(wu, loss0)).real),
+        ("vg_L", group_velocity(wl, med)),
+        ("vg_U", group_velocity(wu, med)),
+    ])
+    plot = Plot([
+        ("lower branch", "k", "omega_L", "solid"),
+        ("upper branch", "k", "omega_U", "solid"),
+        ("light line", "k", "k", "dotted"),
+    ], "bulk polariton dispersion", "wavenumber k (omega_t/c)", "frequency (omega_t)")
+    return [Output("dispersion", table, plot)]
 
 
-def cmd_hopfield(cfg: RunConfig) -> None:
+def cmd_hopfield(cfg: RunConfig) -> list[Output]:
     """Two-mode eigenfrequencies and mode weights over a coupling sweep.
 
     One `hopfield_modes` call covers the sweep. A coupling whose closed
-    forms leave the float range is refused with a configuration error
-    before any file is written.
+    forms leave the float range is refused with a configuration error.
     """
     wt = cfg.medium.omega_t
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
@@ -101,24 +100,17 @@ def cmd_hopfield(cfg: RunConfig) -> None:
     for i, tag in enumerate("LU"):
         for part in "wxyz":
             cols[f"{part}2_{tag}"] = weight(getattr(modes, part)[i])
-    table = SweepTable([("rabi_over_wt", grid), *cols.items()])
-    table.write_csv(_csv_path(cfg, "hopfield.csv"), _comments(cfg, "hopfield"))
-    if cfg.svg:
-        write_svg(
-            _csv_path(cfg, "hopfield.svg"),
-            [
-                ("omega_L", grid, cols["omega_L"], "solid"),
-                ("omega_U", grid, cols["omega_U"], "solid"),
-                ("photon weight L", grid, cols["w2_L"], "dashed"),
-                ("photon weight U", grid, cols["w2_U"], "dashed"),
-            ],
-            title="two-mode polariton branches at resonance",
-            xlabel="rabi / omega_t",
-            ylabel="frequency (omega_t) / weight",
-        )
+    plot = Plot([
+        ("omega_L", "rabi_over_wt", "omega_L", "solid"),
+        ("omega_U", "rabi_over_wt", "omega_U", "solid"),
+        ("photon weight L", "rabi_over_wt", "w2_L", "dashed"),
+        ("photon weight U", "rabi_over_wt", "w2_U", "dashed"),
+    ], "two-mode polariton branches at resonance", "rabi / omega_t",
+        "frequency (omega_t) / weight")
+    return [Output("hopfield", SweepTable([("rabi_over_wt", grid), *cols.items()]), plot)]
 
 
-def cmd_resonances(cfg: RunConfig) -> None:
+def cmd_resonances(cfg: RunConfig) -> list[Output]:
     """Cavity resonances in a frequency window, ascending; count caps the number of roots."""
     cavity = cfg.cavity()
     window = (cfg.sweep_start, cfg.sweep_stop)
@@ -126,21 +118,19 @@ def cmd_resonances(cfg: RunConfig) -> None:
         found = find_resonances(cavity, window, max_count=cfg.sweep_count)
     except StopBandError as err:  # the window, not the solver, is at fault
         raise ConfigError(f"resonances window: {err}") from err
-    rows = [(res.omega, res.kappa, str(res.branch), res.mode_index) for res in found]
-    write_csv(
-        _csv_path(cfg, "resonances.csv"),
-        ["omega", "kappa", "branch", "mode_index"],
-        rows,
-        _comments(cfg, "resonances"),
-    )
+    return [Output("resonances", SweepTable([
+        ("omega", [res.omega for res in found]),
+        ("kappa", [res.kappa for res in found]),
+        ("branch", [str(res.branch) for res in found]),
+        ("mode_index", [str(res.mode_index) for res in found]),
+    ]))]
 
 
-def cmd_spectrum(cfg: RunConfig) -> None:
+def cmd_spectrum(cfg: RunConfig) -> list[Output]:
     """Intracavity intensity and reflected amplitude over a frequency sweep.
 
     A lossless medium (gamma = 0, beta4pi > 0) has an infinite index at
-    omega_t, so a grid point there is refused with a configuration error
-    before any file is written.
+    omega_t, so a grid point there is refused with a configuration error.
     """
     cavity = cfg.cavity()
     med = cfg.medium
@@ -152,27 +142,19 @@ def cmd_spectrum(cfg: RunConfig) -> None:
         )
     t = np.asarray(intracavity_transfer(ws, cavity))
     r = np.asarray(reflection(ws, cavity))
-    table = SweepTable(
-        [
-            ("omega", ws),
-            ("t2", np.abs(t) ** 2),
-            ("re_r", r.real),
-            ("im_r", r.imag),
-            ("abs_r", np.abs(r)),
-        ]
-    )
-    table.write_csv(_csv_path(cfg, "spectrum.csv"), _comments(cfg, "spectrum"))
-    if cfg.svg:
-        write_svg(
-            _csv_path(cfg, "spectrum.svg"),
-            [("intracavity |T|^2", ws, np.abs(t) ** 2, "solid")],
-            title="cavity spectrum",
-            xlabel="frequency (omega_t)",
-            ylabel="|T|^2",
-        )
+    table = SweepTable([
+        ("omega", ws),
+        ("t2", np.abs(t) ** 2),
+        ("re_r", r.real),
+        ("im_r", r.imag),
+        ("abs_r", np.abs(r)),
+    ])
+    plot = Plot([("intracavity |T|^2", "omega", "t2", "solid")],
+                "cavity spectrum", "frequency (omega_t)", "|T|^2")
+    return [Output("spectrum", table, plot)]
 
 
-def cmd_kappa_sweep(cfg: RunConfig) -> None:
+def cmd_kappa_sweep(cfg: RunConfig) -> list[Output]:
     """Boundary-condition rate vs frequency against the inverse-square fit."""
     cavity = cfg.cavity()
     med = cfg.medium
@@ -183,32 +165,21 @@ def cmd_kappa_sweep(cfg: RunConfig) -> None:
             f"{med.stop_band()}; split the sweep into transparent windows"
         )
     k0 = kappa_bare(cavity)
-    kmbc = np.asarray(kappa_mbc(ws, cavity))
-    fit = np.asarray(kappa_fit(ws, k0, med.omega_t))
-    table = SweepTable(
-        [
-            ("omega", ws),
-            ("kappa_mbc", kmbc),
-            ("kappa0", np.full(ws.shape, k0)),
-            ("kappa_fit", fit),
-        ]
-    )
-    table.write_csv(_csv_path(cfg, "kappa_sweep.csv"), _comments(cfg, "kappa-sweep"))
-    if cfg.svg:
-        write_svg(
-            _csv_path(cfg, "kappa_sweep.svg"),
-            [
-                ("kappa_mbc", ws, kmbc, "solid"),
-                ("inverse-square fit", ws, fit, "dashed"),
-                ("kappa0", ws, np.full(ws.shape, k0), "dotted"),
-            ],
-            title="dissipation rate vs frequency",
-            xlabel="frequency (omega_t)",
-            ylabel="kappa (omega_t)",
-        )
+    table = SweepTable([
+        ("omega", ws),
+        ("kappa_mbc", kappa_mbc(ws, cavity)),
+        ("kappa0", np.full(ws.shape, k0)),
+        ("kappa_fit", kappa_fit(ws, k0, med.omega_t)),
+    ])
+    plot = Plot([
+        ("kappa_mbc", "omega", "kappa_mbc", "solid"),
+        ("inverse-square fit", "omega", "kappa_fit", "dashed"),
+        ("kappa0", "omega", "kappa0", "dotted"),
+    ], "dissipation rate vs frequency", "frequency (omega_t)", "kappa (omega_t)")
+    return [Output("kappa_sweep", table, plot)]
 
 
-def cmd_figure2(cfg: RunConfig) -> None:
+def cmd_figure2(cfg: RunConfig) -> list[Output]:
     """Both dissipation-rate prescriptions over a coupling sweep (two files)."""
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     lam, k0 = cfg.lambda_mirror, cfg.kappa0_over_wt
@@ -216,44 +187,26 @@ def cmd_figure2(cfg: RunConfig) -> None:
         bare = MediumParams()
         k0 = kappa_bare(CavityConfig(tuned_length(lam, bare), lam, bare))
     table = figure2_sweep(grid, lam, k0)
-    axis = table.column("rabi_over_wt")
-    freq_cols = ["omega_L_mbc", "omega_U_mbc", "omega_L_disc", "omega_U_disc"]
-    rate_cols = ["kappa_L_mbc", "kappa_U_mbc", "kappa_L_rwa", "kappa_U_rwa"]
-    freqs = SweepTable(
-        [("rabi_over_wt", axis)] + [(n, table.column(n)) for n in freq_cols]
-    )
-    rates = SweepTable(
-        [("rabi_over_wt", axis)] + [(n, table.column(n)) for n in rate_cols]
-    )
-    comments = _comments(cfg, "figure2")
-    freqs.write_csv(_csv_path(cfg, "fig2_frequencies.csv"), comments)
-    rates.write_csv(_csv_path(cfg, "fig2_rates.csv"), comments)
-    if cfg.svg:
-        write_svg(
-            _csv_path(cfg, "fig2_frequencies.svg"),
-            [
-                ("omega_L (boundary)", axis, table.column("omega_L_mbc"), "solid"),
-                ("omega_U (boundary)", axis, table.column("omega_U_mbc"), "solid"),
-                ("omega_L (discrete)", axis, table.column("omega_L_disc"), "dashed"),
-                ("omega_U (discrete)", axis, table.column("omega_U_disc"), "dashed"),
-            ],
-            title="polariton frequencies",
-            xlabel="rabi / omega_t",
-            ylabel="frequency (omega_t)",
-        )
-        write_svg(
-            _csv_path(cfg, "fig2_rates.svg"),
-            [
-                ("kappa_L (boundary)", axis, table.column("kappa_L_mbc"), "solid"),
-                ("kappa_U (boundary)", axis, table.column("kappa_U_mbc"), "solid"),
-                ("kappa_L (photon weight)", axis, table.column("kappa_L_rwa"), "dashed"),
-                ("kappa_U (photon weight)", axis, table.column("kappa_U_rwa"), "dashed"),
-                ("kappa0", [axis[0], axis[-1]], [k0, k0], "dotted"),
-            ],
-            title="dissipation rates",
-            xlabel="rabi / omega_t",
-            ylabel="kappa (omega_t)",
-        )
+    axis = table.array("rabi_over_wt")
+
+    def part(stem, quantity, other, legend, title, ylabel, extra):
+        """quantity_L and _U by the boundary condition (solid) and by the
+        `other` prescription (dashed), against the coupling."""
+        curves = [
+            (f"{quantity}_{tag} ({how})", "rabi_over_wt", f"{quantity}_{tag}_{suffix}", style)
+            for suffix, how, style in [("mbc", "boundary", "solid"), (other, legend, "dashed")]
+            for tag in "LU"
+        ]
+        names = ["rabi_over_wt"] + [c[2] for c in curves]
+        return Output(stem, SweepTable([(n, table.array(n)) for n in names]),
+                      Plot(curves + extra, title, "rabi / omega_t", ylabel))
+
+    return [
+        part("fig2_frequencies", "omega", "disc", "discrete",
+             "polariton frequencies", "frequency (omega_t)", []),
+        part("fig2_rates", "kappa", "rwa", "photon weight", "dissipation rates",
+             "kappa (omega_t)", [("kappa0", [axis[0], axis[-1]], [k0, k0], "dotted")]),
+    ]
 
 
 def _random_transparent(rng, cfg: RunConfig, count: int) -> np.ndarray:
@@ -305,14 +258,14 @@ def _least_resolved(cfg: RunConfig) -> float:
     )
 
 
-def cmd_greens_check(cfg: RunConfig) -> None:
+def cmd_greens_check(cfg: RunConfig) -> list[Output]:
     """Check the Green's function against its defining properties.
 
-    Writes one row per check (value, tolerance, pass/fail) and raises a
-    tolerance error if any check fails, which exits with code 2. A window
-    whose least resolved frequency no finite-difference step can check
-    within the residual tolerance is refused first, with a configuration
-    error.
+    Returns one row per check (value, tolerance, pass/fail); if any check
+    fails it raises a tolerance error that carries the table, which is
+    written all the same and exits with code 2. A window whose least
+    resolved frequency no finite-difference step can check within the
+    residual tolerance is refused first, with a configuration error.
     """
     cavity = cfg.cavity()
     length = cavity.length
@@ -352,61 +305,30 @@ def cmd_greens_check(cfg: RunConfig) -> None:
         ("source_jump", jump_dev, tol_r),
         ("membrane_jump", membrane_dev, tol_r),
     ]
-    rows = [
-        (name, value, tol, "pass" if value < tol else "fail")
-        for name, value, tol in checks
-    ]
-    write_csv(
-        _csv_path(cfg, "greens_check.csv"),
-        ["check", "value", "tolerance", "status"],
-        rows,
-        _comments(cfg, "greens-check"),
-    )
-    failed = [name for name, value, tol in checks if not value < tol]
+    status = ["pass" if value < tol else "fail" for _, value, tol in checks]
+    columns = zip(["check", "value", "tolerance"], zip(*checks))
+    outputs = [Output("greens_check", SweepTable([*columns, ("status", status)]))]
+    failed = [name for (name, _, _), s in zip(checks, status) if s == "fail"]
     if failed:
-        raise ToleranceError(
-            "greens-check failures: " + ", ".join(failed)
-        )
+        raise ToleranceError("greens-check failures: " + ", ".join(failed), outputs)
+    return outputs
 
 
-# fluct's weights and the field each belongs to, in plot order
-_FLUCT_FIELDS = {
-    "a_comm": "vector potential",
-    "e_comm": "electric field",
-    "b_comm": "magnetic field",
-    "d_comm": "displacement field",
-}
-
-
-def cmd_fluct(cfg: RunConfig) -> None:
-    """Field commutator weights along a vacuum-wavenumber sweep.
-
-    A weight that overflows (1/(2q n) at a subnormal q) is refused with a
-    configuration error before any file is written.
-    """
+def cmd_fluct(cfg: RunConfig) -> list[Output]:
+    """Field commutator weights along a vacuum-wavenumber sweep."""
     med = cfg.medium
     qs = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     omega_q = solve_omega_q(qs, med)
     n = refractive_index(omega_q, med.lossless()).real
-    with np.errstate(over="ignore"):  # refused below, by name
-        weights = vars(FieldCommutators.at_index(qs, n))
-    for name, values in weights.items():
-        bad = ~np.isfinite(values)
-        if np.any(bad):
-            raise ConfigError(
-                f"the {_FLUCT_FIELDS[name]!r} weight {name} is not finite at "
-                f"q = {qs[bad][0]:g}; start the sweep where it is"
-            )
+    weights = vars(FieldCommutators.at_index(qs, n))
     table = SweepTable([("q", qs), ("omega_q", omega_q), ("n", n), *weights.items()])
-    table.write_csv(_csv_path(cfg, "fluct.csv"), _comments(cfg, "fluct"))
-    if cfg.svg:
-        write_svg(
-            _csv_path(cfg, "fluct.svg"),
-            [(label, qs, weights[name], "solid") for name, label in _FLUCT_FIELDS.items()],
-            title="equal-time commutator weights",
-            xlabel="vacuum wavenumber q",
-            ylabel="commutator weight",
-        )
+    plot = Plot([
+        ("vector potential", "q", "a_comm", "solid"),
+        ("electric field", "q", "e_comm", "solid"),
+        ("magnetic field", "q", "b_comm", "solid"),
+        ("displacement field", "q", "d_comm", "solid"),
+    ], "equal-time commutator weights", "vacuum wavenumber q", "commutator weight")
+    return [Output("fluct", table, plot)]
 
 
 _COMMANDS = {
@@ -419,6 +341,65 @@ _COMMANDS = {
     "greens-check": (cmd_greens_check, "Green's function self-checks"),
     "fluct": (cmd_fluct, "field commutator weights in the medium"),
 }
+
+
+def _require_finite(out: Output) -> None:
+    """Raise ConfigError at the first non-finite cell of out's table,
+    naming the file, the column, the axis value and the curves drawn
+    from that column."""
+    axis = out.table.names[0]
+    for name in out.table.names:
+        values = out.table.array(name)
+        if values.dtype.kind != "f" or np.all(np.isfinite(values)):
+            continue
+        at = out.table.array(axis)[np.argmin(np.isfinite(values))]
+        curves = [
+            repr(label) for label, *xy, _ in (out.plot.series if out.plot else ())
+            if name in [v for v in xy if isinstance(v, str)]
+        ]
+        drawn = f" (curve {', '.join(curves)})" if curves else ""
+        where = at if isinstance(at, str) else f"{at:g}"
+        raise ConfigError(f"{out.stem}.csv: {name} is not finite at {axis} = {where}{drawn}")
+
+
+def _render(out: Output, out_dir: str):
+    """(path, curves, SVG text) of out's plot, its named columns looked up."""
+    curves = [
+        (label, *(out.table.array(v) if isinstance(v, str) else v for v in xy), style)
+        for label, *xy, style in out.plot.series
+    ]
+    svg = line_plot(curves, out.plot.title, out.plot.xlabel, out.plot.ylabel)
+    return os.path.join(out_dir, f"{out.stem}.svg"), curves, svg
+
+
+def _write(cfg: RunConfig, command: str, outputs) -> None:
+    """Check every table and render every plot before any file is opened;
+    then write the SVGs, each dropped once written, and stream the CSVs.
+
+    A refused table or a plot that fails leaves no file.
+    """
+    for out in outputs:
+        _require_finite(out)
+    svgs = [_render(out, cfg.out_dir) for out in outputs if cfg.svg and out.plot]
+    while svgs:
+        write_svg(*svgs.pop(0))
+    comments = [f"polariton-mbc {command}", *cfg.resolved()]
+    for out in outputs:
+        out.table.write_csv(os.path.join(cfg.out_dir, f"{out.stem}.csv"), comments)
+
+
+def _run(cfg: RunConfig, command: str) -> None:
+    """Run one command and write its outputs, or, on a tolerance
+    failure, the outputs the error carries before it propagates."""
+    func = _COMMANDS[command][0]
+    try:
+        # what leaves the float range is refused by name, not warned about
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            outputs = func(cfg)
+    except ToleranceError as err:
+        _write(cfg, command, err.outputs)
+        raise
+    _write(cfg, command, outputs)
 
 
 @functools.cache
@@ -458,22 +439,11 @@ def main(argv=None) -> int:
         cfg = load_config(
             args.command, args.config, args.overrides, args.out, args.svg
         )
-    except ConfigError as err:
-        print(f"polariton-mbc: config error: {err}", file=sys.stderr)
-        return 1
-
-    try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         if not os.access(cfg.out_dir, os.W_OK):
             raise OSError(f"output directory {cfg.out_dir!r} is not writable")
-    except OSError as err:
-        print(f"polariton-mbc: i/o error: {err}", file=sys.stderr)
-        return 3
-
-    func = _COMMANDS[args.command][0]
-    try:
-        func(cfg)
-    except ConfigError as err:
+        _run(cfg, args.command)
+    except (ConfigError, ValueError) as err:
         print(f"polariton-mbc: config error: {err}", file=sys.stderr)
         return 1
     except ToleranceError as err:
@@ -482,14 +452,10 @@ def main(argv=None) -> int:
     except PolaritonError as err:
         print(f"polariton-mbc: numerical failure: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"polariton-mbc: config error: {err}", file=sys.stderr)
-        return 1
     except OSError as err:
         print(f"polariton-mbc: i/o error: {err}", file=sys.stderr)
         return 3
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

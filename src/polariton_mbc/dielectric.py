@@ -204,10 +204,19 @@ def bulk_dispersion(k, p: MediumParams):
     The lower branch saturates at omega_t from below as k grows; the
     upper branch starts at omega_longitudinal for k = 0. For beta = 0
     this degenerates to min(k, omega_t) and max(k, omega_t). Written in
-    product form so small roots keep full relative accuracy.
+    product form so small roots keep full relative accuracy. Raises
+    ValueError for a k where that form overflows, above about 1e77
+    (omega_t and omega_longitudinal near 1).
     """
     kk = np.asarray(k, dtype=float)
     if np.any(kk < 0.0):
         raise ValueError("wavenumber must be non-negative")
-    lower, upper = _branches(kk, p.omega_t, p.omega_longitudinal)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        lower, upper = _branches(kk, p.omega_t, p.omega_longitudinal)
+    bad = ~np.isfinite(upper)
+    if np.any(bad):
+        raise ValueError(
+            f"wavenumber k = {kk[bad].flat[0]:g} is too large: the branch "
+            "frequencies overflow above about 1e77"
+        )
     return _unwrap(lower, float), _unwrap(upper, float)

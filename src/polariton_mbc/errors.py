@@ -30,4 +30,9 @@ class ConfigError(PolaritonError):
 
 
 class ToleranceError(PolaritonError):
-    """A numerical self-check exceeded its configured tolerance."""
+    """A numerical self-check exceeded its configured tolerance; outputs
+    holds what the failing run still writes, to show the failure."""
+
+    def __init__(self, message: str, outputs=()):
+        super().__init__(message)
+        self.outputs = outputs

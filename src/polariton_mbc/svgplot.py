@@ -186,8 +186,11 @@ def line_plot(
     return "\n".join(out) + "\n"
 
 
-def write_svg(path, series, **kwargs) -> None:
-    """Render with line_plot, then write; a plot that fails leaves no file."""
-    text = line_plot(series, **kwargs)
+def write_svg(path, series, svg: str | None = None, **kwargs) -> None:
+    """Write the plot of series: svg, the document line_plot already
+    rendered from series and kwargs, or else render it first. A plot
+    that fails to render leaves no file."""
+    if svg is None:
+        svg = line_plot(series, **kwargs)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(svg)

@@ -383,3 +383,8 @@ def test_cavity_config_validation():
     with pytest.raises(ValueError, match="square overflows"):
         CavityConfig(length=1.0, lambda_mirror=1.4e154, medium=med)
     CavityConfig(length=1.0, lambda_mirror=1.3e154, medium=med)
+    # 2 / (lambda**2 L) overflows, or lambda**2 L underflows to 0
+    for lam, length in [(1e-160, 1.0), (1e-160, 1e-160), (1e-100, 1e-109)]:
+        with pytest.raises(ValueError, match="bare rate"):
+            CavityConfig(length=length, lambda_mirror=lam, medium=med)
+    CavityConfig(length=1e-100, lambda_mirror=1e-100, medium=med)

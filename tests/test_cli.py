@@ -584,6 +584,91 @@ def test_default_outputs_keep_their_bytes(tmp_path):
         assert hashlib.sha256(body).hexdigest() == digest, name
 
 
+# sha256 of each SVG the six plotting commands write at their default
+# sweeps with --svg, taken before the commands handed their writing to main
+DEFAULT_SVG_BYTES = {
+    "dispersion.svg": "bd1730f4e0af2ebd766c5d651b7034bfc2c06cc76aeb6c43a06c6a9bee0cb1ac",
+    "fig2_frequencies.svg": "114635cf1e823a6d0f47da4d3dbdc95a8a67e9e7f0ae848d38e34a441f8e68dc",
+    "fig2_rates.svg": "46efe6d2622cd3fe8f9e0e88564500bf046d2ff8939e2b9559ae4ccb266479c3",
+    "fluct.svg": "9f9e2ec0e65de9ce4d9d44068603042e3d212dcc0d43c8c18f7d80210eab682c",
+    "hopfield.svg": "f9d8ec474ee613ea29f99104cf411ec67058890c9dd9f4613ee6a4bc18cc2aaa",
+    "kappa_sweep.svg": "b7d7f34c9fdb048d22c073391581ceb4303444bf5af547d5fbcbf139a14f9159",
+    "spectrum.svg": "29c22266a5d31c07dcca79fc51fc874542d7a66799318fd25013249a48c4adfe",
+}
+
+
+def test_default_plots_keep_their_bytes(tmp_path):
+    for command in ("dispersion", "hopfield", "spectrum", "kappa-sweep", "figure2", "fluct"):
+        assert main([command, "--out", str(tmp_path), "--svg"]) == 0, command
+    assert sorted(p.name for p in tmp_path.glob("*.svg")) == sorted(DEFAULT_SVG_BYTES)
+    for name, digest in DEFAULT_SVG_BYTES.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize(
+    "argv, code, written",
+    [
+        (["figure2", "--set", "figure2.kappa0_over_wt=1.7e308"], 1, []),
+        (["figure2", "--svg", "--set", "figure2.kappa0_over_wt=1.7e308"], 1, []),
+        (["dispersion", "--set", "sweep.stop=1e155"], 1, []),
+        (["kappa-sweep", "--set", "cavity.lambda_mirror=1e-160"], 1, []),
+        (["greens-check", "--set", "tolerances.residual=1e-12"], 2, ["greens_check.csv"]),
+    ],
+    ids=["figure2-rate-overflow", "figure2-rate-overflow-svg", "dispersion-huge-k",
+         "kappa-sweep-tiny-mirror", "greens-check-tolerance"],
+)
+def test_refused_runs_write_nothing_but_a_failing_check(tmp_path, capsys, argv, code, written):
+    # every check runs before the first file is opened; only greens-check
+    # writes its table on a failure, to show which check failed
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    assert sorted(os.listdir(tmp_path)) == written
+    err = capsys.readouterr().err
+    assert err.startswith("polariton-mbc: ") and err.count("\n") == 1
+
+
+def test_figure2_names_the_first_non_finite_cell(tmp_path, capsys):
+    assert main([
+        "figure2", "--out", str(tmp_path), "--set", "figure2.kappa0_over_wt=1.7e308",
+    ]) == 1
+    assert capsys.readouterr().err == (
+        "polariton-mbc: config error: fig2_rates.csv: kappa_U_rwa is not finite "
+        "at rabi_over_wt = 1.1 (curve 'kappa_U (photon weight)')\n"
+    )
+
+
+def test_cavity_whose_bare_rate_overflows_is_refused(tmp_path, capsys):
+    # lambda_mirror**2 * length underflows to 0: 2 / 0 used to escape as a
+    # ZeroDivisionError traceback
+    code = main([
+        "kappa-sweep", "--out", str(tmp_path),
+        "--set", "cavity.lambda_mirror=1e-160", "--set", "cavity.length=1e-160",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error: lambda_mirror = 1e-160 with length = 1e-160" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_bench_tracer_still_sees_both_writers(tmp_path, monkeypatch):
+    # bench/tracer.py finds tables.write_csv, SweepTable.write_csv and the
+    # command table by name; one traced run must count rows and points
+    from polariton_mbc import cli, tables
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from tracer import Tracer, layer_metrics
+
+    before = (tables.write_csv, tables.SweepTable.__dict__["write_csv"], dict(cli._COMMANDS))
+    with Tracer() as tracer:
+        assert main(["figure2", "--out", str(tmp_path), "--svg"]) == 0
+    metrics = layer_metrics(tracer)
+    assert metrics["tables.rows_written"] == 60
+    assert metrics["svgplot.points_plotted"] > 0
+    assert metrics["cli.figure2.total_s"] > 0
+    after = (tables.write_csv, tables.SweepTable.__dict__["write_csv"], dict(cli._COMMANDS))
+    assert after == before
+
+
 def test_module_and_script_entry_points(tmp_path):
     # the children import the same polariton_mbc as this process, not
     # whatever copy (if any) the interpreter would find on its own

@@ -1,6 +1,7 @@
 """Medium response: dielectric function, index, group velocity, bulk branches."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,18 @@ def test_bulk_dispersion_validates_wavenumber():
     med = MediumParams(omega_t=1.0, beta4pi=1.0, gamma=0.0)
     with pytest.raises(ValueError):
         bulk_dispersion(-0.1, med)
+
+
+@pytest.mark.parametrize("beta4pi", [0.0, 0.36])
+def test_bulk_dispersion_refuses_wavenumbers_that_overflow(beta4pi):
+    # (k^2 + omega_L^2)^2 overflows from k ~ 1.2e77 and k^2 itself from
+    # ~1.3e154: refused by name, without a RuntimeWarning on the way
+    med = MediumParams(omega_t=1.0, beta4pi=beta4pi, gamma=0.0)
+    lo, hi = bulk_dispersion(np.array([1.0, 1e76]), med)
+    assert np.all(np.isfinite(hi)) and np.all(lo > 0.0)
+    for ks, first in [([1.0, 1e78, 1e155], "1e+78"), ([1e155], "1e+155"), (1e100, "1e+100")]:
+        with pytest.raises(ValueError, match=re.escape(f"k = {first} is too large")):
+            bulk_dispersion(ks, med)
 
 
 def test_medium_params_validation():

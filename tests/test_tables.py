@@ -127,17 +127,28 @@ def test_sweep_table_csv_matches_cell_by_cell_rendering(tmp_path, monkeypatch, n
     assert (tmp_path / "t.csv").read_bytes() == expected
 
 
-def test_row_csv_matches_cell_by_cell_rendering(tmp_path):
-    rng = np.random.default_rng(7)
-    floats = mixed_column(rng, 40)
-    rows = [
-        (v, np.float64(v), "lower" if i % 2 else "upper", i - 3, i % 3 == 0)
-        for i, v in enumerate(floats)
+@pytest.mark.parametrize("n", [0, 1, B, B + 1])
+def test_text_columns_match_cell_by_cell_rendering(tmp_path, n):
+    # text cells are written as they are, between floats printed as repr;
+    # a text axis need not increase
+    rng = np.random.default_rng(7 + n)
+    names = ["check", "omega", "branch", "kappa", "mode_index"]
+    cols = [
+        [f"check_{(7 * i) % 11}" for i in range(n)],
+        mixed_column(rng, n),
+        ["lower" if i % 2 else "upper" for i in range(n)],
+        mixed_column(rng, n),
+        [str(i - 3) for i in range(n)],
     ]
-    names = ["omega", "kappa", "branch", "mode_index", "flag"]
-    write_csv(tmp_path / "r.csv", names, rows, ["c"])
-    expected = reference_csv(names, rows, ["c"])
-    assert (tmp_path / "r.csv").read_bytes() == expected.encode("utf-8")
+    table = SweepTable(list(zip(names, cols)))
+    assert table.column("branch") == cols[2]
+    # numeric columns are stored as floats, so ints come out as floats
+    cols[1], cols[3] = ([float(v) for v in col] for col in (cols[1], cols[3]))
+    expected = reference_csv(names, zip(*cols), ["c"]).encode("utf-8")
+    write_csv(tmp_path / "r.csv", table, ["c"])
+    assert (tmp_path / "r.csv").read_bytes() == expected
+    with pytest.raises(ValueError):
+        SweepTable([("x", [1.0, 0.0]), ("label", ["a", "b"])])
 
 
 def _series_cases():
