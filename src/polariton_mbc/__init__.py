@@ -11,13 +11,13 @@ c = hbar = eps0 = 1.
 """
 
 from .cavity import (
+    Branch,
     CavityConfig,
     Resonance,
     find_resonances,
     intracavity_transfer,
     kappa_bare,
     kappa_mbc,
-    lorentzian_extract,
     reflection,
     tuned_length,
 )
@@ -33,7 +33,6 @@ from .dielectric import (
 from .errors import (
     BranchError,
     ConfigError,
-    PeakExtractionError,
     PolaritonError,
     ResonanceScanError,
     StepSizeError,
@@ -55,17 +54,7 @@ from .greens import (
     membrane_jump,
     ode_residual,
 )
-from .hopfield import (
-    BogoliubovProblem,
-    Branch,
-    HopfieldMode,
-    HopfieldModes,
-    diagonalize,
-    eigenfrequencies,
-    hopfield_modes,
-    photon_weight,
-    weight,
-)
+from .hopfield import BogoliubovProblem, HopfieldModes, hopfield_modes, weight
 from .iomodel import (
     figure2_sweep,
     kappa_fit,
@@ -84,10 +73,8 @@ __all__ = [
     "CavityConfig",
     "ConfigError",
     "FieldCommutators",
-    "HopfieldMode",
     "HopfieldModes",
     "MediumParams",
-    "PeakExtractionError",
     "PolaritonError",
     "Resonance",
     "ResonanceScanError",
@@ -98,8 +85,6 @@ __all__ = [
     "backward_commutator_decay",
     "bulk_dispersion",
     "delta_jump",
-    "diagonalize",
-    "eigenfrequencies",
     "epsilon",
     "fd_error",
     "fd_step",
@@ -115,12 +100,10 @@ __all__ = [
     "kappa_fit",
     "kappa_mbc",
     "kappa_rwa",
-    "lorentzian_extract",
     "membrane_jump",
     "mode_commutators",
     "ode_residual",
     "output_amplitude",
-    "photon_weight",
     "polariton_response",
     "reflection",
     "refractive_index",

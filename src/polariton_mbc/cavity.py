@@ -18,6 +18,7 @@ and each carries the boundary-condition dissipation rate
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -25,11 +26,10 @@ import numpy as np
 
 from .dielectric import MediumParams, _branches, _refractive_index, _unwrap
 from .dielectric import group_velocity, refractive_index
-from .errors import PeakExtractionError, ResonanceScanError, StopBandError
-from .hopfield import Branch
-from .tables import SweepTable
+from .errors import ResonanceScanError, StopBandError
 
 __all__ = [
+    "Branch",
     "CavityConfig",
     "Resonance",
     "intracavity_transfer",
@@ -38,7 +38,6 @@ __all__ = [
     "kappa_mbc",
     "kappa_bare",
     "tuned_length",
-    "lorentzian_extract",
 ]
 
 
@@ -51,8 +50,8 @@ class CavityConfig:
     medium: MediumParams
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError("length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValueError("length must be positive and finite")
         if not self.lambda_mirror > 0:
             raise ValueError("lambda_mirror must be positive")
         try:  # the bare rate, as kappa_bare computes it
@@ -65,6 +64,15 @@ class CavityConfig:
                 "is out of range: its square overflows or the bare rate "
                 "2 / (lambda_mirror**2 * length) is not finite"
             )
+
+
+class Branch(enum.Enum):
+    LOWER = "lower"
+    UPPER = "upper"
+    BARE = "bare"  # the medium is empty
+
+    def __str__(self):
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -278,46 +286,3 @@ def find_resonances(
         for root, kappa, m in zip(roots, kappa_mbc(roots, cfg), modes):
             found.append(Resonance(float(root), float(kappa), branch, int(m)))
     return found
-
-
-def lorentzian_extract(spectrum: SweepTable) -> tuple[float, float]:
-    """Peak center and FWHM of a sampled line |T|^2 -> (omega_c, kappa).
-
-    Expects a table whose first column is the frequency axis and whose
-    second column is the intensity, covering one isolated peak with
-    enough points (>= 50 across >= 6 half-widths) for interpolation.
-    The center comes from a parabola through the three samples around
-    the maximum; the width from linear interpolation of the half-maximum
-    crossings. Raises PeakExtractionError if the peak touches the grid
-    boundary or a half-maximum crossing is not bracketed.
-    """
-    names = spectrum.names
-    w = np.asarray(spectrum.column(names[0]))
-    y = np.asarray(spectrum.column(names[1]))
-    i = int(np.argmax(y))
-    if i == 0 or i == len(y) - 1:
-        raise PeakExtractionError("peak touches the grid boundary")
-    # parabolic refinement of the vertex
-    y0, y1, y2 = y[i - 1], y[i], y[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        raise PeakExtractionError("flat-top peak, cannot interpolate the center")
-    shift = 0.5 * (y0 - y2) / denom
-    center = w[i] + shift * (w[i + 1] - w[i])
-    peak = y1 - 0.25 * (y0 - y2) * shift
-    half = 0.5 * peak
-
-    def crossing(direction: int) -> float:
-        j = i
-        while 0 <= j + direction < len(y):
-            j += direction
-            if y[j] < half:
-                # linear interpolation between j and j-direction
-                a, b = j - direction, j
-                frac = (y[a] - half) / (y[a] - y[b])
-                return float(w[a] + frac * (w[b] - w[a]))
-        raise PeakExtractionError("half-maximum crossing not bracketed by the grid")
-
-    left = crossing(-1)
-    right = crossing(+1)
-    return float(center), right - left

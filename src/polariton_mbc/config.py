@@ -29,6 +29,7 @@ MAX_SWEEP_COUNT is a configuration error, raised before any computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cavity import CavityConfig, tuned_length
@@ -235,14 +236,19 @@ def load_config(
     if not lam > 0:
         raise ConfigError("cavity.lambda_mirror must be positive")
     length = _as_optional_float(table, "cavity.length")
-    if length is not None and not length > 0:
-        raise ConfigError("cavity.length must be positive (or auto)")
+    if length is not None and not 0 < length < math.inf:
+        raise ConfigError("cavity.length must be positive and finite (or auto)")
 
     sweep_start = _as_float(table, "sweep.start")
     sweep_stop = _as_float(table, "sweep.stop")
     sweep_count = _as_int(table, "sweep.count")
     if not sweep_start < sweep_stop:
         raise ConfigError("sweep.start must be smaller than sweep.stop")
+    if not math.isfinite(sweep_stop - sweep_start):
+        raise ConfigError(
+            f"sweep.start = {sweep_start!r} and sweep.stop = {sweep_stop!r} "
+            "span more than the float range"
+        )
     if sweep_count < 2:
         raise ConfigError("sweep.count must be at least 2")
     if sweep_count > MAX_SWEEP_COUNT:

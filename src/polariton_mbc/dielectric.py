@@ -51,9 +51,9 @@ class MediumParams:
     def __post_init__(self):
         if not self.omega_t > 0:
             raise ValueError("omega_t must be positive")
-        if self.beta4pi < 0:
+        if not self.beta4pi >= 0:
             raise ValueError("beta4pi must be non-negative")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be non-negative")
 
     @property

@@ -13,10 +13,6 @@ class ResonanceScanError(PolaritonError):
     """A resonance in the requested window could not be certified."""
 
 
-class PeakExtractionError(PolaritonError):
-    """A spectral peak could not be isolated on the given grid."""
-
-
 class BranchError(PolaritonError):
     """The requested dispersion branch has no solution for this query."""
 

@@ -6,43 +6,22 @@ kept. The positive-frequency eigenmodes are the lower and upper
 polaritons; their (w, x, y, z) coefficients weigh the photon,
 excitation, anti-photon and anti-excitation operators.
 
-The public path is one array kernel, `hopfield_modes`: closed forms for
+The one entry point is an array kernel, `hopfield_modes`: closed forms for
 both eigenfrequencies and eigenvectors over a whole array of couplings,
 with the decoupled case rabi = 0 resolved per element. A coupling sweep
-is one call. `eigenfrequencies` and `diagonalize` are its scalar entry
-points for one `BogoliubovProblem`. The test suite re-derives
-everything from a dense eigensolve of the 4x4 Bogoliubov matrix
-(tests/oracles.py) so that the two routes stay independent.
+is one call. The test suite re-derives everything from a dense
+eigensolve of the 4x4 Bogoliubov matrix (tests/oracles.py) so that the
+two routes stay independent.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "Branch",
-    "BogoliubovProblem",
-    "HopfieldMode",
-    "HopfieldModes",
-    "hopfield_modes",
-    "eigenfrequencies",
-    "diagonalize",
-    "weight",
-    "photon_weight",
-]
-
-
-class Branch(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
-    BARE = "bare"  # used by cavity resonances when the medium is empty
-
-    def __str__(self):
-        return self.value
+__all__ = ["BogoliubovProblem", "HopfieldModes", "hopfield_modes", "weight"]
 
 
 def _coupling4pi(rabi, photon_freq, omega_t):
@@ -71,7 +50,7 @@ class BogoliubovProblem:
             raise ValueError("photon_freq must be positive")
         if not self.omega_t > 0:
             raise ValueError("omega_t must be positive")
-        if self.rabi < 0:
+        if not self.rabi >= 0:
             raise ValueError("rabi must be non-negative")
 
     @property
@@ -90,25 +69,16 @@ class BogoliubovProblem:
         return _coupling4pi(self.rabi, self.photon_freq, self.omega_t)
 
 
-@dataclass(frozen=True)
-class HopfieldMode:
-    """One positive-frequency polariton eigenmode."""
-
-    branch: Branch
-    omega: float
-    w: complex
-    x: complex
-    y: complex
-    z: complex
-
-
 class HopfieldModes(NamedTuple):
     """Both polariton modes over an array of couplings.
 
     Each field has shape (2, *shape): index 0 is the lower branch and 1
-    the upper one. omega is real; w, x, y and z are complex, in the
-    phase convention of `diagonalize`. (A NamedTuple: defining a frozen
-    dataclass costs about 1 ms of import time.)
+    the upper one. omega is real; w, x, y and z are complex. Phase
+    convention: w is real positive on both branches, and the excitation
+    amplitude is x = -i*sqrt(pi*beta_eff)*(1 + omega/omega_t) on the
+    lower branch (the upper branch flips the overall sign). (A
+    NamedTuple: defining a frozen dataclass costs about 1 ms of import
+    time.)
     """
 
     omega: np.ndarray
@@ -181,38 +151,7 @@ def hopfield_modes(photon_freq, omega_t, rabi) -> HopfieldModes:
     return HopfieldModes(omega, w, x, y, z)
 
 
-def eigenfrequencies(prob: BogoliubovProblem) -> tuple[float, float]:
-    """(omega_lower, omega_upper) of one problem, both positive; see `hopfield_modes`."""
-    omega = hopfield_modes(prob.photon_freq, prob.omega_t, prob.rabi).omega
-    return float(omega[0, 0]), float(omega[1, 0])
-
-
-def diagonalize(prob: BogoliubovProblem) -> tuple[HopfieldMode, HopfieldMode]:
-    """Both polariton modes of one problem with closed-form Hopfield coefficients.
-
-    Phase convention: w is real positive on both branches, and the
-    excitation amplitude is x = -i*sqrt(pi*beta_eff)*(1 + omega/omega_t)
-    on the lower branch (the upper branch flips the overall sign). The
-    decoupled case rabi = 0 is resolved as in `hopfield_modes`. Raises
-    ValueError where the closed forms leave the float range.
-    """
-    m = hopfield_modes(prob.photon_freq, prob.omega_t, prob.rabi)
-    m.require_finite(prob.rabi / prob.omega_t)
-    return tuple(
-        HopfieldMode(
-            branch, float(m.omega[i, 0]),
-            complex(m.w[i, 0]), complex(m.x[i, 0]), complex(m.y[i, 0]), complex(m.z[i, 0]),
-        )
-        for i, branch in enumerate((Branch.LOWER, Branch.UPPER))
-    )
-
-
 def weight(amplitude):
     """|amplitude|**2, squared by one multiplication, for scalars and arrays alike."""
     a = abs(amplitude)
     return a * a
-
-
-def photon_weight(mode: HopfieldMode | HopfieldModes):
-    """|w|^2, the photon content entering the number-conserving dissipation rate."""
-    return weight(mode.w)

@@ -24,7 +24,7 @@ import numpy as np
 from .cavity import CavityConfig, Resonance, _mode_roots, kappa_bare, tuned_length
 from .dielectric import MediumParams, _group_velocity, _unwrap
 from .errors import ResonanceScanError
-from .hopfield import HopfieldMode, HopfieldModes, hopfield_modes, photon_weight
+from .hopfield import HopfieldModes, hopfield_modes, weight
 from .tables import SweepTable
 
 __all__ = [
@@ -65,11 +65,11 @@ def output_amplitude(omega, resonances: Sequence[Resonance]):
     return _unwrap(out, complex)
 
 
-def kappa_rwa(mode: HopfieldMode | HopfieldModes, kappa0: float):
+def kappa_rwa(modes: HopfieldModes, kappa0: float):
     """Photon-weight rescaling of the bare rate: |w|^2 * kappa0, per mode."""
     if not kappa0 > 0:
         raise ValueError("kappa0 must be positive")
-    return photon_weight(mode) * kappa0
+    return weight(modes.w) * kappa0
 
 
 def kappa_fit(omega, kappa0: float, omega_t: float = 1.0):

@@ -3,16 +3,16 @@
 Everything here recomputes results along a different route than the
 package: dense eigendecomposition instead of closed forms, the
 per-coupling scalar closed forms instead of the whole-sweep array
-kernel of hopfield_modes, a direct
-two-unknown boundary-value solve instead of the assembled Green
-function, sign-change scans of a frequency window instead of the
-per-mode analytic brackets of find_resonances and figure2_sweep, a
-bracket-walking bisection of n(W) W = q
-instead of the closed-form roots of solve_omega_q, and cell-by-cell and
-point-by-point text rendering instead of the columnar CSV and SVG
-writers. Agreement between
-the two routes is the point of the tests, so nothing in this module may
-import the formulas it is checking.
+kernel of hopfield_modes, a direct two-unknown boundary-value solve
+instead of the assembled Green function, sign-change scans of a
+frequency window instead of the per-mode analytic brackets of
+find_resonances and figure2_sweep, the half-maximum width of a sampled
+|T|^2 line instead of the rate formula kappa_mbc, a bracket-walking
+bisection of n(W) W = q instead of the closed-form roots of
+solve_omega_q, and cell-by-cell and point-by-point text rendering
+instead of the columnar CSV and SVG writers. Agreement between the two
+routes is the point of the tests, so nothing in this module may import
+the formulas it is checking.
 """
 
 import math
@@ -28,6 +28,7 @@ from polariton_mbc import (
     Resonance,
     ResonanceScanError,
     StopBandError,
+    SweepTable,
     group_velocity,
     kappa_mbc,
     refractive_index,
@@ -55,14 +56,15 @@ def bogoliubov_matrix(prob: BogoliubovProblem) -> np.ndarray:
     )
 
 
-def mode_vector(mode) -> np.ndarray:
-    """A HopfieldMode's coefficients (w, x, y, z) as one complex vector."""
-    return np.array([mode.w, mode.x, mode.y, mode.z], dtype=complex)
+def mode_vector(modes, branch: int) -> np.ndarray:
+    """Coefficients (w, x, y, z) at [branch, 0] of a HopfieldModes as one complex vector."""
+    return np.array([c[branch, 0] for c in (modes.w, modes.x, modes.y, modes.z)], dtype=complex)
 
 
-def bosonic_norm(mode) -> float:
-    """Bosonic normalization |w|^2 + |x|^2 - |y|^2 - |z|^2 (should be 1)."""
-    return abs(mode.w) ** 2 + abs(mode.x) ** 2 - abs(mode.y) ** 2 - abs(mode.z) ** 2
+def bosonic_norm(modes, branch: int) -> float:
+    """Bosonic normalization |w|^2 + |x|^2 - |y|^2 - |z|^2 at [branch, 0] (should be 1)."""
+    w, x, y, z = mode_vector(modes, branch)
+    return abs(w) ** 2 + abs(x) ** 2 - abs(y) ** 2 - abs(z) ** 2
 
 
 def medium_rabi(med: MediumParams) -> float:
@@ -86,6 +88,49 @@ def lorentzian_prefactor(omega: float, cfg: CavityConfig) -> float:
     n = refractive_index(omega, p).real
     vg = group_velocity(omega, p)
     return math.sqrt(2.0 * vg / (n * cfg.length))
+
+
+def lorentzian_extract(spectrum: SweepTable) -> tuple[float, float]:
+    """Peak center and FWHM of a sampled line |T|^2 -> (omega_c, kappa).
+
+    Expects a table whose first column is the frequency axis and whose
+    second column is the intensity, covering one isolated peak with
+    enough points (>= 50 across >= 6 half-widths) for interpolation.
+    The center comes from a parabola through the three samples around
+    the maximum; the width from linear interpolation of the half-maximum
+    crossings. Raises ValueError if the peak touches the grid boundary
+    or a half-maximum crossing is not bracketed.
+    """
+    names = spectrum.names
+    w = np.asarray(spectrum.column(names[0]))
+    y = np.asarray(spectrum.column(names[1]))
+    i = int(np.argmax(y))
+    if i == 0 or i == len(y) - 1:
+        raise ValueError("peak touches the grid boundary")
+    # parabolic refinement of the vertex
+    y0, y1, y2 = y[i - 1], y[i], y[i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    if denom == 0.0:
+        raise ValueError("flat-top peak, cannot interpolate the center")
+    shift = 0.5 * (y0 - y2) / denom
+    center = w[i] + shift * (w[i + 1] - w[i])
+    peak = y1 - 0.25 * (y0 - y2) * shift
+    half = 0.5 * peak
+
+    def crossing(direction: int) -> float:
+        j = i
+        while 0 <= j + direction < len(y):
+            j += direction
+            if y[j] < half:
+                # linear interpolation between j and j-direction
+                a, b = j - direction, j
+                frac = (y[a] - half) / (y[a] - y[b])
+                return float(w[a] + frac * (w[b] - w[a]))
+        raise ValueError("half-maximum crossing not bracketed by the grid")
+
+    left = crossing(-1)
+    right = crossing(+1)
+    return float(center), right - left
 
 
 def _looped_mode(omega, sign, wc, wt, g4):

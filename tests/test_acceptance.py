@@ -10,7 +10,13 @@ import time
 
 import numpy as np
 
-from oracles import bosonic_norm, dense_modes, matched_green, mode_vector
+from oracles import (
+    bosonic_norm,
+    dense_modes,
+    lorentzian_extract,
+    matched_green,
+    mode_vector,
+)
 from polariton_mbc import (
     BogoliubovProblem,
     Branch,
@@ -18,15 +24,14 @@ from polariton_mbc import (
     MediumParams,
     Resonance,
     SweepTable,
-    diagonalize,
     figure2_sweep,
     find_resonances,
     green_function,
+    hopfield_modes,
     in_stop_band,
     intracavity_transfer,
     kappa_bare,
     kappa_fit,
-    lorentzian_extract,
     mode_commutators,
     ode_residual,
     output_amplitude,
@@ -166,16 +171,16 @@ def test_closed_forms_match_dense_eigensolver_in_bulk():
     for _ in range(1000):
         prob = random_problem(rng)
         freqs, vecs = dense_modes(prob)
-        lo, hi = diagonalize(prob)
+        m = hopfield_modes(prob.photon_freq, prob.omega_t, prob.rabi)
         worst_f = max(
             worst_f,
-            abs(lo.omega - freqs[0]) / freqs[0],
-            abs(hi.omega - freqs[1]) / freqs[1],
+            abs(m.omega[0, 0] - freqs[0]) / freqs[0],
+            abs(m.omega[1, 0] - freqs[1]) / freqs[1],
         )
         worst_v = max(
             worst_v,
-            float(np.max(np.abs(mode_vector(lo) - vecs[0]))),
-            float(np.max(np.abs(mode_vector(hi) - vecs[1]))),
+            float(np.max(np.abs(mode_vector(m, 0) - vecs[0]))),
+            float(np.max(np.abs(mode_vector(m, 1) - vecs[1]))),
         )
     dt = time.perf_counter() - t0
     report(
@@ -294,10 +299,13 @@ def test_normalization_sum_rules_and_commutator_slopes():
     worst_norm = 0.0
     worst_sum = 0.0
     for _ in range(400):
-        lo, hi = diagonalize(random_problem(rng))
-        worst_norm = max(worst_norm, abs(bosonic_norm(lo) - 1.0), abs(bosonic_norm(hi) - 1.0))
-        w_sum = abs(lo.w) ** 2 - abs(lo.y) ** 2 + abs(hi.w) ** 2 - abs(hi.y) ** 2
-        x_sum = abs(lo.x) ** 2 - abs(lo.z) ** 2 + abs(hi.x) ** 2 - abs(hi.z) ** 2
+        prob = random_problem(rng)
+        m = hopfield_modes(prob.photon_freq, prob.omega_t, prob.rabi)
+        worst_norm = max(worst_norm, abs(bosonic_norm(m, 0) - 1.0), abs(bosonic_norm(m, 1) - 1.0))
+        (w_lo, w_hi), (x_lo, x_hi) = m.w[:, 0], m.x[:, 0]
+        (y_lo, y_hi), (z_lo, z_hi) = m.y[:, 0], m.z[:, 0]
+        w_sum = abs(w_lo) ** 2 - abs(y_lo) ** 2 + abs(w_hi) ** 2 - abs(y_hi) ** 2
+        x_sum = abs(x_lo) ** 2 - abs(z_lo) ** 2 + abs(x_hi) ** 2 - abs(z_hi) ** 2
         worst_sum = max(worst_sum, abs(w_sum - 1.0), abs(x_sum - 1.0))
 
     q = 0.8

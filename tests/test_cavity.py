@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import good_cavity_ratio, lorentzian_prefactor, scanned_resonances
+from oracles import (
+    good_cavity_ratio,
+    lorentzian_extract,
+    lorentzian_prefactor,
+    scanned_resonances,
+)
 from polariton_mbc import (
     Branch,
     CavityConfig,
     MediumParams,
-    PeakExtractionError,
     ResonanceScanError,
     StopBandError,
     SweepTable,
@@ -21,7 +25,6 @@ from polariton_mbc import (
     intracavity_transfer,
     kappa_bare,
     kappa_mbc,
-    lorentzian_extract,
     reflection,
     refractive_index,
     tuned_length,
@@ -359,11 +362,11 @@ def test_lorentzian_extract_rejects_unbracketed_peaks():
     ws = np.linspace(0.0, 1.0, 101)
     # monotone data: the maximum sits on the boundary
     vals = np.exp(ws)
-    with pytest.raises(PeakExtractionError):
+    with pytest.raises(ValueError, match="peak touches the grid boundary"):
         lorentzian_extract(SweepTable([("omega", ws.tolist()), ("v", vals.tolist())]))
     # peak inside but the half level never crossed on the right
     vals = 1.0 / (1.0 + ((ws - 0.9) / 0.4) ** 2)
-    with pytest.raises(PeakExtractionError):
+    with pytest.raises(ValueError, match="half-maximum crossing not bracketed"):
         lorentzian_extract(SweepTable([("omega", ws.tolist()), ("v", vals.tolist())]))
 
 
@@ -378,6 +381,9 @@ def test_cavity_config_validation():
     med = MediumParams()
     with pytest.raises(ValueError):
         CavityConfig(length=0.0, lambda_mirror=LAM, medium=med)
+    with pytest.raises(ValueError, match="finite"):
+        CavityConfig(length=math.inf, lambda_mirror=LAM, medium=med)
+    CavityConfig(length=1.0, lambda_mirror=math.inf, medium=med)  # a perfect mirror
     with pytest.raises(ValueError):
         CavityConfig(length=1.0, lambda_mirror=0.0, medium=med)
     with pytest.raises(ValueError, match="square overflows"):

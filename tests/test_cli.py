@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import polariton_mbc
+import polariton_mbc.cli as cli
 import polariton_mbc.greens as greens
 import polariton_mbc.hopfield as hopfield
+import polariton_mbc.iomodel as iomodel
 from oracles import looped_hopfield_rows
 from polariton_mbc import figure2_sweep
 from polariton_mbc.cli import _random_transparent, main
@@ -429,14 +431,22 @@ def test_hopfield_matches_the_per_coupling_loop(tmp_path):
 
 
 def test_sweeps_make_no_per_coupling_hopfield_call(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("per-coupling call into hopfield")
+    # hopfield_modes is the one way into the two-mode physics; record how
+    # many couplings each call covers
+    calls = []
 
-    monkeypatch.setattr(hopfield, "diagonalize", refuse)
-    monkeypatch.setattr(hopfield, "eigenfrequencies", refuse)
+    def counted(photon_freq, omega_t, rabi):
+        calls.append(np.size(rabi))
+        return hopfield.hopfield_modes(photon_freq, omega_t, rabi)
+
+    monkeypatch.setattr(cli, "hopfield_modes", counted)
+    monkeypatch.setattr(iomodel, "hopfield_modes", counted)
     assert main(["hopfield", "--out", str(tmp_path), "--set", "sweep.count=200"]) == 0
+    assert calls == [200]
     assert main(["figure2", "--out", str(tmp_path), "--set", "sweep.count=50"]) == 0
+    assert calls == [200, 50]
     assert len(figure2_sweep(np.linspace(0.05, 1.5, 50), 7.822)) == 50
+    assert calls == [200, 50, 50]
 
 
 def test_config_file_layering_and_set_precedence(tmp_path):
@@ -613,9 +623,14 @@ def test_default_plots_keep_their_bytes(tmp_path):
         (["dispersion", "--set", "sweep.stop=1e155"], 1, []),
         (["kappa-sweep", "--set", "cavity.lambda_mirror=1e-160"], 1, []),
         (["greens-check", "--set", "tolerances.residual=1e-12"], 2, ["greens_check.csv"]),
+        (["greens-check", "--set", "sweep.stop=inf"], 1, []),
+        (["greens-check", "--set", "sweep.start=-1e308", "--set", "sweep.stop=1e308"], 1, []),
+        (["spectrum", "--set", "medium.gamma=nan"], 1, []),
+        (["kappa-sweep", "--set", "cavity.length=inf"], 1, []),
     ],
     ids=["figure2-rate-overflow", "figure2-rate-overflow-svg", "dispersion-huge-k",
-         "kappa-sweep-tiny-mirror", "greens-check-tolerance"],
+         "kappa-sweep-tiny-mirror", "greens-check-tolerance", "greens-check-infinite-stop",
+         "greens-check-span-overflow", "spectrum-nan-gamma", "kappa-sweep-infinite-length"],
 )
 def test_refused_runs_write_nothing_but_a_failing_check(tmp_path, capsys, argv, code, written):
     # every check runs before the first file is opened; only greens-check
@@ -653,7 +668,7 @@ def test_cavity_whose_bare_rate_overflows_is_refused(tmp_path, capsys):
 def test_bench_tracer_still_sees_both_writers(tmp_path, monkeypatch):
     # bench/tracer.py finds tables.write_csv, SweepTable.write_csv and the
     # command table by name; one traced run must count rows and points
-    from polariton_mbc import cli, tables
+    from polariton_mbc import tables
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     from tracer import Tracer, layer_metrics
@@ -667,6 +682,21 @@ def test_bench_tracer_still_sees_both_writers(tmp_path, monkeypatch):
     assert metrics["cli.figure2.total_s"] > 0
     after = (tables.write_csv, tables.SweepTable.__dict__["write_csv"], dict(cli._COMMANDS))
     assert after == before
+
+
+def test_bench_checker_passes_every_default_output(tmp_path, monkeypatch):
+    # bench/checker.py re-derives sampled rows with tests/oracles.py; a
+    # change to either that it would report as incorrect fails here
+    here = Path(__file__).resolve().parent
+    monkeypatch.syspath_prepend(str(here.parent / "bench"))
+    monkeypatch.syspath_prepend(str(here))
+    from checker import check_invocation
+
+    rng = np.random.default_rng(0)
+    for command in cli._COMMANDS:
+        out = tmp_path / command
+        assert main([command, "--out", str(out), "--svg"]) == 0, command
+        assert check_invocation(command, str(out), True, rng) == [], command
 
 
 def test_module_and_script_entry_points(tmp_path):

@@ -223,6 +223,11 @@ def test_medium_params_validation():
         MediumParams(omega_t=1.0, beta4pi=-0.5, gamma=0.0)
     with pytest.raises(ValueError):
         MediumParams(omega_t=1.0, beta4pi=1.0, gamma=-1e-9)
+    # NaN fails every comparison, so each check is written as not x >= 0
+    with pytest.raises(ValueError, match="beta4pi"):
+        MediumParams(omega_t=1.0, beta4pi=math.nan, gamma=0.0)
+    with pytest.raises(ValueError, match="gamma"):
+        MediumParams(omega_t=1.0, beta4pi=1.0, gamma=math.nan)
 
 
 def test_rabi_and_beta_round_trip():

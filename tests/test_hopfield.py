@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import bogoliubov_matrix, bosonic_norm, dense_modes, mode_vector
-from polariton_mbc import (
-    BogoliubovProblem,
-    Branch,
-    diagonalize,
-    eigenfrequencies,
-    hopfield_modes,
-    photon_weight,
-)
+from polariton_mbc import BogoliubovProblem, hopfield_modes, weight
 
 
 def random_problem(rng):
@@ -20,6 +13,11 @@ def random_problem(rng):
         omega_t=rng.uniform(0.5, 2.0),
         rabi=rng.uniform(0.01, 1.5),
     )
+
+
+def modes_of(prob):
+    """Both modes of one problem, index [branch, 0] with the lower branch first."""
+    return hopfield_modes(prob.photon_freq, prob.omega_t, prob.rabi)
 
 
 def random_arrays(rng, size=300):
@@ -34,20 +32,18 @@ def random_arrays(rng, size=300):
     return wc, wt, rabi
 
 
-def test_kernel_matches_scalar_diagonalize_bit_for_bit():
+def test_one_coupling_calls_match_the_whole_array_bit_for_bit():
     rng = np.random.default_rng(37)
     wc, wt, rabi = random_arrays(rng)
     sweep = hopfield_modes(wc, wt, rabi)
     assert sweep.omega.shape == (2, wc.size)
-    rows = []
+    single = []
     for i in range(wc.size):
-        lo, up = diagonalize(BogoliubovProblem(wc[i], wt[i], rabi[i]))
-        assert (lo.branch, up.branch) == (Branch.LOWER, Branch.UPPER)
-        assert eigenfrequencies(BogoliubovProblem(wc[i], wt[i], rabi[i])) == (lo.omega, up.omega)
-        rows.append([[m.omega, m.w, m.x, m.y, m.z] for m in (lo, up)])
-    scalar = np.array(rows).transpose(2, 1, 0)  # (part, branch, problem)
-    kernel = np.array([sweep.omega, sweep.w, sweep.x, sweep.y, sweep.z])
-    assert scalar.tobytes() == kernel.tobytes()
+        m = modes_of(BogoliubovProblem(float(wc[i]), float(wt[i]), float(rabi[i])))
+        assert m.omega.shape == (2, 1)
+        single.append(np.array(m))  # (part, branch, 1)
+    kernel = np.array(sweep)  # (part, branch, problem)
+    assert np.concatenate(single, axis=2).tobytes() == kernel.tobytes()
 
 
 def test_kernel_and_scalar_match_dense_eigensolver():
@@ -58,9 +54,13 @@ def test_kernel_and_scalar_match_dense_eigensolver():
     for i in np.flatnonzero(coupled):
         prob = BogoliubovProblem(wc[i], wt[i], rabi[i])
         freqs, vecs = dense_modes(prob)
-        for j, mode in enumerate(diagonalize(prob)):
+        single = modes_of(prob)
+        for j in range(2):
             column = np.array([sweep.w[j, i], sweep.x[j, i], sweep.y[j, i], sweep.z[j, i]])
-            for omega, vector in ((mode.omega, mode_vector(mode)), (sweep.omega[j, i], column)):
+            for omega, vector in (
+                (single.omega[j, 0], mode_vector(single, j)),
+                (sweep.omega[j, i], column),
+            ):
                 assert abs(omega - freqs[j]) < 1e-10 * freqs[j]
                 assert np.max(np.abs(vector - vecs[j])) < 1e-9
 
@@ -89,7 +89,7 @@ def test_eigenfrequencies_satisfy_characteristic_polynomial():
     for _ in range(300):
         prob = random_problem(rng)
         g = prob.coupling4pi * prob.omega_t**2
-        for w in eigenfrequencies(prob):
+        for w in modes_of(prob).omega[:, 0]:
             resid = w**4 - w**2 * (prob.photon_freq**2 + prob.omega_t**2 + g) + (
                 prob.photon_freq * prob.omega_t
             ) ** 2
@@ -101,9 +101,10 @@ def test_eigenvectors_satisfy_matrix_equation():
     for _ in range(200):
         prob = random_problem(rng)
         mat = bogoliubov_matrix(prob)
-        for mode in diagonalize(prob):
-            v = mode_vector(mode)
-            assert np.max(np.abs(mat @ v - mode.omega * v)) < 1e-10
+        m = modes_of(prob)
+        for j in range(2):
+            v = mode_vector(m, j)
+            assert np.max(np.abs(mat @ v - m.omega[j, 0] * v)) < 1e-10
 
 
 def test_closed_forms_match_dense_eigensolver():
@@ -111,23 +112,24 @@ def test_closed_forms_match_dense_eigensolver():
     for _ in range(400):
         prob = random_problem(rng)
         freqs, vecs = dense_modes(prob)
-        lo, up = diagonalize(prob)
-        assert abs(lo.omega - freqs[0]) < 1e-10 * freqs[0]
-        assert abs(up.omega - freqs[1]) < 1e-10 * freqs[1]
-        assert np.max(np.abs(mode_vector(lo) - vecs[0])) < 1e-9
-        assert np.max(np.abs(mode_vector(up) - vecs[1])) < 1e-9
+        m = modes_of(prob)
+        assert abs(m.omega[0, 0] - freqs[0]) < 1e-10 * freqs[0]
+        assert abs(m.omega[1, 0] - freqs[1]) < 1e-10 * freqs[1]
+        assert np.max(np.abs(mode_vector(m, 0) - vecs[0])) < 1e-9
+        assert np.max(np.abs(mode_vector(m, 1) - vecs[1])) < 1e-9
 
 
 def test_bosonic_norm_and_sum_rules():
     rng = np.random.default_rng(31)
     for _ in range(300):
-        prob = random_problem(rng)
-        lo, up = diagonalize(prob)
-        assert bosonic_norm(lo) == pytest.approx(1.0, abs=1e-12)
-        assert bosonic_norm(up) == pytest.approx(1.0, abs=1e-12)
+        m = modes_of(random_problem(rng))
+        assert bosonic_norm(m, 0) == pytest.approx(1.0, abs=1e-12)
+        assert bosonic_norm(m, 1) == pytest.approx(1.0, abs=1e-12)
         # completeness across the two branches, photon and matter sectors
-        w_sum = abs(lo.w) ** 2 - abs(lo.y) ** 2 + abs(up.w) ** 2 - abs(up.y) ** 2
-        x_sum = abs(lo.x) ** 2 - abs(lo.z) ** 2 + abs(up.x) ** 2 - abs(up.z) ** 2
+        (w_lo, w_up), (x_lo, x_up) = m.w[:, 0], m.x[:, 0]
+        (y_lo, y_up), (z_lo, z_up) = m.y[:, 0], m.z[:, 0]
+        w_sum = abs(w_lo) ** 2 - abs(y_lo) ** 2 + abs(w_up) ** 2 - abs(y_up) ** 2
+        x_sum = abs(x_lo) ** 2 - abs(z_lo) ** 2 + abs(x_up) ** 2 - abs(z_up) ** 2
         assert w_sum == pytest.approx(1.0, abs=1e-12)
         assert x_sum == pytest.approx(1.0, abs=1e-12)
 
@@ -135,81 +137,78 @@ def test_bosonic_norm_and_sum_rules():
 def test_phase_convention_w_real_positive():
     rng = np.random.default_rng(33)
     for _ in range(200):
-        prob = random_problem(rng)
-        for mode in diagonalize(prob):
-            assert mode.w.imag == 0.0
-            assert mode.w.real > 0.0
+        m = modes_of(random_problem(rng))
+        for w, x in zip(m.w[:, 0], m.x[:, 0]):
+            assert w.imag == 0.0
+            assert w.real > 0.0
             # matter amplitude sits on the imaginary axis in this gauge
-            assert abs(mode.x.real) < 1e-12 * abs(mode.x)
+            assert abs(x.real) < 1e-12 * abs(x)
 
 
 def test_branch_ordering_and_labels():
     rng = np.random.default_rng(35)
     for _ in range(200):
         prob = random_problem(rng)
-        lo, up = diagonalize(prob)
-        assert lo.branch is Branch.LOWER
-        assert up.branch is Branch.UPPER
-        assert lo.omega < up.omega
+        # index 0 is the lower branch, index 1 the upper one
+        lo, up = modes_of(prob).omega[:, 0]
+        assert lo < up
         # the polariton gap brackets both bare frequencies
-        assert lo.omega < min(prob.photon_freq, prob.omega_t)
-        assert up.omega > max(prob.photon_freq, prob.omega_t)
+        assert lo < min(prob.photon_freq, prob.omega_t)
+        assert up > max(prob.photon_freq, prob.omega_t)
 
 
 def test_decoupled_limit():
-    prob = BogoliubovProblem(photon_freq=0.7, omega_t=1.0, rabi=0.0)
-    lo, up = diagonalize(prob)
-    assert (lo.omega, up.omega) == (0.7, 1.0)
-    assert (lo.w, lo.x) == (1.0 + 0j, 0j)
-    assert (up.w, up.x) == (0j, 1j)
+    m = modes_of(BogoliubovProblem(photon_freq=0.7, omega_t=1.0, rabi=0.0))
+    assert (m.omega[0, 0], m.omega[1, 0]) == (0.7, 1.0)
+    assert (m.w[0, 0], m.x[0, 0]) == (1.0 + 0j, 0j)
+    assert (m.w[1, 0], m.x[1, 0]) == (0j, 1j)
     # above the crossing the excitation-like mode is the lower branch
-    prob = BogoliubovProblem(photon_freq=1.4, omega_t=1.0, rabi=0.0)
-    lo, up = diagonalize(prob)
-    assert (lo.omega, up.omega) == (1.0, 1.4)
-    assert lo.x == -1j
-    assert up.w == 1.0 + 0j
+    m = modes_of(BogoliubovProblem(photon_freq=1.4, omega_t=1.0, rabi=0.0))
+    assert (m.omega[0, 0], m.omega[1, 0]) == (1.0, 1.4)
+    assert m.x[0, 0] == -1j
+    assert m.w[1, 0] == 1.0 + 0j
     # exact degeneracy: photon-like mode takes the lower slot
-    prob = BogoliubovProblem(photon_freq=1.0, omega_t=1.0, rabi=0.0)
-    lo, up = diagonalize(prob)
-    assert lo.w == 1.0 + 0j
-    assert up.x == 1j
+    m = modes_of(BogoliubovProblem(photon_freq=1.0, omega_t=1.0, rabi=0.0))
+    assert m.w[0, 0] == 1.0 + 0j
+    assert m.x[1, 0] == 1j
 
 
 def test_decoupled_limit_is_continuous():
     # the rabi -> 0 closed forms should approach the hard-coded
     # decoupled modes on both sides of the crossing
     for wc in (0.7, 1.4):
-        prob0 = BogoliubovProblem(photon_freq=wc, omega_t=1.0, rabi=0.0)
-        probs = BogoliubovProblem(photon_freq=wc, omega_t=1.0, rabi=1e-6)
-        for m0, ms in zip(diagonalize(prob0), diagonalize(probs)):
-            assert abs(m0.omega - ms.omega) < 1e-6
-            assert np.max(np.abs(mode_vector(m0) - mode_vector(ms))) < 1e-4
+        m0 = modes_of(BogoliubovProblem(photon_freq=wc, omega_t=1.0, rabi=0.0))
+        ms = modes_of(BogoliubovProblem(photon_freq=wc, omega_t=1.0, rabi=1e-6))
+        for j in range(2):
+            assert abs(m0.omega[j, 0] - ms.omega[j, 0]) < 1e-6
+            assert np.max(np.abs(mode_vector(m0, j) - mode_vector(ms, j))) < 1e-4
 
 
 def test_weak_coupling_splitting_is_twice_rabi():
     # on resonance the gap between the branches is 2*rabi to first order
     prob = BogoliubovProblem(photon_freq=1.0, omega_t=1.0, rabi=1e-3)
-    lo, up = eigenfrequencies(prob)
+    lo, up = modes_of(prob).omega[:, 0]
     assert up - lo == pytest.approx(2e-3, rel=1e-5)
 
 
 def test_photon_weight_and_rabi_zero_weights():
     prob = BogoliubovProblem(photon_freq=1.0, omega_t=1.0, rabi=0.3)
-    lo, up = diagonalize(prob)
-    assert photon_weight(lo) == pytest.approx(abs(lo.w) ** 2, rel=1e-15)
+    m = modes_of(prob)
+    (w_lo, w_up), (y_lo, y_up) = m.w[:, 0], m.y[:, 0]
+    assert weight(w_lo) == pytest.approx(abs(w_lo) ** 2, rel=1e-15)
     # on resonance the photon splits evenly up to the A^2 reshuffling,
     # and the total photon weight obeys the completeness sum rule
-    total = photon_weight(lo) - abs(lo.y) ** 2 + photon_weight(up) - abs(up.y) ** 2
+    total = weight(w_lo) - abs(y_lo) ** 2 + weight(w_up) - abs(y_up) ** 2
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ultrastrong_weights_grow():
     # anomalous amplitudes are negligible at weak coupling and order one
     # deep in the ultrastrong regime
-    weak = diagonalize(BogoliubovProblem(photon_freq=1.0, omega_t=1.0, rabi=0.01))
-    strong = diagonalize(BogoliubovProblem(photon_freq=1.0, omega_t=1.0, rabi=1.5))
-    weak_anom = max(abs(m.y) ** 2 + abs(m.z) ** 2 for m in weak)
-    strong_anom = max(abs(m.y) ** 2 + abs(m.z) ** 2 for m in strong)
+    weak = modes_of(BogoliubovProblem(photon_freq=1.0, omega_t=1.0, rabi=0.01))
+    strong = modes_of(BogoliubovProblem(photon_freq=1.0, omega_t=1.0, rabi=1.5))
+    weak_anom = max(abs(y) ** 2 + abs(z) ** 2 for y, z in zip(weak.y[:, 0], weak.z[:, 0]))
+    strong_anom = max(abs(y) ** 2 + abs(z) ** 2 for y, z in zip(strong.y[:, 0], strong.z[:, 0]))
     assert weak_anom < 1e-3
     assert strong_anom > 0.1
 
@@ -230,9 +229,11 @@ def test_problem_validation():
         BogoliubovProblem(photon_freq=1.0, omega_t=-1.0)
     with pytest.raises(ValueError):
         BogoliubovProblem(photon_freq=1.0, rabi=-0.1)
+    with pytest.raises(ValueError):
+        BogoliubovProblem(photon_freq=1.0, rabi=float("nan"))
     # 4 rabi^2 underflows to 0 at the degeneracy: no finite closed form
     with pytest.raises(ValueError, match="float range"):
-        diagonalize(BogoliubovProblem(photon_freq=1.0, rabi=1e-163))
+        modes_of(BogoliubovProblem(photon_freq=1.0, rabi=1e-163)).require_finite(1e-163)
     with pytest.raises(ValueError):
         hopfield_modes(1.0, 1.0, [0.5, -0.1])
 
@@ -243,7 +244,7 @@ def test_small_photon_freq_has_no_cancellation():
     # sum of roots are exact identities that expose lost digits
     for wc in (1e-4, 1e-6, 1e-8):
         prob = BogoliubovProblem(photon_freq=wc, omega_t=1.0, rabi=0.5)
-        lo, up = eigenfrequencies(prob)
+        lo, up = modes_of(prob).omega[:, 0]
         g = prob.coupling4pi * prob.omega_t**2
         assert lo * up == pytest.approx(wc * 1.0, rel=1e-12)
         assert lo**2 + up**2 == pytest.approx(wc**2 + 1.0 + g, rel=1e-12)

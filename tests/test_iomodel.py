@@ -13,15 +13,15 @@ from polariton_mbc import (
     MediumParams,
     Resonance,
     ResonanceScanError,
-    diagonalize,
     figure2_sweep,
+    hopfield_modes,
     kappa_bare,
     kappa_fit,
     kappa_rwa,
     output_amplitude,
-    photon_weight,
     polariton_response,
     tuned_length,
+    weight,
 )
 
 RES = Resonance(omega=1.0, kappa=1e-2, branch=Branch.BARE, mode_index=1)
@@ -81,12 +81,13 @@ def test_two_distant_modes_superpose():
 
 def test_kappa_rwa_is_photon_weight_rescaling():
     prob = BogoliubovProblem(photon_freq=1.0, omega_t=1.0, rabi=0.8)
-    lo, up = diagonalize(prob)
+    m = hopfield_modes(prob.photon_freq, prob.omega_t, prob.rabi)
     k0 = 1e-2
-    assert kappa_rwa(lo, k0) == pytest.approx(photon_weight(lo) * k0, rel=1e-15)
-    assert kappa_rwa(up, k0) == pytest.approx(photon_weight(up) * k0, rel=1e-15)
+    rwa = kappa_rwa(m, k0)
+    assert rwa[0, 0] == pytest.approx(weight(m.w[0, 0]) * k0, rel=1e-15)
+    assert rwa[1, 0] == pytest.approx(weight(m.w[1, 0]) * k0, rel=1e-15)
     with pytest.raises(ValueError):
-        kappa_rwa(lo, 0.0)
+        kappa_rwa(m, 0.0)
 
 
 def test_kappa_fit_formula():
