@@ -265,8 +265,13 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
     fails it raises a tolerance error that carries the table, which is
     written all the same and exits with code 2. A window whose least
     resolved frequency no finite-difference step can check within the
-    residual tolerance is refused first, with a configuration error.
+    residual tolerance is refused first, with a configuration error, as
+    is a window that does not start above zero frequency.
     """
+    if not cfg.sweep_start > 0:
+        raise ConfigError(
+            f"greens-check window must start above 0, got sweep.start = {cfg.sweep_start:g}"
+        )
     cavity = cfg.cavity()
     length = cavity.length
     tol_c, tol_r = cfg.tol_coefficient, cfg.tol_residual

@@ -7,15 +7,9 @@ Every value can also be overridden from the command line with
 into the `#` comment header of every CSV a command writes, so a result
 file always carries the inputs that produced it.
 
-Sections and keys (defaults in parentheses):
-
-    [medium]     omega_t (1.0), beta4pi (0.0), gamma (1e-9)
-    [cavity]     lambda_mirror (7.822), length (auto = tuned fundamental)
-    [sweep]      start, stop, count (defaults depend on the command;
-                 count from 2 to 1,000,000)
-    [output]     dir (.), svg (false)
-    [figure2]    kappa0_over_wt (1e-2; auto = 2 / (lambda^2 L))
-    [tolerances] coefficient (1e-12), residual (1e-4)
+The keys, their defaults and their readers are listed once, in `_KEYS`,
+in the order the header echoes them. The sweep's start, stop and count
+(2 to 1,000,000) default per command, in SWEEP_DEFAULTS.
 
 The sweep axis means different things per command: wavenumber for
 `dispersion`, coupling rabi/omega_t for `hopfield` and `figure2`,
@@ -30,7 +24,7 @@ MAX_SWEEP_COUNT is a configuration error, raised before any computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cavity import CavityConfig, tuned_length
 from .dielectric import MediumParams
@@ -40,19 +34,6 @@ __all__ = ["RunConfig", "load_config", "SWEEP_DEFAULTS", "MAX_SWEEP_COUNT"]
 
 # 10x the largest count any benchmark workload runs (a 100,000-root cap)
 MAX_SWEEP_COUNT = 1_000_000
-
-_GLOBAL_DEFAULTS = {
-    "medium.omega_t": "1.0",
-    "medium.beta4pi": "0.0",
-    "medium.gamma": "1e-9",
-    "cavity.lambda_mirror": "7.822",
-    "cavity.length": "auto",
-    "output.dir": ".",
-    "output.svg": "false",
-    "figure2.kappa0_over_wt": "1e-2",
-    "tolerances.coefficient": "1e-12",
-    "tolerances.residual": "1e-4",
-}
 
 # start, stop, count of the sweep each command runs if not configured
 SWEEP_DEFAULTS = {
@@ -66,26 +47,54 @@ SWEEP_DEFAULTS = {
     "fluct": ("0.05", "3.0", "60"),
 }
 
-_KEY_ORDER = [
-    "medium.omega_t",
-    "medium.beta4pi",
-    "medium.gamma",
-    "cavity.lambda_mirror",
-    "cavity.length",
-    "sweep.start",
-    "sweep.stop",
-    "sweep.count",
-    "output.dir",
-    "output.svg",
-    "figure2.kappa0_over_wt",
-    "tolerances.coefficient",
-    "tolerances.residual",
-]
+_SWEEP_KEYS = ("sweep.start", "sweep.stop", "sweep.count")
+_BOOLS = {**dict.fromkeys(("true", "yes", "on", "1"), True),
+          **dict.fromkeys(("false", "no", "off", "0"), False)}
+
+
+def _auto_float(text: str) -> float | None:
+    return None if text.lower() in ("auto", "none", "") else float(text)
+
+
+def _bool(text: str) -> bool:
+    return _BOOLS[text.lower()]
+
+
+# what each reader's error message says the value must be
+_NOUNS = {float: "a number", _auto_float: "a number", int: "an integer", _bool: "a boolean"}
+
+# key: (default text, reader), in the order the CSV header echoes them;
+# the sweep defaults (None here) come from SWEEP_DEFAULTS
+_KEYS = {
+    "medium.omega_t": ("1.0", float),
+    "medium.beta4pi": ("0.0", float),
+    "medium.gamma": ("1e-9", float),
+    "cavity.lambda_mirror": ("7.822", float),
+    "cavity.length": ("auto", _auto_float),  # auto: tuned fundamental at omega_t
+    "sweep.start": (None, float),
+    "sweep.stop": (None, float),
+    "sweep.count": (None, int),
+    "output.dir": (".", str),
+    "output.svg": ("false", _bool),
+    "figure2.kappa0_over_wt": ("1e-2", _auto_float),  # auto: 2 / (lambda^2 L)
+    "tolerances.coefficient": ("1e-12", float),
+    "tolerances.residual": ("1e-4", float),
+}
+
+
+def _render(value) -> str:
+    """A parsed value as the CSV header echoes it."""
+    if value is None:
+        return "auto"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters for one command invocation."""
+    """Validated parameters for one command invocation; the fields after
+    medium hold the keys of `_KEYS` after medium.*, in that order."""
 
     medium: MediumParams
     lambda_mirror: float
@@ -98,6 +107,7 @@ class RunConfig:
     kappa0_over_wt: float | None  # None -> 2 / (lambda_mirror^2 L)
     tol_coefficient: float
     tol_residual: float
+    _lines: tuple[str, ...] = field(repr=False)  # the header, see _render
 
     def cavity(self) -> CavityConfig:
         length = self.length
@@ -109,24 +119,7 @@ class RunConfig:
 
     def resolved(self) -> list[str]:
         """The full configuration as ordered `section.key = value` lines."""
-        vals = {
-            "medium.omega_t": repr(self.medium.omega_t),
-            "medium.beta4pi": repr(self.medium.beta4pi),
-            "medium.gamma": repr(self.medium.gamma),
-            "cavity.lambda_mirror": repr(self.lambda_mirror),
-            "cavity.length": "auto" if self.length is None else repr(self.length),
-            "sweep.start": repr(self.sweep_start),
-            "sweep.stop": repr(self.sweep_stop),
-            "sweep.count": str(self.sweep_count),
-            "output.dir": self.out_dir,
-            "output.svg": "true" if self.svg else "false",
-            "figure2.kappa0_over_wt": (
-                "auto" if self.kappa0_over_wt is None else repr(self.kappa0_over_wt)
-            ),
-            "tolerances.coefficient": repr(self.tol_coefficient),
-            "tolerances.residual": repr(self.tol_residual),
-        }
-        return [f"{key} = {vals[key]}" for key in _KEY_ORDER]
+        return list(self._lines)
 
 
 def _parse_file(path: str) -> dict[str, str]:
@@ -165,35 +158,6 @@ def _parse_sets(pairs) -> dict[str, str]:
     return out
 
 
-def _as_float(table: dict[str, str], key: str) -> float:
-    try:
-        return float(table[key])
-    except ValueError as err:
-        raise ConfigError(f"{key} must be a number, got {table[key]!r}") from err
-
-
-def _as_int(table: dict[str, str], key: str) -> int:
-    try:
-        return int(table[key])
-    except ValueError as err:
-        raise ConfigError(f"{key} must be an integer, got {table[key]!r}") from err
-
-
-def _as_bool(table: dict[str, str], key: str) -> bool:
-    val = table[key].lower()
-    if val in ("true", "yes", "on", "1"):
-        return True
-    if val in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {table[key]!r}")
-
-
-def _as_optional_float(table: dict[str, str], key: str) -> float | None:
-    if table[key].lower() in ("auto", "none", ""):
-        return None
-    return _as_float(table, key)
-
-
 def load_config(
     command: str,
     config_path: str | None = None,
@@ -204,11 +168,8 @@ def load_config(
     """Resolve defaults <- config file <- --set pairs <- direct flags."""
     if command not in SWEEP_DEFAULTS:
         raise ConfigError(f"unknown command {command!r}")
-    start, stop, count = SWEEP_DEFAULTS[command]
-    table = dict(_GLOBAL_DEFAULTS)
-    table["sweep.start"] = start
-    table["sweep.stop"] = stop
-    table["sweep.count"] = count
+    table = {key: default for key, (default, _) in _KEYS.items()}
+    table.update(zip(_SWEEP_KEYS, SWEEP_DEFAULTS[command]))
 
     for source in (
         _parse_file(config_path) if config_path else {},
@@ -223,25 +184,25 @@ def load_config(
     if svg is not None:
         table["output.svg"] = "true" if svg else "false"
 
+    val = {}
+    for key, (_, read) in _KEYS.items():
+        try:
+            val[key] = read(table[key])
+        except (ValueError, KeyError) as err:
+            raise ConfigError(f"{key} must be {_NOUNS[read]}, got {table[key]!r}") from err
+
     try:
-        medium = MediumParams(
-            omega_t=_as_float(table, "medium.omega_t"),
-            beta4pi=_as_float(table, "medium.beta4pi"),
-            gamma=_as_float(table, "medium.gamma"),
-        )
+        medium = MediumParams(val["medium.omega_t"], val["medium.beta4pi"], val["medium.gamma"])
     except ValueError as err:
         raise ConfigError(f"invalid medium: {err}") from err
 
-    lam = _as_float(table, "cavity.lambda_mirror")
-    if not lam > 0:
+    if not val["cavity.lambda_mirror"] > 0:
         raise ConfigError("cavity.lambda_mirror must be positive")
-    length = _as_optional_float(table, "cavity.length")
+    length = val["cavity.length"]
     if length is not None and not 0 < length < math.inf:
         raise ConfigError("cavity.length must be positive and finite (or auto)")
 
-    sweep_start = _as_float(table, "sweep.start")
-    sweep_stop = _as_float(table, "sweep.stop")
-    sweep_count = _as_int(table, "sweep.count")
+    sweep_start, sweep_stop, sweep_count = (val[key] for key in _SWEEP_KEYS)
     if not sweep_start < sweep_stop:
         raise ConfigError("sweep.start must be smaller than sweep.stop")
     if not math.isfinite(sweep_stop - sweep_start):
@@ -254,24 +215,14 @@ def load_config(
     if sweep_count > MAX_SWEEP_COUNT:
         raise ConfigError(f"sweep.count must be at most {MAX_SWEEP_COUNT:,}")
 
-    kappa0 = _as_optional_float(table, "figure2.kappa0_over_wt")
+    kappa0 = val["figure2.kappa0_over_wt"]
     if kappa0 is not None and not kappa0 > 0:
         raise ConfigError("figure2.kappa0_over_wt must be positive (or auto)")
-    tol_c = _as_float(table, "tolerances.coefficient")
-    tol_r = _as_float(table, "tolerances.residual")
-    if not (tol_c > 0 and tol_r > 0):
+    if not (val["tolerances.coefficient"] > 0 and val["tolerances.residual"] > 0):
         raise ConfigError("tolerances must be positive")
 
+    # RunConfig's fields after medium are the other keys, in _KEYS order
     return RunConfig(
-        medium=medium,
-        lambda_mirror=lam,
-        length=length,
-        sweep_start=sweep_start,
-        sweep_stop=sweep_stop,
-        sweep_count=sweep_count,
-        out_dir=table["output.dir"],
-        svg=_as_bool(table, "output.svg"),
-        kappa0_over_wt=kappa0,
-        tol_coefficient=tol_c,
-        tol_residual=tol_r,
+        medium, *list(val.values())[3:],
+        _lines=tuple(f"{key} = {_render(value)}" for key, value in val.items()),
     )

@@ -49,12 +49,12 @@ class MediumParams:
     gamma: float = 1e-9
 
     def __post_init__(self):
-        if not self.omega_t > 0:
-            raise ValueError("omega_t must be positive")
-        if not self.beta4pi >= 0:
-            raise ValueError("beta4pi must be non-negative")
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be non-negative")
+        if not 0 < self.omega_t < math.inf:
+            raise ValueError("omega_t must be positive and finite")
+        if not 0 <= self.beta4pi < math.inf:
+            raise ValueError("beta4pi must be non-negative and finite")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be non-negative and finite")
 
     @property
     def omega_longitudinal(self) -> float:

@@ -104,7 +104,9 @@ def figure2_sweep(
     tuned L Lambda > 1 for Lambda >= 5 makes that root unique.
     ResonanceScanError names the first coupling whose root cannot be
     certified (|f| < 1e-9 and floor(n W L/pi) = 1). A coupling whose
-    two-mode closed forms leave the float range raises ValueError.
+    two-mode closed forms leave the float range raises ValueError, as
+    does a perfect mirror (Lambda = inf), whose m = 1 roots sit on their
+    bracket bottom qL = pi.
 
     Columns: rabi_over_wt, omega_L_mbc, omega_U_mbc, omega_L_disc,
     omega_U_disc, kappa_L_mbc, kappa_U_mbc, kappa_L_rwa, kappa_U_rwa.
@@ -114,8 +116,8 @@ def figure2_sweep(
         raise ValueError("rabi_grid must be positive")
     if np.any(grid[1:] <= grid[:-1]):
         raise ValueError("rabi_grid must be strictly increasing")
-    if not lambda_mirror >= 5.0:
-        raise ValueError("lambda_mirror must be in the good-cavity regime (>= 5)")
+    if not 5.0 <= lambda_mirror < math.inf:
+        raise ValueError("lambda_mirror must be finite and in the good-cavity regime (>= 5)")
 
     bare = MediumParams(omega_t=1.0, gamma=0.0)
     length = tuned_length(lambda_mirror, bare)

@@ -14,6 +14,7 @@ import pytest
 
 import polariton_mbc
 import polariton_mbc.cli as cli
+import polariton_mbc.config as config
 import polariton_mbc.greens as greens
 import polariton_mbc.hopfield as hopfield
 import polariton_mbc.iomodel as iomodel
@@ -493,6 +494,35 @@ def test_config_error_paths(tmp_path):
     assert largest.sweep_count == MAX_SWEEP_COUNT
 
 
+def test_header_echoes_every_key_in_table_order():
+    # the bench checker parses these lines back; every rendering rule shows:
+    # None as auto, a bool as true/false, a str as is, a number as repr
+    cfg = load_config("figure2", set_pairs=[
+        "cavity.length=none", "figure2.kappa0_over_wt=auto",
+        "output.svg=on", "sweep.count=7",
+    ])
+    assert cfg.resolved() == [
+        "medium.omega_t = 1.0",
+        "medium.beta4pi = 0.0",
+        "medium.gamma = 1e-09",
+        "cavity.lambda_mirror = 7.822",
+        "cavity.length = auto",
+        "sweep.start = 0.05",
+        "sweep.stop = 1.5",
+        "sweep.count = 7",
+        "output.dir = .",
+        "output.svg = true",
+        "figure2.kappa0_over_wt = auto",
+        "tolerances.coefficient = 1e-12",
+        "tolerances.residual = 0.0001",
+    ]
+    # the attributes hold the same parsed values
+    assert (cfg.lambda_mirror, cfg.length, cfg.sweep_start, cfg.sweep_stop) == (
+        7.822, None, 0.05, 1.5)
+    assert (cfg.sweep_count, cfg.out_dir, cfg.svg, cfg.kappa0_over_wt) == (7, ".", True, None)
+    assert (cfg.tol_coefficient, cfg.tol_residual) == (1e-12, 1e-4)
+
+
 def test_successive_main_calls_do_not_share_overrides(tmp_path):
     # the parser is built once per process; what one call sets must not
     # reach the next
@@ -627,10 +657,17 @@ def test_default_plots_keep_their_bytes(tmp_path):
         (["greens-check", "--set", "sweep.start=-1e308", "--set", "sweep.stop=1e308"], 1, []),
         (["spectrum", "--set", "medium.gamma=nan"], 1, []),
         (["kappa-sweep", "--set", "cavity.length=inf"], 1, []),
+        (["resonances", "--set", "medium.beta4pi=inf"], 1, []),
+        (["fluct", "--set", "medium.beta4pi=inf"], 1, []),
+        (["figure2", "--set", "cavity.lambda_mirror=inf"], 1, []),
+        (["greens-check", "--set", "sweep.start=0"], 1, []),
+        (["greens-check", "--set", "sweep.start=-1"], 1, []),
     ],
     ids=["figure2-rate-overflow", "figure2-rate-overflow-svg", "dispersion-huge-k",
          "kappa-sweep-tiny-mirror", "greens-check-tolerance", "greens-check-infinite-stop",
-         "greens-check-span-overflow", "spectrum-nan-gamma", "kappa-sweep-infinite-length"],
+         "greens-check-span-overflow", "spectrum-nan-gamma", "kappa-sweep-infinite-length",
+         "resonances-infinite-beta", "fluct-infinite-beta", "figure2-perfect-mirror",
+         "greens-check-zero-start", "greens-check-negative-start"],
 )
 def test_refused_runs_write_nothing_but_a_failing_check(tmp_path, capsys, argv, code, written):
     # every check runs before the first file is opened; only greens-check
@@ -639,6 +676,27 @@ def test_refused_runs_write_nothing_but_a_failing_check(tmp_path, capsys, argv, 
     assert sorted(os.listdir(tmp_path)) == written
     err = capsys.readouterr().err
     assert err.startswith("polariton-mbc: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_number_key_at_an_extreme_runs_or_is_refused(tmp_path, capsys, command):
+    # each key read as a number, set alone to a value outside most domains:
+    # the run writes its outputs, or refuses with exit 1, one message and no file
+    keys = [key for key, (_, read) in config._KEYS.items() if read in (float, config._auto_float)]
+    wrong = []
+    for key in keys:
+        for value in ("nan", "inf", "-inf", "0", "-1"):
+            out = tmp_path / f"{key}={value}"
+            out.mkdir()
+            code = main([command, "--out", str(out), "--set", f"{key}={value}"])
+            err = capsys.readouterr().err
+            refused = (
+                code == 1 and err.startswith("polariton-mbc: ") and err.count("\n") == 1
+                and not os.listdir(out)
+            )
+            if not (code == 0 or refused):
+                wrong.append((key, value, code, err))
+    assert wrong == []
 
 
 def test_figure2_names_the_first_non_finite_cell(tmp_path, capsys):

@@ -228,6 +228,13 @@ def test_medium_params_validation():
         MediumParams(omega_t=1.0, beta4pi=math.nan, gamma=0.0)
     with pytest.raises(ValueError, match="gamma"):
         MediumParams(omega_t=1.0, beta4pi=1.0, gamma=math.nan)
+    # an infinite value is input, not a numerical failure downstream
+    with pytest.raises(ValueError, match="omega_t must be positive and finite"):
+        MediumParams(omega_t=math.inf, beta4pi=1.0, gamma=0.0)
+    with pytest.raises(ValueError, match="beta4pi must be non-negative and finite"):
+        MediumParams(omega_t=1.0, beta4pi=math.inf, gamma=0.0)
+    with pytest.raises(ValueError, match="gamma must be non-negative and finite"):
+        MediumParams(omega_t=1.0, beta4pi=1.0, gamma=math.inf)
 
 
 def test_rabi_and_beta_round_trip():

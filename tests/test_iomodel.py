@@ -180,6 +180,8 @@ def test_sweep_validation():
         figure2_sweep([0.0, 0.5], 7.822)
     with pytest.raises(ValueError):
         figure2_sweep([0.5], 3.0)
+    with pytest.raises(ValueError, match="finite"):
+        figure2_sweep([0.5], math.inf)
 
 
 @pytest.mark.parametrize("lam", [5.0, 7.822, 50.0, 1e3])
