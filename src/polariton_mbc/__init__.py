@@ -10,106 +10,21 @@ equal-time field commutator scalings. Natural units throughout:
 c = hbar = eps0 = 1.
 """
 
-from .cavity import (
-    Branch,
-    CavityConfig,
-    Resonance,
-    find_resonances,
-    intracavity_transfer,
-    kappa_bare,
-    kappa_mbc,
-    reflection,
-    tuned_length,
-)
-from .dielectric import (
-    MediumParams,
-    bulk_dispersion,
-    epsilon,
-    group_velocity,
-    in_stop_band,
-    refractive_index,
-    wavenumber,
-)
-from .errors import (
-    BranchError,
-    ConfigError,
-    PolaritonError,
-    ResonanceScanError,
-    StepSizeError,
-    StopBandError,
-    ToleranceError,
-)
-from .fluct import (
-    FieldCommutators,
-    backward_commutator_decay,
-    forward_commutator_decay,
-    mode_commutators,
-    solve_omega_q,
-)
-from .greens import (
-    delta_jump,
-    fd_error,
-    fd_step,
-    green_function,
-    membrane_jump,
-    ode_residual,
-)
-from .hopfield import BogoliubovProblem, HopfieldModes, hopfield_modes, weight
-from .iomodel import (
-    figure2_sweep,
-    kappa_fit,
-    kappa_rwa,
-    output_amplitude,
-    polariton_response,
-)
-from .tables import SweepTable, write_csv
+# each module's __all__ lists its public names; the package's joins them
+from . import cavity, dielectric, errors, fluct, greens, hopfield, iomodel, tables
+from .cavity import *  # noqa: F403
+from .dielectric import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fluct import *  # noqa: F403
+from .greens import *  # noqa: F403
+from .hopfield import *  # noqa: F403
+from .iomodel import *  # noqa: F403
+from .tables import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BogoliubovProblem",
-    "Branch",
-    "BranchError",
-    "CavityConfig",
-    "ConfigError",
-    "FieldCommutators",
-    "HopfieldModes",
-    "MediumParams",
-    "PolaritonError",
-    "Resonance",
-    "ResonanceScanError",
-    "StepSizeError",
-    "StopBandError",
-    "SweepTable",
-    "ToleranceError",
-    "backward_commutator_decay",
-    "bulk_dispersion",
-    "delta_jump",
-    "epsilon",
-    "fd_error",
-    "fd_step",
-    "figure2_sweep",
-    "find_resonances",
-    "forward_commutator_decay",
-    "green_function",
-    "group_velocity",
-    "hopfield_modes",
-    "in_stop_band",
-    "intracavity_transfer",
-    "kappa_bare",
-    "kappa_fit",
-    "kappa_mbc",
-    "kappa_rwa",
-    "membrane_jump",
-    "mode_commutators",
-    "ode_residual",
-    "output_amplitude",
-    "polariton_response",
-    "reflection",
-    "refractive_index",
-    "solve_omega_q",
-    "tuned_length",
-    "wavenumber",
-    "weight",
-    "write_csv",
+    name
+    for module in (cavity, dielectric, errors, fluct, greens, hopfield, iomodel, tables)
+    for name in module.__all__
 ]

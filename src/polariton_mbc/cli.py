@@ -34,7 +34,8 @@ from .dielectric import refractive_index
 from .errors import ConfigError, PolaritonError, StepSizeError, StopBandError
 from .errors import ToleranceError
 from .fluct import FieldCommutators, solve_omega_q
-from .greens import delta_jump, fd_step, green_function, membrane_jump, ode_residual
+from .greens import _wavenumber, delta_jump, fd_step, green_function, membrane_jump
+from .greens import ode_residual
 from .hopfield import hopfield_modes, weight
 from .iomodel import figure2_sweep, kappa_fit
 from .svgplot import line_plot, write_svg
@@ -239,11 +240,11 @@ def _random_transparent(rng, cfg: RunConfig, count: int) -> np.ndarray:
     return np.where(u < below, low, high)
 
 
-def _least_resolved(cfg: RunConfig) -> float:
+def _least_resolved(cfg: RunConfig, cavity: CavityConfig) -> float:
     """The frequency `_random_transparent` can draw with the smallest
-    k = max(|n omega|, omega), the one a finite-difference step resolves
-    least: the start of one of the window's transparent parts, as k grows
-    along each branch."""
+    `greens._wavenumber`, the one a finite-difference step resolves
+    least: the start of one of the window's transparent parts, as that
+    wavenumber grows along each branch."""
     med = cfg.medium
     start, stop = cfg.sweep_start, cfg.sweep_stop
     margin = _BAND_MARGIN * med.omega_t
@@ -252,10 +253,7 @@ def _least_resolved(cfg: RunConfig) -> float:
         return start
     if start >= lo - margin:
         return max(start, hi + margin)
-    return min(
-        (start, hi + margin),
-        key=lambda w: max(abs(refractive_index(w, med) * w), w),
-    )
+    return min((start, hi + margin), key=lambda w: _wavenumber(w, cavity))
 
 
 def cmd_greens_check(cfg: RunConfig) -> list[Output]:
@@ -279,7 +277,7 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
     clearance = 0.37 * length
     rng = np.random.default_rng(_GREENS_SEED)
     ws = _random_transparent(rng, cfg, max(cfg.sweep_count, 2))
-    w_least = _least_resolved(cfg)
+    w_least = _least_resolved(cfg, cavity)
     try:
         fd_step(w_least, cavity, clearance, tol_r)
     except StepSizeError as err:

@@ -205,12 +205,19 @@ def bulk_dispersion(k, p: MediumParams):
     upper branch starts at omega_longitudinal for k = 0. For beta = 0
     this degenerates to min(k, omega_t) and max(k, omega_t). Written in
     product form so small roots keep full relative accuracy. Raises
-    ValueError for a k where that form overflows, above about 1e77
-    (omega_t and omega_longitudinal near 1).
+    ValueError for a medium whose omega_longitudinal**4 overflows (above
+    about 1.3e77) and for a k where that form overflows, above about
+    1e77 (omega_t and omega_longitudinal near 1).
     """
     kk = np.asarray(k, dtype=float)
     if np.any(kk < 0.0):
         raise ValueError("wavenumber must be non-negative")
+    wl2 = p.omega_longitudinal * p.omega_longitudinal  # ** on a float raises
+    if not math.isfinite(wl2 * wl2):
+        raise ValueError(
+            f"omega_longitudinal = {p.omega_longitudinal:g} is too large: "
+            "its fourth power overflows the bulk quartic"
+        )
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         lower, upper = _branches(kk, p.omega_t, p.omega_longitudinal)
     bad = ~np.isfinite(upper)

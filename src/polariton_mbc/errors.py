@@ -1,5 +1,15 @@
 """Typed exceptions shared across the package."""
 
+__all__ = [
+    "PolaritonError",
+    "StopBandError",
+    "ResonanceScanError",
+    "BranchError",
+    "StepSizeError",
+    "ConfigError",
+    "ToleranceError",
+]
+
 
 class PolaritonError(Exception):
     """Base class for domain errors raised by this package."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dielectric import MediumParams, _branches, _unwrap, refractive_index
+from .dielectric import MediumParams, _unwrap, bulk_dispersion, refractive_index
 from .errors import BranchError
 
 __all__ = [
@@ -72,7 +72,8 @@ def solve_omega_q(q, p: MediumParams, branch: str = "auto"):
     `bulk_dispersion` at gamma = 0, a few ulp in W (q itself in vacuum).
     Raises BranchError for the upper branch below omega_t in vacuum and
     for a root that rounds onto its band edge (lower W >= omega_t, upper
-    W <= omega_longitudinal) or is lost to overflow (q above ~1e77 omega_t).
+    W <= omega_longitudinal), and ValueError where `bulk_dispersion`
+    overflows (q or omega_longitudinal above about 1e77).
     """
     qq = np.array(q, dtype=float)
     if not np.all(qq > 0):
@@ -85,17 +86,12 @@ def solve_omega_q(q, p: MediumParams, branch: str = "auto"):
             raise BranchError("no upper branch in vacuum (beta = 0) below omega_t")
         return _unwrap(qq, float)
     lower = qq < wt if branch == "auto" else np.full(qq.shape, branch == "lower")
-    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        w = np.where(lower, *_branches(qq, wt, p.omega_longitudinal))
-    # False for NaN, and for the 0 and inf that q^4 overflowing leaves
-    inside = np.where(
-        lower, (w > 0.0) & (w < wt), (w > p.omega_longitudinal) & (w < np.inf)
-    )
+    w = np.where(lower, *bulk_dispersion(qq, p))
+    inside = np.where(lower, (w > 0.0) & (w < wt), w > p.omega_longitudinal)
     if not np.all(inside):
         i = np.flatnonzero(~inside)[0]
         name = "lower" if lower.flat[i] else "upper"
-        what = "stalled at the band edge" if np.isfinite(w.flat[i]) else "overflowed"
-        raise BranchError(f"{name}-branch solve for q = {qq.flat[i]:g} {what}")
+        raise BranchError(f"{name}-branch solve for q = {qq.flat[i]:g} stalled at the band edge")
     return _unwrap(w, float)
 
 

@@ -27,6 +27,8 @@ import numpy as np
 
 from .floatfmt import repr_rows
 
+__all__ = ["SweepTable", "write_csv"]
+
 # Cells printed per block. Small enough that a block's transient arrays,
 # about 200 bytes a cell, stay near 1 MB.
 _BLOCK_CELLS = 4096

@@ -662,12 +662,20 @@ def test_default_plots_keep_their_bytes(tmp_path):
         (["figure2", "--set", "cavity.lambda_mirror=inf"], 1, []),
         (["greens-check", "--set", "sweep.start=0"], 1, []),
         (["greens-check", "--set", "sweep.start=-1"], 1, []),
+        (["dispersion", "--set", "medium.omega_t=1e308"], 1, []),
+        (["fluct", "--set", "medium.omega_t=1e308", "--set", "medium.beta4pi=0.36"],
+         1, []),
+        (["dispersion", "--set", "medium.omega_t=1e154"], 1, []),
+        (["fluct", "--set", "medium.beta4pi=0.36", "--set", "sweep.stop=1e78",
+          "--set", "sweep.count=3"], 1, []),
     ],
     ids=["figure2-rate-overflow", "figure2-rate-overflow-svg", "dispersion-huge-k",
          "kappa-sweep-tiny-mirror", "greens-check-tolerance", "greens-check-infinite-stop",
          "greens-check-span-overflow", "spectrum-nan-gamma", "kappa-sweep-infinite-length",
          "resonances-infinite-beta", "fluct-infinite-beta", "figure2-perfect-mirror",
-         "greens-check-zero-start", "greens-check-negative-start"],
+         "greens-check-zero-start", "greens-check-negative-start",
+         "dispersion-huge-omega-t", "fluct-huge-omega-t", "dispersion-quartic-overflow",
+         "fluct-huge-q"],
 )
 def test_refused_runs_write_nothing_but_a_failing_check(tmp_path, capsys, argv, code, written):
     # every check runs before the first file is opened; only greens-check
@@ -757,14 +765,19 @@ def test_bench_checker_passes_every_default_output(tmp_path, monkeypatch):
         assert check_invocation(command, str(out), True, rng) == [], command
 
 
-def test_module_and_script_entry_points(tmp_path):
-    # the children import the same polariton_mbc as this process, not
-    # whatever copy (if any) the interpreter would find on its own
+def _child_env():
+    """os.environ with PYTHONPATH leading to this process's polariton_mbc,
+    so a child imports it, not whatever copy (if any) it would find on its own."""
     package_root = Path(polariton_mbc.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(package_root), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_module_and_script_entry_points(tmp_path):
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "polariton_mbc.cli", "resonances", "--out", str(tmp_path)],
         capture_output=True,
@@ -795,6 +808,20 @@ def test_module_and_script_entry_points(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "dispersion" in proc.stdout
+
+
+def test_cli_import_leaves_test_only_packages_unloaded():
+    # every run pays for what importing the CLI loads; these stay test-only
+    test_only = ("scipy", "mpmath", "hypothesis", "pytest")
+    probe = (
+        "import sys, polariton_mbc.cli\n"
+        f"print(sorted(m for m in {test_only!r} if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.skipif(

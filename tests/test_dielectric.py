@@ -216,6 +216,15 @@ def test_bulk_dispersion_refuses_wavenumbers_that_overflow(beta4pi):
             bulk_dispersion(ks, med)
 
 
+@pytest.mark.parametrize("omega_t", [1e78, 1e154, 1e308])
+def test_bulk_dispersion_refuses_a_medium_whose_quartic_overflows(omega_t):
+    # omega_longitudinal**4 is not finite: refused by name at every k,
+    # where ** on the float would raise OverflowError
+    med = MediumParams(omega_t=omega_t, beta4pi=0.36, gamma=0.0)
+    with pytest.raises(ValueError, match="omega_longitudinal = .* is too large"):
+        bulk_dispersion(0.01, med)
+
+
 def test_medium_params_validation():
     with pytest.raises(ValueError):
         MediumParams(omega_t=0.0, beta4pi=1.0, gamma=0.0)

@@ -204,10 +204,11 @@ def test_roots_that_round_onto_the_band_edge_raise():
         solve_omega_q(1e8, med, "lower")
     with pytest.raises(BranchError, match="upper-branch solve for q = 1e-08 stalled"):
         solve_omega_q(1e-8, med, "upper")
-    # the quartic's q^4 overflows: the root is lost, not returned as 0 or inf
+    # the quartic's q^4 overflows: refused as bulk_dispersion refuses it,
+    # the root not returned as 0 or inf
     for q in (1e150, 1e200):
         for branch in ("lower", "upper"):
-            with pytest.raises(BranchError):
+            with pytest.raises(ValueError, match="too large"):
                 solve_omega_q(q, med, branch)
     # one such element fails the whole array
     with pytest.raises(BranchError):
