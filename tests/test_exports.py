@@ -5,10 +5,9 @@ import inspect
 
 import polariton_mbc
 
-# every module the package star-imports
-REEXPORTED = (
-    "cavity", "dielectric", "errors", "fluct", "greens", "hopfield", "iomodel", "tables"
-)
+# the package star-imports these eight modules
+PHYSICS = ("cavity", "dielectric", "fluct", "greens", "hopfield", "iomodel")
+SUPPORT = ("errors", "tables")
 
 
 def test_every_exported_name_resolves():
@@ -33,11 +32,19 @@ def test_exports_are_the_packages_own_classes_and_functions():
     assert foreign == []
 
 
-def test_reexported_modules_declare_all_and_export_through_the_package():
+def _assert_export_through_the_package(modules):
     exported = set(polariton_mbc.__all__)
-    for name in REEXPORTED:
+    for name in modules:
         module = importlib.import_module(f"polariton_mbc.{name}")
         assert isinstance(module.__dict__.get("__all__"), list), name
         assert set(module.__all__) <= exported, name
         for attr in module.__all__:
             assert getattr(polariton_mbc, attr) is getattr(module, attr), (name, attr)
+
+
+def test_physics_modules_export_through_the_package():
+    _assert_export_through_the_package(PHYSICS)
+
+
+def test_support_modules_export_through_the_package():
+    _assert_export_through_the_package(SUPPORT)
