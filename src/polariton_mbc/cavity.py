@@ -197,10 +197,11 @@ def _mode_roots(m, length, lambda_mirror, omega_t, beta4pi, upper, lo=0.0, hi=ma
     0; m, beta4pi and upper broadcast together.
 
     While L Lambda omega_t > 1, f = tan(qL) - n/Lambda increases strictly
-    in each bracket: d tan(qL)/dq >= L, while dn/dq = 4 pi beta W /
-    ((u - 1)^2 + 4 pi beta), u = W^2 (omega_t = 1), stays below its sup
-    1/omega_t at the lower band edge. So `certified`, |f| < 1e-9 at a W
-    with floor(n W L/pi) = m, identifies the bracket's one root, and an
+    on each tan branch, qL in ((m - 1/2) pi, (m + 1/2) pi): d tan(qL)/dq
+    >= L, while dn/dq = 4 pi beta W / ((u - 1)^2 + 4 pi beta), u = W^2
+    (omega_t = 1), stays below its sup 1/omega_t at the lower band edge.
+    So `certified`, |f| < 1e-9 at a W with nWL/pi rounding to m, even
+    just below the bracket, identifies the bracket's one root, and an
     unclipped end needs no sign test: next to omega_t f is not defined.
     """
 
@@ -221,7 +222,7 @@ def _mode_roots(m, length, lambda_mirror, omega_t, beta4pi, upper, lo=0.0, hi=ma
             inside &= ~((bottom < lo) & (f(a) > 0.0)) & ~((top > hi) & (f(b) < 0.0))
         w = _bisect(f, a, b, 1e-12 * omega_t)
         n = _refractive_index(w, omega_t, beta4pi, 0.0).real
-        certified = (np.abs(f(w)) < 1e-9) & (np.floor(n * w * length / math.pi) == m)
+        certified = (np.abs(f(w)) < 1e-9) & (np.rint(n * w * length / math.pi) == m)
     return w, n, inside, certified
 
 

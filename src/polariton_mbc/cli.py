@@ -240,20 +240,24 @@ def _random_transparent(rng, cfg: RunConfig, count: int) -> np.ndarray:
     return np.where(u < below, low, high)
 
 
-def _least_resolved(cfg: RunConfig, cavity: CavityConfig) -> float:
-    """The frequency `_random_transparent` can draw with the smallest
-    `greens._wavenumber`, the one a finite-difference step resolves
-    least: the start of one of the window's transparent parts, as that
-    wavenumber grows along each branch."""
+def _hardest_to_resolve(cfg: RunConfig, cavity: CavityConfig) -> list[float]:
+    """The frequencies a step must resolve for every draw of the window to
+    be checkable: the one with the smallest `greens._wavenumber`, where
+    rounding limits the step (the start of a transparent part, as k grows
+    along each branch), and, in vacuum or above the band, the stop, where
+    the 1e-5 L floor on the step does. Below the band the probe decides."""
     med = cfg.medium
     start, stop = cfg.sweep_start, cfg.sweep_stop
+    if med.beta4pi == 0.0:
+        return [start, stop]
     margin = _BAND_MARGIN * med.omega_t
     lo, hi = med.stop_band()
-    if med.beta4pi == 0.0 or stop <= hi + margin:
-        return start
-    if start >= lo - margin:
-        return max(start, hi + margin)
-    return min((start, hi + margin), key=lambda w: _wavenumber(w, cavity))
+    if stop <= hi + margin:
+        return [start]
+    least = max(start, hi + margin)
+    if start < lo - margin:
+        least = min((start, least), key=lambda w: _wavenumber(w, cavity))
+    return [least, stop]
 
 
 def cmd_greens_check(cfg: RunConfig) -> list[Output]:
@@ -261,10 +265,10 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
 
     Returns one row per check (value, tolerance, pass/fail); if any check
     fails it raises a tolerance error that carries the table, which is
-    written all the same and exits with code 2. A window whose least
-    resolved frequency no finite-difference step can check within the
-    residual tolerance is refused first, with a configuration error, as
-    is a window that does not start above zero frequency.
+    written all the same and exits with code 2. A window with a frequency
+    of `_hardest_to_resolve` that no finite-difference step can check within
+    the residual tolerance is refused first, with a configuration error,
+    as is a window that does not start above zero frequency.
     """
     if not cfg.sweep_start > 0:
         raise ConfigError(
@@ -277,13 +281,11 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
     clearance = 0.37 * length
     rng = np.random.default_rng(_GREENS_SEED)
     ws = _random_transparent(rng, cfg, max(cfg.sweep_count, 2))
-    w_least = _least_resolved(cfg, cavity)
-    try:
-        fd_step(w_least, cavity, clearance, tol_r)
-    except StepSizeError as err:
-        raise ConfigError(
-            f"greens-check cannot check the window at {w_least:g}: {err}"
-        ) from err
+    for w in _hardest_to_resolve(cfg, cavity):
+        try:
+            fd_step(w, cavity, clearance, tol_r)
+        except StepSizeError as err:
+            raise ConfigError(f"greens-check cannot check the window at {w:g}: {err}") from err
 
     # piecewise evaluation consistency: G(z, z') = G(z', z) across regions;
     # draws as (z_in, z_out) pairs, one pair per frequency in turn

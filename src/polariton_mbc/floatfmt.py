@@ -16,13 +16,14 @@ within half a long-double ulp of y (2**-8 at most). The interval becomes
 y +- h, with h = ulp(x) 10**k / 2 > 0.55, so 17 digits always qualify,
 and 16 or 15 digits qualify when the nearest multiple of 10 or 100 lies
 within h of y. A multiple of 100 within h < 12 of y is the only one
-there, so any shorter answer is that multiple with its trailing zeros
-stripped. Every decision must clear its tie or interval edge by one
-long-double ulp of y, twice y's rounding error. repr runs on what is
-not certified: zero, NaN, inf, powers of two (whose interval is
+there, so any shorter answer is that multiple, whose trailing zeros the
+digit tables print as NUL. Every decision, a tie of y's fraction with
+1/2 only for a 17-digit answer, must clear its tie or interval edge by
+one long-double ulp of y, twice y's rounding error. repr runs on what
+is not certified: zero, NaN, inf, powers of two (whose interval is
 lopsided), |x| outside [1e-10, 1e16), the few cells next to a power of
 ten where log10 rounds across it and y misses [1e16, 1e17), and
-decisions inside the margin, about 1-2% of the cells of a smooth sweep.
+decisions inside the margin, 0.3-2% of the cells of a smooth sweep.
 Where long double has fewer than 64 significand bits, repr formats
 every cell.
 
@@ -86,11 +87,12 @@ def _nearest(yi, f, h, m, p):
 
 
 def _shortest(a):
-    """repr's digits of each a in [1e-10, 1e16): (digits, count, point, sure).
+    """repr's digits of each a in [1e-10, 1e16): (digits, point, sure).
 
-    digits is an int64 of count significant digits with a = 0.digits
-    times 10**point, as repr lays it out; sure is False where a decision
-    falls inside the margin and repr must print the cell.
+    digits is an int64 of 17 digits, the fewest repr needs padded with
+    zeros, with a = 0.digits times 10**point, as repr lays it out; sure
+    is False where a decision falls inside the margin and repr must
+    print the cell.
     """
     k = 16 - np.floor(np.log10(a)).astype(np.int64)
     y = a.astype(np.longdouble) * _POW10_LD[k]
@@ -98,25 +100,17 @@ def _shortest(a):
     f = (y - yi).astype(np.float64)  # exact: at most 10 fraction bits
     h = np.spacing(a) * _HALF_POW10[k]
     m = np.spacing(yi.astype(np.float64)) * 2.0**-11  # an ulp of y at 64 bits
-    # y leaves [1e16, 1e17) only next to a power of ten, where log10 rounds
-    sure = (y >= 1e16) & (y < 1e17) & (np.abs(f - 0.5) > m)
     d16, in16, sure16 = _nearest(yi, f, h, m, 10)
     d15, in15, sure15 = _nearest(yi, f, h, m, 100)
-    sure &= sure16 & (sure15 | ~in16)
-    digits = np.where(in16, d16, yi + (f > 0.5))
-    count = 17 - in16
-    short = np.flatnonzero(in15)
-    c, n = d15[short], np.full(short.size, 15)
-    for _ in range(14):
-        zero = c % 10 == 0
-        c = np.where(zero, c // 10, c)
-        n -= zero
-    digits[short], count[short] = c, n
+    # y leaves [1e16, 1e17) only next to a power of ten, where log10 rounds
+    sure = (y >= 1e16) & (y < 1e17) & sure16 & (sure15 | ~in16)
+    sure &= in16 | (np.abs(f - 0.5) > m)  # the tie of 17 digits
+    digits = np.where(in15, d15 * 100, np.where(in16, d16 * 10, yi + (f > 0.5)))
     point = 17 - k
-    carry = digits == _POW10[count]  # rounded up to 10**17: "1"
-    digits[carry] = 1
+    carry = digits == _POW10[17]  # rounded up to 10**17: "1"
+    digits[carry] = _POW10[16]
     point[carry] += 1
-    return digits, count, point, sure
+    return digits, point, sure
 
 
 def _cells(count, width, texts):
@@ -148,14 +142,14 @@ def repr_rows(block) -> bytes:
     a = np.abs(x)
     ok = (a >= 1e-10) & (a < 1e16) & (x.view(np.uint64) & _MANTISSA != 0) & _EXACT_SCALE
     a[~ok] = 1.5  # a stand-in the arithmetic takes; repr prints these cells
-    digits, count, point, sure = _shortest(a)
+    digits, point, sure = _shortest(a)
     ok &= sure
 
     expo = point < -3  # repr's exponent form, 1e-05 and below
-    single = expo & (count == 1)  # "1e-05": no point
     ip = np.where(expo, 1, np.maximum(point, 0))  # digits before the point
     z = np.where(expo, 0, np.maximum(-point, 0))  # zeros after it, up to 3
-    whole, frac = np.divmod(digits * _POW10[17 - count], _POW10[17 - ip])
+    whole, frac = np.divmod(digits, _POW10[17 - ip])
+    single = expo & (frac == 0)  # "1e-05": no point
     frac *= _POW10[ip]  # the digits after the point, 17 wide
     # "0" * z + frac, 20 digits: the first four, then sixteen
     head, tail = np.divmod(frac, _POW10[13 + z])

@@ -14,7 +14,7 @@ whole text in memory. That kernel certifies a cell's digits by
 long-double arithmetic and leaves to repr only the cells it cannot
 certify: zero, NaN, inf, powers of two, magnitudes outside
 [1e-10, 1e16) and decisions within rounding of a tie or interval edge,
-about 1-2% of a smooth sweep; where long double has fewer than 64
+about 0.3-2% of a smooth sweep; where long double has fewer than 64
 significand bits, repr prints every cell. The bytes are the same as
 formatting every float cell with repr and joining the rows one by one.
 """

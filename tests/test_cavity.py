@@ -115,6 +115,17 @@ def test_mode_indices_past_float_resolution_fail_loudly():
         find_resonances(cfg, (0.5, 1.5))
 
 
+@pytest.mark.parametrize("lam", [1e12, 1e13])
+def test_roots_within_rounding_of_their_bracket_bottom_are_certified(lam):
+    # n/Lambda < 1e-12 puts each root within rounding of qL = m pi, where
+    # n W L / pi can round to just below m at the root
+    found = find_resonances(make_cavity(lam=lam), (0.5, 20.0))
+    ref = find_resonances(make_cavity(lam=1e11), (0.5, 20.0))
+    assert [r.mode_index for r in found] == [r.mode_index for r in ref] == list(range(1, 21))
+    for res, r in zip(found, ref):
+        assert abs(res.omega - r.omega) < 1e-10 * r.omega
+
+
 @pytest.mark.parametrize("beta4pi", [0.36, 16.0])
 def test_cavity_too_short_for_one_root_per_bracket_is_refused(beta4pi):
     # tan(qL) outgrows n/Lambda only where L Lambda omega_t > 1

@@ -284,6 +284,32 @@ def test_greens_check_refuses_a_window_below_the_refusal_bound(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
+    "sets, code",
+    [
+        (["sweep.start=400", "sweep.stop=500"], 0),
+        # from omega = 529 (k L = 1.7e3) the 1e-5 L floor on the step leaves
+        # more than the tolerance: the window's stop decides, wherever the
+        # probe lands (it lands below 529 in [400, 1000])
+        (["sweep.start=400", "sweep.stop=1000"], 1),
+        (["sweep.start=400", "sweep.stop=3000"], 1),
+        (["sweep.start=1000", "sweep.stop=1001"], 1),
+        # above the band k grows with omega as in vacuum
+        (["medium.beta4pi=0.36", "sweep.start=0.5", "sweep.stop=3000"], 1),
+        # the benchmark's window: k L = 1387 at the widened band edge
+        (["medium.beta4pi=0.36", "sweep.start=0.095", "sweep.stop=3.05"], 0),
+    ],
+)
+def test_greens_check_window_decides_at_high_kl(tmp_path, capsys, sets, code):
+    argv = ["greens-check", "--out", str(tmp_path), "--set", "sweep.count=2"]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert main(argv) == code
+    if code == 1:
+        assert "cannot check the window at" in capsys.readouterr().err
+        assert not (tmp_path / "greens_check.csv").exists()
+
+
+@pytest.mark.parametrize(
     "beta4pi, start, stop, code",
     [
         (0.36, 1.0 - 3e-6, 1.0 - 1.5e-6, 0),

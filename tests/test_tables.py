@@ -1,5 +1,6 @@
 """SweepTable's input contract and the CSV and SVG writers against oracles."""
 
+import builtins
 import re
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from oracles import reference_csv, reference_polylines
 from polariton_mbc import floatfmt
+from polariton_mbc.cli import cmd_dispersion
+from polariton_mbc.config import load_config
 from polariton_mbc.svgplot import line_plot
 from polariton_mbc.tables import _BLOCK_CELLS, SweepTable, write_csv
 
@@ -19,8 +22,9 @@ SPECIALS = [
 def _kernel_edges():
     """Where the CSV kernel decides: either side of repr's layout switches
     (1e-4 and 1e-5, 1e16) and of the range it certifies (1e-10, 1e16),
-    powers of two, and doubles next to a tie of their 15-, 16- and
-    17-digit roundings (the decimal one digit longer, ending in 5)."""
+    powers of two, doubles next to a tie of their 15-, 16- and 17-digit
+    roundings (the decimal one digit longer, ending in 5), and shorter
+    answers whose scaled value ties at the 17th digit."""
     rng = np.random.default_rng(5)
     bounds = [1e-4, 1e-5, 1e-10, 1e15, 1e16]
     out = bounds + [float(np.nextafter(b, d)) for b in bounds for d in (0.0, np.inf)]
@@ -38,6 +42,16 @@ def _kernel_edges():
             mantissa = int(rng.integers(10 ** (digits - 1), 10**digits))
             v = float(f"{mantissa}5e{int(rng.integers(-12 - digits, 3))}")
             out += [v, float(np.nextafter(v, 0.0)), float(np.nextafter(v, np.inf))]
+    # 16 digits or fewer where y = |x| 10**k, scaled into [1e16, 1e17) in
+    # long double as the kernel scales it, has a fraction of exactly 1/2
+    # or one ulp either side: the tie with 1/2 decides only a 17-digit
+    # answer. A smooth sweep holds about 1% of them.
+    for sweep in (np.linspace(0.2, 0.95, 20001), np.linspace(1.05, 30.0, 20001) ** -2):
+        k = 16 - np.floor(np.log10(sweep))
+        y = sweep.astype(np.longdouble) * np.longdouble(10) ** k
+        tie = np.abs(y - np.floor(y) - 0.5) <= np.spacing(y)
+        short = [v for v in sweep[tie].tolist() if len(repr(v).replace(".", "").strip("0")) <= 16]
+        out += rng.choice(short, size=min(len(short), 40), replace=False).tolist()
     return out
 
 
@@ -125,6 +139,26 @@ def test_sweep_table_csv_matches_cell_by_cell_rendering(tmp_path, monkeypatch, n
     monkeypatch.setattr(floatfmt, "_EXACT_SCALE", False)
     table.write_csv(tmp_path / "t.csv", comments)
     assert (tmp_path / "t.csv").read_bytes() == expected
+
+
+@pytest.mark.skipif(not floatfmt._EXACT_SCALE, reason="repr prints every cell")
+def test_few_dispersion_cells_go_to_repr(tmp_path, monkeypatch):
+    # the bulk dispersion table of a 50,000-point benchmark sweep: the
+    # kernel leaves at most 0.5% of its cells to repr
+    cfg = load_config("dispersion", set_pairs=[
+        "medium.beta4pi=0.36", "sweep.count=50000", "sweep.start=0.01", "sweep.stop=3.0",
+    ])
+    [output] = cmd_dispersion(cfg)
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return builtins.repr(v)
+
+    monkeypatch.setattr(floatfmt, "repr", counting, raising=False)
+    output.table.write_csv(tmp_path / "dispersion.csv")
+    cells = len(output.table) * len(output.table.names)
+    assert len(calls) <= 0.005 * cells, f"{len(calls)} of {cells} cells went to repr"
 
 
 @pytest.mark.parametrize("n", [0, 1, B, B + 1])
