@@ -34,6 +34,7 @@ __all__ = [
     "Resonance",
     "intracavity_transfer",
     "reflection",
+    "amplitudes",
     "find_resonances",
     "kappa_mbc",
     "kappa_bare",
@@ -116,8 +117,7 @@ def intracavity_transfer(omega, cfg: CavityConfig):
     non-finite (gamma = 0 exactly at the pole) the non-finite sentinel
     propagates to the result.
     """
-    _, e, den = _amplitude_kernel(omega, cfg)
-    return _unwrap((4j * e / den).reshape(np.shape(omega)), complex)
+    return amplitudes(omega, cfg)[0]
 
 
 def reflection(omega, cfg: CavityConfig):
@@ -128,8 +128,14 @@ def reflection(omega, cfg: CavityConfig):
     returns all the energy. Absorption (gamma > 0, beta4pi > 0) pulls
     |r| below 1 near the excitation resonance.
     """
+    return amplitudes(omega, cfg)[1]
+
+
+def amplitudes(omega, cfg: CavityConfig):
+    """(T, r) = (4i e / D, 2 (e^2 - 1) / D - 1) from one kernel evaluation."""
     _, e, den = _amplitude_kernel(omega, cfg)
-    return _unwrap((2.0 * (e * e - 1.0) / den - 1.0).reshape(np.shape(omega)), complex)
+    t, r = 4j * e / den, 2.0 * (e * e - 1.0) / den - 1.0
+    return tuple(_unwrap(a.reshape(np.shape(omega)), complex) for a in (t, r))
 
 
 def tuned_length(lambda_mirror: float, medium: MediumParams) -> float:

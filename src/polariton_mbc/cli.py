@@ -3,10 +3,11 @@
 Every command reads the layered configuration (defaults, then an
 optional --config file, then --set overrides), runs one computation,
 and returns its outputs: tables, each with an optional plot. main then
-refuses any non-finite table cell, renders the plots, and only then
+refuses any non-finite table cell, lays out the plots, and only then
 opens files: the SVGs first, then each CSV under a comment header that
-carries the fully resolved configuration. Exit codes: 0 success,
-1 configuration error, 2 numerical-tolerance failure, 3 I/O error.
+carries the fully resolved configuration, each streamed in chunks. Exit
+codes: 0 success, 1 configuration error, 2 numerical-tolerance failure,
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ import numpy as np
 
 from .cavity import (
     CavityConfig,
-    intracavity_transfer,
+    amplitudes,
     find_resonances,
     kappa_bare,
     kappa_mbc,
-    reflection,
     tuned_length,
 )
 from .config import RunConfig, load_config
@@ -38,7 +38,7 @@ from .greens import _wavenumber, delta_jump, fd_step, green_function, membrane_j
 from .greens import ode_residual
 from .hopfield import hopfield_modes, weight
 from .iomodel import figure2_sweep, kappa_fit
-from .svgplot import line_plot, write_svg
+from .svgplot import layout, write_svg
 from .tables import SweepTable
 
 _GREENS_SEED = 20260817
@@ -141,8 +141,7 @@ def cmd_spectrum(cfg: RunConfig) -> list[Output]:
             f"spectrum grid hits omega_t = {med.omega_t:g}, where the lossless "
             "index is infinite; set medium.gamma > 0 or move the grid off omega_t"
         )
-    t = np.asarray(intracavity_transfer(ws, cavity))
-    r = np.asarray(reflection(ws, cavity))
+    t, r = amplitudes(ws, cavity)
     table = SweepTable([
         ("omega", ws),
         ("t2", np.abs(t) ** 2),
@@ -367,27 +366,26 @@ def _require_finite(out: Output) -> None:
         raise ConfigError(f"{out.stem}.csv: {name} is not finite at {axis} = {where}{drawn}")
 
 
-def _render(out: Output, out_dir: str):
-    """(path, curves, SVG text) of out's plot, its named columns looked up."""
+def _layout(out: Output, out_dir: str):
+    """(path, curves, laid-out document) of out's plot, its named columns looked up."""
     curves = [
         (label, *(out.table.array(v) if isinstance(v, str) else v for v in xy), style)
         for label, *xy, style in out.plot.series
     ]
-    svg = line_plot(curves, out.plot.title, out.plot.xlabel, out.plot.ylabel)
+    svg = layout(curves, out.plot.title, out.plot.xlabel, out.plot.ylabel)
     return os.path.join(out_dir, f"{out.stem}.svg"), curves, svg
 
 
 def _write(cfg: RunConfig, command: str, outputs) -> None:
-    """Check every table and render every plot before any file is opened;
-    then write the SVGs, each dropped once written, and stream the CSVs.
+    """Check every table and lay out every plot before any file is opened;
+    then stream the SVGs to their files, and then the CSVs.
 
     A refused table or a plot that fails leaves no file.
     """
     for out in outputs:
         _require_finite(out)
-    svgs = [_render(out, cfg.out_dir) for out in outputs if cfg.svg and out.plot]
-    while svgs:
-        write_svg(*svgs.pop(0))
+    for svg in [_layout(out, cfg.out_dir) for out in outputs if cfg.svg and out.plot]:
+        write_svg(*svg)
     comments = [f"polariton-mbc {command}", *cfg.resolved()]
     for out in outputs:
         out.table.write_csv(os.path.join(cfg.out_dir, f"{out.stem}.csv"), comments)

@@ -1,11 +1,12 @@
 """Byte-exact float printing for the CSV and SVG bodies, a block of values per call.
 
 `repr_rows` prints a (rows, cols) float64 block as CSV rows with every
-cell as repr(float(v)) writes it; `points_text` prints plot coordinates
-as '{:.2f},{:.2f}' pairs. Both give each value one zero-padded row of
-'<u4' words holding ASCII bytes, filled by whole-block numpy operations
-and digit tables, and drop the NUL padding at the end. The text is the
-same, byte for byte, as formatting each value on its own in Python.
+cell as repr(float(v)) writes it; `_hundredths` prints a chunk of plot
+coordinates as ' x,y x,y' with '{:.2f}', for svgplot's streamed write.
+Both give each value one zero-padded row of '<u4' words holding ASCII
+bytes, filled by whole-block numpy operations and digit tables, and drop
+the NUL padding at the end. The text is the same, byte for byte, as
+formatting each value on its own in Python.
 A value the arithmetic cannot certify is formatted by Python itself.
 
 repr. Its digits are the fewest whose nearest decimal lies strictly
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["repr_rows", "points_text"]
+__all__ = ["repr_rows"]
 
 # 64 significand bits hold 10**27 exactly and round y < 2**57 to within 2**-8
 _EXACT_SCALE = np.finfo(np.longdouble).nmant >= 63
@@ -47,8 +48,6 @@ _POW10 = _POW10_LD[:19].astype(np.int64)
 _HALF_POW10 = (0.5 * _POW10_LD).astype(np.float64)
 _MANTISSA = np.uint64(2**52 - 1)
 _SIGN = np.uint32(ord("-") << 24)
-# points per points_text chunk: bounds its transient arrays to about 1 MB
-_CHUNK_POINTS = 8192
 
 
 def _digit_words():
@@ -206,11 +205,3 @@ def _hundredths(v) -> bytes:
     cells[:, 2] = _UNITS[q % 1000 + 1000 * (q < 1000)]
     cells[:, 3] = _DIGITS[r] >> 16
     return _squeeze(cells, np.flatnonzero(~ok), texts)
-
-
-def points_text(xs, ys) -> str:
-    """'x,y x,y ...' with each coordinate as '{:.2f}' formats it."""
-    v = np.stack([np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)], 1).ravel()
-    step = 2 * _CHUNK_POINTS
-    text = b"".join(_hundredths(v[s:s + step]) for s in range(0, v.size, step))
-    return text[1:].decode("ascii")

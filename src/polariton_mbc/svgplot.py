@@ -1,28 +1,30 @@
 """Minimal self-contained SVG line plots (no plotting dependency).
 
-Emits SVG 1.1 documents with axes, ticks, polyline curves, and a small
-legend. Three stroke styles are understood: "solid" for primary curves,
-"dashed" for comparison curves, "dotted" for reference lines.
+`layout` checks the curves and builds the axes, ticks, labels and legend
+before any file opens; `write_svg` streams the document, each curve's
+points mapped and printed _CHUNK_POINTS at a time, and `line_plot` joins
+the same chunks into a string. Styles: "solid", "dashed", "dotted".
 
-Polyline points are printed by floatfmt.points_text, as '{:.2f}' prints
-each coordinate: hundredths from rint(100 |v|) wherever that is
-certified, and str.format for non-finite values, |v| >= 999999 and
-coordinates within 1e-6 of a .xx5 tie.
+Points print as '{:.2f}' prints each coordinate (floatfmt._hundredths):
+hundredths from rint(100 |v|) wherever that is certified, and str.format
+for non-finite values, |v| >= 999999 and coordinates within 1e-6 of a
+.xx5 tie. Both steps are elementwise, so chunking moves no byte.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .floatfmt import points_text
+from .floatfmt import _hundredths
 
-__all__ = ["line_plot", "write_svg"]
+__all__ = ["layout", "line_plot", "write_svg"]
 
 _DASH = {"solid": None, "dashed": "6,4", "dotted": "2,3"}
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+# points per chunk: bounds the transient arrays of a curve's points to about 1 MB
+_CHUNK_POINTS = 8192
 
 
 def _nice_step(span: float, target: int) -> float:
@@ -62,25 +64,24 @@ def _check_range(curves, k: int, axis: str, lo: float, hi: float) -> None:
 def _span(values) -> tuple[float, float]:
     """(min, max) as Python's min and max take them over the joined
     values: a NaN in first position makes both NaN, a later NaN is ignored."""
-    v = np.concatenate(values)
-    if np.isnan(v[0]):
-        return float(v[0]), float(v[0])
-    return float(np.fmin.reduce(v)), float(np.fmax.reduce(v))
+    values = [v for v in values if v.size]
+    if np.isnan(values[0][0]):
+        return float(values[0][0]), float(values[0][0])
+    lo = np.fmin.reduce([np.fmin.reduce(v) for v in values])
+    return float(lo), float(np.fmax.reduce([np.fmax.reduce(v) for v in values]))
 
 
 def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def line_plot(
-    series: Sequence[tuple[str, Sequence[float], Sequence[float], str]],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    width: int = 640,
-    height: int = 440,
-) -> str:
-    """Render (label, xs, ys, style) curves to an SVG document string."""
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def layout(series, title="", xlabel="", ylabel="", width=640, height=440) -> list:
+    """Check (label, xs, ys, style) curves and lay out their SVG document:
+    its text parts, with an (xs, ys, px, py) curve where its points go."""
     if not series:
         raise ValueError("nothing to plot")
     for label, xs, ys, _ in series:
@@ -145,52 +146,71 @@ def line_plot(
     if title:
         out.append(
             f'<text x="{width / 2:.0f}" y="20" font-family="sans-serif" '
-            f'font-size="15" text-anchor="middle">{title}</text>'
+            f'font-size="15" text-anchor="middle">{_escape(title)}</text>'
         )
     if xlabel:
         out.append(
             f'<text x="{ml + pw / 2:.0f}" y="{height - 12}" {font} '
-            f'text-anchor="middle">{xlabel}</text>'
+            f'text-anchor="middle">{_escape(xlabel)}</text>'
         )
     if ylabel:
         yc = mt + ph / 2
         out.append(
             f'<text x="16" y="{yc:.0f}" {font} text-anchor="middle" '
-            f'transform="rotate(-90 16 {yc:.0f})">{ylabel}</text>'
+            f'transform="rotate(-90 16 {yc:.0f})">{_escape(ylabel)}</text>'
         )
 
+    parts = []
     for i, (label, xs, ys, style) in enumerate(curves):
         color = _COLORS[i % len(_COLORS)]
         dash = _DASH.get(style)
         if style not in _DASH:
             raise ValueError(f"unknown line style {style!r}")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        # silent, as for Python floats: overflow to inf, NaN from inf - inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            X, Y = px(xs), py(ys)
-        pts = points_text(X, Y)
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6"'
-            f'{dash_attr} points="{pts}"/>'
+            f'{dash_attr} points="'
         )
-        # legend entry
+        parts += ["\n".join(out), (xs, ys, px, py)]
+        # the polyline's end, then its legend entry
         ly = mt + 14 + 16 * i
         lx = ml + pw - 150
-        out.append(
+        out = [
+            '"/>',
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 26}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.6"{dash_attr}/>'
-        )
-        out.append(f'<text x="{lx + 32}" y="{ly}" {font}>{label}</text>')
+            f'stroke="{color}" stroke-width="1.6"{dash_attr}/>',
+            f'<text x="{lx + 32}" y="{ly}" {font}>{_escape(label)}</text>',
+        ]
 
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    parts.append("\n".join(out + ["</svg>\n"]))
+    return parts
 
 
-def write_svg(path, series, svg: str | None = None, **kwargs) -> None:
-    """Write the plot of series: svg, the document line_plot already
-    rendered from series and kwargs, or else render it first. A plot
-    that fails to render leaves no file."""
+def _chunks(parts):
+    """The document's bytes: text parts whole, curves a chunk of points at a time."""
+    for part in parts:
+        if isinstance(part, str):
+            yield part.encode()
+            continue
+        xs, ys, px, py = part
+        for s in range(0, xs.size, _CHUNK_POINTS):
+            # silent, as for Python floats: overflow to inf, NaN from inf - inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                xy = np.stack([px(xs[s:s + _CHUNK_POINTS]), py(ys[s:s + _CHUNK_POINTS])], 1)
+            text = _hundredths(xy.ravel())
+            yield text[1:] if s == 0 else text
+
+
+def line_plot(series, title="", xlabel="", ylabel="", width=640, height=440) -> str:
+    """Render (label, xs, ys, style) curves to an SVG document string."""
+    return b"".join(_chunks(layout(series, title, xlabel, ylabel, width, height))).decode()
+
+
+def write_svg(path, series, svg: list | None = None, **kwargs) -> None:
+    """Stream the plot of series to path: svg, the parts layout already
+    made from series and kwargs, or else laid out first. A plot that
+    fails its checks leaves no file."""
     if svg is None:
-        svg = line_plot(series, **kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+        svg = layout(series, **kwargs)
+    with open(path, "wb") as fh:
+        fh.writelines(_chunks(svg))

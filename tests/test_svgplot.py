@@ -1,13 +1,19 @@
-"""String-built SVG plots: structure, legend, styles, file output."""
+"""SVG plots: structure, legend, styles, escaping, streamed file output."""
 
 import math
+import re
 import signal
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from oracles import reference_polylines
+from polariton_mbc import svgplot
 from polariton_mbc.svgplot import line_plot, write_svg
+
+CHUNK = svgplot._CHUNK_POINTS
 
 
 def test_plot_is_valid_svg_with_one_polyline_per_series():
@@ -46,6 +52,56 @@ def test_write_svg_creates_the_file(tmp_path):
     write_svg(path, [("s", [0, 1], [0, 1], "solid")], title="t")
     assert path.exists()
     ET.fromstring(path.read_text())
+
+
+def test_markup_in_labels_is_escaped_and_reads_back_unchanged():
+    labels = {"title": "x<y", "xlabel": "p & q", "ylabel": "r > s <&>"}
+    text = line_plot([("a<b & c", [0, 1], [0, 1], "solid")], **labels)
+    texts = [el.text for el in ET.fromstring(text).iter() if el.tag.endswith("text")]
+    assert set(labels.values()) | {"a<b & c"} <= set(texts)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_streamed_file_is_the_point_by_point_rendering_across_chunks(tmp_path, n):
+    # x pixels 78 + x/544*544 on a 1/40 px grid: .xx5 ties, exact or a
+    # rounding away; y pixels up to 2e6, past '{:.2f}'s 999999 cut-over
+    xs = np.arange(n) / 40.0
+    xs[-1] = 544.0
+    ya, yb = np.sin(xs), np.cos(xs)
+    ya[[i for i in (n // 2, CHUNK) if 0 < i < n]] = math.nan  # later, and opening a chunk
+    yb[0] = math.nan  # first of its curve, not of the joined values
+    series = [("a", xs, ya, "solid"), ("b", xs, yb, "dashed")]
+    path = tmp_path / "plot.svg"
+    write_svg(path, series, height=2_000_086)
+    text = line_plot(series, height=2_000_086)
+    assert path.read_bytes() == text.encode()
+    points = re.findall(r'<polyline [^>]*points="([^"]*)"', text)
+    assert points == reference_polylines(series, height=2_000_086)[1]
+    assert max(float(p.rpartition(",")[2]) for p in points[0].split()) >= 999999
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_chunks_print_every_coordinate_as_format_does(n):
+    rng = np.random.default_rng(n)
+    v = rng.choice([math.inf, -math.inf, math.nan, 2.675, -0.125, 1e6 + 0.005, -999999.0], 2 * n)
+    v[::3] = rng.uniform(-2e6, 2e6, v[::3].size)
+    xs, ys = v[::2], v[1::2]
+    text = b"".join(svgplot._chunks([(xs, ys, np.positive, np.positive)])).decode()
+    assert text == " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
+
+
+def test_plot_memory_does_not_grow_with_the_point_count(tmp_path):
+    peaks = []
+    for n in (10**5, 10**6):
+        xs = np.linspace(0.0, 1.0, n)
+        ys = np.sin(40.0 * xs)
+        tracemalloc.start()
+        try:
+            write_svg(tmp_path / "plot.svg", [("a", xs, ys, "solid")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_series_validation():
