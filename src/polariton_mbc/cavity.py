@@ -80,10 +80,11 @@ class Branch(enum.Enum):
 class Resonance:
     """A cavity resonance: center frequency, dissipation rate, branch, mode index.
 
-    mode_index counts the tan branch, m = floor(n*W*L/pi) at the root.
-    The tuned fundamental has m = 1; a sub-fundamental m = 0 root exists
-    near W ~ 1/(Lambda*L) and is reported as such when a search window
-    includes it.
+    omega is mode m's root of tan(n W L) = n/Lambda to within a double
+    or two, and mode_index is m: the root's phase n W L lies in [m pi,
+    (m + 1/2) pi]. The tuned fundamental has m = 1; a sub-fundamental m =
+    0 root exists near W ~ 1/(Lambda*L) and is reported as such when a
+    search window includes it.
     """
 
     omega: float
@@ -166,70 +167,57 @@ def kappa_bare(cfg: CavityConfig) -> float:
     return 2.0 / (cfg.lambda_mirror**2 * cfg.length)
 
 
-def _bisect(f, a, b, tol: float):
-    """Bisect an elementwise f on every bracket [a, b] at once.
-
-    Per element: halve until narrower than tol with |f| < 1e-9 at an end,
-    or until the midpoint no longer splits it; return the end with the
-    smaller |f|. Finished elements stay frozen, so each root is the one a
-    scalar loop on its own bracket returns.
-    """
-    fa, fb = f(a), f(b)
-    live = np.ones(np.shape(a), dtype=bool)
-    for _ in range(120):
-        mid = 0.5 * (a + b)
-        live &= (mid > a) & (mid < b)  # else at floating-point resolution
-        if not live.any():
-            break
-        fm = f(mid)
-        left = fa * fm <= 0.0
-        to_b, to_a = live & left, live & ~left
-        b, fb = np.where(to_b, mid, b), np.where(to_b, fm, fb)
-        a, fa = np.where(to_a, mid, a), np.where(to_a, fm, fa)
-        live &= ~((b - a < tol) & (np.minimum(np.abs(fa), np.abs(fb)) < 1e-9))
-    return np.where(np.abs(fa) <= np.abs(fb), a, b)
-
-
 def _mode_roots(m, length, lambda_mirror, omega_t, beta4pi, upper, lo=0.0, hi=math.inf):
-    """Mode m's root of tan(n W L) = n/Lambda on one branch: (W, n, inside, certified).
+    """Mode m's root of tan(n W L) = n/Lambda on one branch: (W, n, inside).
 
-    The root has qL in (m pi, (m + 1/2) pi), q = n(W) W, where tan runs
-    from 0 to +inf; the top stops 1e-6 short of the pole, where rounding
-    loses the sign of tan. `_branches` maps both ends to W on the lower
-    or, where `upper`, the upper branch (W = q in vacuum), and [lo, hi]
-    clips them. `inside` is False where a clipped end shows the root
-    outside [lo, hi] (f > 0 at a clipped bottom, f < 0 at a clipped top).
-    All brackets are bisected at once to |dW| < 1e-12 omega_t, at gamma =
-    0; m, beta4pi and upper broadcast together.
+    The root is the zero of the phase g = n W L - m pi - atan(n/Lambda)
+    on qL in [m pi, (m + 1/2) pi], q = n(W) W. g has no pole there and,
+    while L Lambda omega_t > 1, increases strictly (dn/dq < 1/omega_t),
+    from -atan(n/Lambda) < 0 at the bottom to pi/2 - atan(n/Lambda) > 0
+    at the top: those signs are known, not computed. `_branches` maps the
+    ends to W on the lower or, where `upper`, the upper branch (W = q in
+    vacuum); m, beta4pi and upper broadcast together, at gamma = 0. [lo,
+    hi] clips the ends, and a clipped end gets a sign test on f = tan(n W
+    L) - n/Lambda, which has g's sign: `inside` is False where f > 0 at a
+    clipped bottom or f < 0 at a clipped top, and an end where f is
+    exactly 0 is the root.
 
-    While L Lambda omega_t > 1, f = tan(qL) - n/Lambda increases strictly
-    on each tan branch, qL in ((m - 1/2) pi, (m + 1/2) pi): d tan(qL)/dq
-    >= L, while dn/dq = 4 pi beta W / ((u - 1)^2 + 4 pi beta), u = W^2
-    (omega_t = 1), stays below its sup 1/omega_t at the lower band edge.
-    So `certified`, |f| < 1e-9 at a W with nWL/pi rounding to m, even
-    just below the bracket, identifies the bracket's one root, and an
-    unclipped end needs no sign test: next to omega_t f is not defined.
+    All brackets are bisected at once until no midpoint splits them; the
+    end with the smaller computed |g| is the root, an end never evaluated
+    counting as infinitely far. Finished brackets stay frozen, so each
+    root is the one a scalar loop on its own bracket returns.
     """
 
-    def f(w):
-        n = _refractive_index(w, omega_t, beta4pi, 0.0).real
-        return np.tan(n * w * length) - n / lambda_mirror
+    def index(w):
+        return _refractive_index(w, omega_t, beta4pi, 0.0).real
 
-    bottom, top = m * math.pi / length, ((m + 0.5) * math.pi - 1e-6) / length
+    bottom, top = m * math.pi / length, (m + 0.5) * math.pi / length
     if np.ndim(beta4pi) or beta4pi > 0.0:  # else vacuum, W = q
         omega_l = omega_t * np.sqrt(1.0 + beta4pi)
         bottom, top = (
             np.where(upper, *_branches(q, omega_t, omega_l)[::-1]) for q in (bottom, top)
         )
     a, b = np.maximum(bottom, lo), np.minimum(top, hi)
-    with np.errstate(invalid="ignore"):  # f(omega_t) = tan(inf) - inf
-        inside = a <= b
-        if np.any(bottom < lo) or np.any(top > hi):  # f only where an end is clipped
-            inside &= ~((bottom < lo) & (f(a) > 0.0)) & ~((top > hi) & (f(b) < 0.0))
-        w = _bisect(f, a, b, 1e-12 * omega_t)
-        n = _refractive_index(w, omega_t, beta4pi, 0.0).real
-        certified = (np.abs(f(w)) < 1e-9) & (np.rint(n * w * length / math.pi) == m)
-    return w, n, inside, certified
+    inside, clip_a, clip_b = a <= b, bottom < lo, top > hi
+    if np.any(clip_a) or np.any(clip_b):  # f only where an end is clipped
+        fa, fb = (np.tan(index(w) * w * length) - index(w) / lambda_mirror for w in (a, b))
+        inside &= ~(clip_a & (fa > 0.0)) & ~(clip_b & (fb < 0.0))
+        a, b = np.where(clip_b & (fb == 0.0), b, a), np.where(clip_a & (fa == 0.0), a, b)
+    ra = rb = np.full(np.shape(a), math.inf)
+    live = np.ones(np.shape(a), dtype=bool)
+    while True:
+        mid = 0.5 * (a + b)
+        live &= (mid > a) & (mid < b)  # else at floating-point resolution
+        if not live.any():
+            break
+        n = index(mid)
+        g = n * mid * length - m * math.pi - np.arctan(n / lambda_mirror)
+        to_b = live & (g >= 0.0)
+        to_a = live & ~to_b
+        b, rb = np.where(to_b, mid, b), np.where(to_b, np.abs(g), rb)
+        a, ra = np.where(to_a, mid, a), np.where(to_a, np.abs(g), ra)
+    w = np.where(ra <= rb, a, b)
+    return w, index(w), inside
 
 
 def find_resonances(
@@ -242,11 +230,12 @@ def find_resonances(
     On each transparent leg (the stop band is skipped) every mode m from
     floor(n W L/pi) at the leg's bottom to that at its top is solved in
     its own bracket by one `_mode_roots` call, and the rates come from
-    one kappa_mbc call. At most `max_count` roots are returned, and none
-    past them is checked. A root in the window that cannot be certified
-    raises ResonanceScanError naming its mode, as happens next to
-    omega_t where the lower-branch modes pile up; none is dropped. A
-    medium needs L Lambda omega_t > 1, else ValueError.
+    one kappa_mbc call. Every mode in the window comes back, up to the
+    1e-9 omega_t margin at each band edge, each root a double or two from
+    the exact one. At most `max_count` roots are returned, and none past
+    them is checked. A window whose mode indices pass 2^53 raises
+    ResonanceScanError. A medium needs L Lambda omega_t > 1, else
+    ValueError.
     """
     lo, hi = omega_range
     if not (lo < hi):
@@ -278,17 +267,11 @@ def find_resonances(
         if max_count is not None:  # one spare: the first root may lie below the leg
             m_hi = min(m_hi, m_lo + max_count - len(found))
         modes = np.arange(int(m_lo), int(m_hi) + 1)
-        roots, _, inside, certified = _mode_roots(
+        roots, _, inside = _mode_roots(
             modes, cfg.length, cfg.lambda_mirror, p.omega_t, p.beta4pi, upper, *leg
         )
         take = np.flatnonzero(inside)[: None if max_count is None else max_count - len(found)]
-        roots, modes, certified = roots[take], modes[take], certified[take]
-        if not certified.all():
-            j = int(np.argmin(certified))
-            raise ResonanceScanError(
-                f"mode {modes[j]} has no root with |f| < 1e-9 and mode index "
-                f"{modes[j]} near omega = {roots[j]:g}"
-            )
+        roots, modes = roots[take], modes[take]
         branch = Branch.BARE if p.beta4pi == 0.0 else Branch.UPPER if upper else Branch.LOWER
         for root, kappa, m in zip(roots, kappa_mbc(roots, cfg), modes):
             found.append(Resonance(float(root), float(kappa), branch, int(m)))

@@ -20,7 +20,8 @@ class StopBandError(PolaritonError):
 
 
 class ResonanceScanError(PolaritonError):
-    """A resonance in the requested window could not be certified."""
+    """A window's mode indices pass 2^53, where consecutive modes are no
+    longer distinct doubles."""
 
 
 class BranchError(PolaritonError):

@@ -41,13 +41,16 @@ def green_function(z, zprime, omega, cfg: CavityConfig):
     With k = n omega, D from `cavity` and s(y) = e^{ik(2L - y)} - e^{iky}
     = 2i e^{ikL} sin(k(L - y)), so that T sin(k(L - y)) = 2 s(y)/D, -2i G is
 
-        source, field in region 1: [e^{i omega|z - z'|} + r e^{-i omega(z + z')}] / omega
+        source, field in region 1: [e^{i omega|z - z'|} - b + 2 s(0) b / D] / omega
         source in 1, field in 2:   2 s(z) e^{-i omega z'} / (D omega)
         source in 2, field in 1:   2 n e^{-i omega z} s(z') / (D k)
         source, field in 2:  [e^{ik|z - z'|} - e^{ik(2L - z - z')} + c s(z) s(z')] / k
 
-    with r = 2 s(0)/D - 1 and c = (1 - i*Lambda - n)/D. No exponential
-    grows, as Im k >= 0, so G stays finite deep in the stop band.
+    with b = e^{-i omega(z + z')} and c = (1 - i*Lambda - n)/D. The first
+    line is r = 2 s(0)/D - 1 written out: 1 + r is O(1/Lambda), so
+    forming r and adding 1 back would leave G there only about Lambda eps
+    of relative accuracy. No exponential grows, as Im k >= 0, so G stays
+    finite deep in the stop band.
 
     z, zprime and omega broadcast together, so one call can evaluate a
     grid for one source or many (z, z', omega) triples at once. Region
@@ -88,8 +91,8 @@ def green_function(z, zprime, omega, cfg: CavityConfig):
             x, y, w, k = at(z, mask), at(zp, mask), at(q, mask), at(kp, mask)
             d = at(den, mask)
             if src and fld:
-                r = 2.0 * s(0.0, k) / d - 1.0
-                g = (np.exp(1j * w * np.abs(x - y)) + r * np.exp(-1j * w * (x + y))) / w
+                back = np.exp(-1j * w * (x + y))
+                g = (np.exp(1j * w * np.abs(x - y)) - back + 2.0 * s(0.0, k) / d * back) / w
             elif src:
                 g = 2.0 * s(x, k) * np.exp(-1j * w * y) / (d * w)
             elif fld:

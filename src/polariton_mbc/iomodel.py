@@ -23,7 +23,6 @@ import numpy as np
 
 from .cavity import CavityConfig, Resonance, _mode_roots, kappa_bare, tuned_length
 from .dielectric import MediumParams, _group_velocity, _unwrap
-from .errors import ResonanceScanError
 from .hopfield import HopfieldModes, hopfield_modes, weight
 from .tables import SweepTable
 
@@ -100,10 +99,10 @@ def figure2_sweep(
 
     L does not depend on the coupling, so every (coupling, branch) root
     is the m = 1 root of `cavity._mode_roots`, all solved in one call:
-    its bracket comes from the closed form of bulk_dispersion, and the
-    tuned L Lambda > 1 for Lambda >= 5 makes that root unique.
-    ResonanceScanError names the first coupling whose root cannot be
-    certified (|f| < 1e-9 and floor(n W L/pi) = 1). A coupling whose
+    its bracket comes from the closed form of bulk_dispersion, the
+    tuned L Lambda > 1 for Lambda >= 5 makes that root unique, and the
+    sign change of the phase across the bracket puts it a double or two
+    from the exact root at every coupling. A coupling whose
     two-mode closed forms leave the float range raises ValueError, as
     does a perfect mirror (Lambda = inf), whose m = 1 roots sit on their
     bracket bottom qL = pi.
@@ -127,12 +126,7 @@ def figure2_sweep(
     modes = hopfield_modes(1.0, 1.0, grid)
     modes.require_finite(grid)
     b4 = 4.0 * np.square(grid)[:, None]  # (coupling, 1) against (branch,) below
-    w, n, _, certified = _mode_roots(1, length, lambda_mirror, 1.0, b4, [False, True])
-    if not certified.all():
-        raise ResonanceScanError(
-            "no m = 1 root with |f| < 1e-9 and mode index 1 "
-            f"at rabi/omega_t = {grid[np.flatnonzero(~certified.all(axis=1))[0]]:g}"
-        )
+    w, n, _ = _mode_roots(1, length, lambda_mirror, 1.0, b4, [False, True])
     kappa = n * _group_velocity(w, 1.0, b4) * k_bare  # 2 n v_g / (Lambda^2 L)
     rwa = kappa_rwa(modes, k0)
     return SweepTable([

@@ -55,9 +55,9 @@ def _check_range(curves, k: int, axis: str, lo: float, hi: float) -> None:
     """Raise ValueError, naming the series at fault, if [lo, hi] has no finite span."""
     if math.isfinite(hi - lo):
         return
-    own = [(c[0], c[k].tolist()) for c in curves]
-    bad = [label for label, v in own if v and not math.isfinite(max(v) - min(v))]
-    names = ", ".join(map(repr, bad or [label for label, _ in own]))
+    spans = [(c[0], _span([c[k]])) for c in curves if c[k].size]
+    bad = [label for label, (a, b) in spans if not math.isfinite(b - a)]
+    names = ", ".join(map(repr, bad or [c[0] for c in curves]))
     raise ValueError(f"series {names}: no finite {axis} axis range")
 
 

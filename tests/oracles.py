@@ -284,6 +284,36 @@ def matched_green(zprime: float, omega: float, cfg: CavityConfig):
     return green
 
 
+def exact_open_side_green(z, zprime: float, omega: float, cfg: CavityConfig):
+    """G(z, z') for source and field on the open side, z, z' <= 0, in
+    50-digit mpmath, as a list of mpc.
+
+    The matching solve of `matched_green` for a source in vacuum, by
+    Cramer's rule. 1 + r is O(1/Lambda), so the two free-space terms
+    cancel to about 1/Lambda of their size; 50 digits leave more than 30
+    of them at Lambda = 1e15.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        p = cfg.medium
+        q, wt2 = mpmath.mpf(omega), mpmath.mpf(p.omega_t) ** 2
+        s = q + 1j * mpmath.mpf(p.gamma)
+        n = mpmath.sqrt(1 + mpmath.mpf(p.beta4pi) * wt2 / (wt2 - s * s))
+        n = -n if mpmath.im(n) < 0 else n
+        k, lam, length = n * q, mpmath.mpf(cfg.lambda_mirror), mpmath.mpf(cfg.length)
+        sin, cos = mpmath.sin(k * length), mpmath.cos(k * length)
+        gf0 = mpmath.exp(-1j * q * zprime) / (-2j * q)
+        gf0p = -mpmath.exp(-1j * q * zprime) / 2
+        det = -k * cos + lam * q * sin + 1j * q * sin
+        c_refl = (gf0 * (k * cos - lam * q * sin) + sin * gf0p) / det
+        return [
+            mpmath.exp(1j * q * abs(mpmath.mpf(x) - zprime)) / (-2j * q)
+            + c_refl * mpmath.exp(-1j * q * mpmath.mpf(x))
+            for x in np.atleast_1d(z).tolist()
+        ]
+
+
 def _bisect_cells(f, a, b):
     """Bisect every cell [a, b] with f(a) f(b) <= 0 down to floating-point resolution."""
     fa = f(a)
@@ -303,10 +333,11 @@ def scanned_resonances(cfg: CavityConfig, omega_range, subintervals=2000, max_co
     """Roots of tan(n W L) = n/Lambda in omega_range from a sign-change scan.
 
     Each transparent part of the window (the stop band widened by 1e-9
-    omega_t is skipped) gets `subintervals` equal cells; every cell whose
-    ends change sign, or start on an exact zero, is bisected to
-    floating-point resolution, and a root with |f| >= 1e-9 is taken for
-    the pole of tan it brackets and dropped. Mode indices floor(n W L/pi)
+    omega_t is skipped) gets `subintervals` equal cells; every cell where
+    f rises through zero, or that starts on an exact zero, is bisected to
+    floating-point resolution. f falls only across a pole of tan, as it
+    increases on each tan branch, so a cell where it falls holds no root.
+    Mode indices floor(n W L/pi)
     that are not consecutive within a part mean two crossings shared a
     cell and raise ResonanceScanError. At most max_count roots are kept,
     and none past them is checked. Returns Resonance objects, ascending.
@@ -331,11 +362,10 @@ def scanned_resonances(cfg: CavityConfig, omega_range, subintervals=2000, max_co
         grid = np.linspace(leg_lo, leg_hi, subintervals + 1)
         sign = np.sign(f(grid))
         hits = sign == 0.0  # the cell it starts claims an exact zero; the last cell its end
-        crossing = (sign[:-1] * sign[1:] < 0.0) | hits[:-1]
+        crossing = ((sign[:-1] < 0.0) & (sign[1:] > 0.0)) | hits[:-1]
         crossing[-1] |= hits[-1]
         cells = np.flatnonzero(crossing)
         roots = _bisect_cells(f, grid[cells], grid[cells + 1])
-        roots = roots[np.abs(f(roots)) < 1e-9]
         if max_count is not None:
             roots = roots[: max(max_count - len(found), 0)]
         modes = np.floor(refractive_index(roots, med).real * roots * cfg.length / math.pi)
@@ -375,6 +405,39 @@ def scanned_fundamentals(rabi: float, lambda_mirror: float):
         assert len(fundamentals) == 1, f"rabi {rabi}, window {window}: {fundamentals}"
         out.append(fundamentals[0])
     return tuple(out)
+
+
+def exact_mode_root(m: int, cfg: CavityConfig, upper: bool = False):
+    """Mode m's root of tan(n W L) = n/Lambda in 50-digit mpmath, as an mpf.
+
+    Solves n W L = m pi + atan(n/Lambda) at gamma = 0 with omega_t, 4 pi
+    beta, L and Lambda taken exactly as the doubles of cfg. The bracket
+    n W L in [m pi, (m + 1/2) pi] is mapped to W on the lower or the
+    upper branch by the bulk quartic, W = q in vacuum, and bisected 200
+    times, far below one ulp of a double.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        wt, b = mpmath.mpf(cfg.medium.omega_t), mpmath.mpf(cfg.medium.beta4pi)
+        length, lam = mpmath.mpf(cfg.length), mpmath.mpf(cfg.lambda_mirror)
+
+        def phase(w):
+            n = mpmath.sqrt(1 + b * wt**2 / (wt**2 - w * w))
+            return n * w * length - m * mpmath.pi - mpmath.atan(n / lam)
+
+        def to_omega(q):
+            if not b:
+                return q
+            s = q * q + wt**2 * (1 + b)
+            big = s + mpmath.sqrt(s * s - 4 * q * q * wt**2)
+            return mpmath.sqrt(big / 2) if upper else q * wt * mpmath.sqrt(2 / big)
+
+        lo, hi = (to_omega(k * mpmath.pi / length) for k in (m, m + mpmath.mpf(0.5)))
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if phase(mid) >= 0 else (mid, hi)
+        return lo
 
 
 def bisected_omega_q(q: float, p: MediumParams, branch: str) -> float:

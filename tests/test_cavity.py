@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    exact_mode_root,
     good_cavity_ratio,
     lorentzian_extract,
     lorentzian_prefactor,
@@ -97,14 +98,18 @@ def test_window_near_band_edge_resolves_every_mode():
         assert abs(res.omega - ref.omega) < 1e-12, (res, ref)
 
 
-def test_uncertifiable_mode_fails_loudly_and_names_the_mode():
-    # mode 47 sits 9e-5 below omega_t, where tan(n W L) = n/Lambda cannot
-    # be met to 1e-9 in floating point; the modes below it are not
-    # returned without it
-    cfg = make_cavity(beta4pi=0.36)
-    with pytest.raises(ResonanceScanError, match="mode 47 has no root"):
-        find_resonances(cfg, (0.5, 0.99999))
-    assert len(find_resonances(cfg, (0.5, 0.99999), max_count=46)) == 46
+def test_modes_piling_up_at_the_band_edge_match_mpmath():
+    # the lower-branch modes crowd against omega_t: mode 47 sits 9e-5
+    # below it, mode 2000 5e-8 below; one ulp of omega moves f there by
+    # more than 1e-9, so only the sign change can certify the root
+    pytest.importorskip("mpmath")
+    cfg = make_cavity(beta4pi=0.36, gamma=0.0)
+    found = find_resonances(cfg, (0.5, 1.5), max_count=2000)
+    assert [r.mode_index for r in found] == list(range(1, 2001))
+    assert all(r.branch is Branch.LOWER for r in found)
+    for m in (1, 10, 46, 47, 100, 500, 1000, 1999):
+        omega = found[m - 1].omega
+        assert abs(omega - exact_mode_root(m, cfg)) <= math.ulp(omega), m
 
 
 def test_mode_indices_past_float_resolution_fail_loudly():
@@ -175,8 +180,8 @@ def test_batched_polish_matches_brentq_on_each_cell(beta4pi, length, window, sub
     # every root must be the one an independent solver finds in its own
     # mode bracket, n W L in (m pi, (m + 1/2) pi) clipped to the window,
     # and the scan oracle with `subintervals` cells must find the same
-    # modes, within the 1e-12 omega_t stopping width; the windows lie
-    # inside one transparent leg
+    # modes, within 1e-12 omega_t; the windows lie inside one
+    # transparent leg
     optimize = pytest.importorskip("scipy.optimize")
     cfg = make_cavity(beta4pi=beta4pi)
     if length is not None:
@@ -240,15 +245,42 @@ def test_window_reaching_into_band_is_clipped_to_transparency():
         assert res.branch is Branch.UPPER
 
 
-def test_straddling_window_fails_loudly_at_the_edge():
-    # clipping a straddling window puts the lower leg right against
-    # omega_t where the roots accumulate faster than floating point
-    # resolves them, and silently dropping modes would be worse than
-    # refusing
+def test_straddling_window_returns_every_mode_up_to_the_edge_margins():
+    # the lower leg ends 1e-9 omega_t below omega_t, where about 14,000
+    # modes have piled up; every one of them comes back, then the upper
+    # modes from 1e-9 omega_t above omega_longitudinal
     cfg = make_cavity(beta4pi=0.36)
     wl = cfg.medium.omega_longitudinal
-    with pytest.raises(ResonanceScanError):
-        find_resonances(cfg, (0.5, wl + 0.8))
+    found = find_resonances(cfg, (0.5, wl + 0.8))
+    lower = [r for r in found if r.branch is Branch.LOWER]
+    upper = [r for r in found if r.branch is Branch.UPPER]
+    assert found == lower + upper
+    assert [r.mode_index for r in lower] == list(range(1, len(lower) + 1))
+    edge = 1.0 - 1e-9
+    n = refractive_index(edge, cfg.medium).real
+    assert len(lower) in (math.floor(n * edge * cfg.length / math.pi) - 1,
+                          math.floor(n * edge * cfg.length / math.pi))
+    assert len(lower) > 10_000 and lower[-1].omega < edge
+    omegas = [r.omega for r in found]
+    assert omegas == sorted(omegas) and len(set(omegas)) == len(omegas)
+    assert upper == find_resonances(cfg, (1.2, wl + 0.8))
+    assert upper[0].omega > wl + 1e-9
+
+
+@pytest.mark.parametrize("lam, top_mode", [(1e15, 20), (1e16, 19)])
+def test_near_ideal_mirrors_return_every_mode_in_the_window(lam, top_mode):
+    # n/Lambda is below the rounding of tan(m pi), so f's computed sign at
+    # a bracket bottom is noise; the phase's is known. At 1e16 the tuned
+    # L rounds below pi and mode 20's exact root lies above 20. The phase
+    # rounds n W L and m pi to a few ulps of m pi, up to 2 ulps of W here
+    pytest.importorskip("mpmath")
+    cfg = make_cavity(lam=lam, gamma=0.0)
+    found = find_resonances(cfg, (0.5, 20.0))
+    assert [r.mode_index for r in found] == list(range(1, top_mode + 1))
+    for res in found:
+        exact = exact_mode_root(res.mode_index, cfg)
+        assert abs(res.omega - exact) <= 2.0 * math.ulp(res.omega), res
+    assert (exact_mode_root(20, cfg) > 20.0) is (top_mode == 19)
 
 
 def test_reflection_is_unimodular_without_absorption():

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, config layering, determinism."""
 
+import csv
 import hashlib
 import math
 import os
@@ -626,13 +627,13 @@ def test_infinite_plot_value_is_a_typed_error(tmp_path, capsys):
 # echo the output path): the bytes every change to the numerics must keep
 DEFAULT_CSV_BODIES = {
     "dispersion.csv": "43ecceb8476fe84ff2f95509efccfa8bf6078d19102448aa496ff1bdf4bb5cf4",
-    "fig2_frequencies.csv": "58f4d357461827496aabc8aa79bae22d9113c44d2081325f77c9bcd7e09a5c55",
-    "fig2_rates.csv": "6331091672b91c6d2976e80ca6f12cdc166e79957cc2820966a7e355abab9923",
+    "fig2_frequencies.csv": "4dd8f38daf800263efbd2bfc85545f25fb0faa7bef7a7e6ac2c9fe14feb528dc",
+    "fig2_rates.csv": "df758c6ae1038bb850fe1ad6e67576fa0d56688ee14996046fce295be50688ce",
     "fluct.csv": "d2160213f43336dad3f2496eb70ece62c93270a2bcf66042a52302c8e286ecaf",
-    "greens_check.csv": "fe69aca69ed10021b611f0e565ef768cb56b0f755fab9c708af0df568de46838",
+    "greens_check.csv": "53d1505a2b145441540ddce7fe031053314e276dac58318565f4faae883b9076",
     "hopfield.csv": "9518d5bf6950d3d522e6eb18bc99d1fec883ee330931a5d3cb56df1e1251fac1",
     "kappa_sweep.csv": "7cceabaaa002a0c7191761c2175708eb0a4f356f1ed71bf980d7a741435aebcd",
-    "resonances.csv": "661973c7aa8558c7707133ab329ceb00b6bd9fa3baf7cb9f491ec5f8bbabe268",
+    "resonances.csv": "ff82531b6866bb5200855cc4a40141fc21fd32e8774249ddc302ccdd5571070c",
     "spectrum.csv": "3467adb7c198e74adbdf5006127e5cbc9b258bb75aaf9066291797049da6125c",
 }
 
@@ -873,14 +874,28 @@ def test_resonances_refuse_a_window_inside_the_stop_band(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-def test_resonance_scan_failure_exits_two(tmp_path):
-    # a window pressed against the band edge holds a mode (47, near
-    # omega = 0.99991) whose root cannot be certified
-    code = main([
-        "resonances", "--out", str(tmp_path),
-        "--set", "medium.beta4pi=0.36", "--set", "sweep.stop=0.99999",
-    ])
+def test_resonance_mode_indices_past_float_resolution_exit_two(tmp_path, capsys):
+    # at L = 1e300 consecutive mode indices are no longer distinct doubles
+    code = main(["resonances", "--out", str(tmp_path), "--set", "cavity.length=1e300"])
     assert code == 2
+    assert "floating-point resolution" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("beta4pi", ["1e-6", "1e-4", "0.01", "0.36", "2", "16"])
+def test_resonances_default_window_runs_across_couplings(tmp_path, beta4pi):
+    # the default window straddles the stop band; up to 2,000 lower-branch
+    # modes pile up below omega_t, each root certified by its sign change
+    assert main(["resonances", "--out", str(tmp_path),
+                 "--set", f"medium.beta4pi={beta4pi}"]) == 0
+    with open(tmp_path / "resonances.csv") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))[1:]
+    assert 0 < len(rows) <= 2000
+    if float(beta4pi) >= 0.01:
+        assert len(rows) == 2000
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[:2])
+    lower = [int(row[3]) for row in rows if row[2] == "lower"]
+    assert lower == list(range(lower[0], lower[0] + len(lower)))
 
 
 def test_resonances_refuse_a_cavity_too_short_for_unique_roots(tmp_path, capsys):

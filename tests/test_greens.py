@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import polariton_mbc.greens as greens
-from oracles import matched_green
+from oracles import exact_open_side_green, matched_green
 from polariton_mbc import (
     CavityConfig,
     MediumParams,
@@ -25,6 +25,7 @@ from polariton_mbc import (
     refractive_index,
     tuned_length,
 )
+from polariton_mbc.cli import main
 
 MEDIA = (
     MediumParams(omega_t=1.0, beta4pi=0.0, gamma=0.0),
@@ -115,6 +116,30 @@ def test_green_matches_direct_boundary_value_solve():
             assert np.max(np.abs(got - ref)) < 1e-12 * scale, (
                 f"mismatch at omega={w}, zprime={zp}"
             )
+
+
+@pytest.mark.parametrize("lam", [1e9, 1e12, 1e15])
+@pytest.mark.parametrize("med", MEDIA[:3], ids=["vacuum", "lossless", "lossy"])
+def test_open_side_green_keeps_its_digits_at_large_lambda(lam, med):
+    # in front of a near-perfect membrane G(0) is O(1/Lambda) of the two
+    # free-space terms it comes from; it must keep full relative accuracy
+    # there, as membrane_jump multiplies it by Lambda
+    pytest.importorskip("mpmath")
+    cfg = make_cavity(med, lam)
+    for w in (0.3, 0.8, 2.7):
+        for zp in (-0.45 * cfg.length, -3.1 * cfg.length, 0.0):
+            zs = np.array([0.0, zp])
+            got = green_function(zs, zp, w, cfg)
+            exact = exact_open_side_green(zs, zp, w, cfg)
+            for z, g, e in zip(zs, got, exact):
+                assert abs(complex(g) - e) < 1e-14 * abs(e), (w, zp, z)
+
+
+def test_membrane_check_passes_at_near_ideal_mirrors(tmp_path):
+    for lam in ("1e13", "7e13", "1e15"):
+        out = tmp_path / lam
+        assert main(["greens-check", "--out", str(out),
+                     "--set", f"cavity.lambda_mirror={lam}"]) == 0, lam
 
 
 def test_reciprocity_under_source_swap():

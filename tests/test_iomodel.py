@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import scanned_fundamentals
+from oracles import exact_mode_root, scanned_fundamentals
 from polariton_mbc import (
     BogoliubovProblem,
     Branch,
     CavityConfig,
     MediumParams,
     Resonance,
-    ResonanceScanError,
     figure2_sweep,
     hopfield_modes,
     kappa_bare,
@@ -23,6 +22,7 @@ from polariton_mbc import (
     tuned_length,
     weight,
 )
+from polariton_mbc.cli import main
 
 RES = Resonance(omega=1.0, kappa=1e-2, branch=Branch.BARE, mode_index=1)
 
@@ -197,15 +197,44 @@ def test_sweep_matches_per_coupling_scans(lam):
             omega = tab.column(f"omega_{tag}_mbc")[i]
             kappa = tab.column(f"kappa_{tag}_mbc")[i]
             assert omega == pytest.approx(res.omega, rel=1e-11), (rabi, tag)
-            # kappa's relative error is about that of W times W/rabi (it goes
-            # through (W^2 - 1)^2 against 4 rabi^2), so the 1e-12 stopping
-            # width of both bisections leaves it up to 4e-5 off at rabi = 1e-8
+            # kappa goes through (W^2 - 1)^2 against 4 rabi^2, so below
+            # rabi = 0.01 the rounding of W^2 - 1 next to omega_t, not the
+            # root, costs it digits: a relative error of eps W/rabi
             if rabi >= 0.01:
                 assert kappa == pytest.approx(res.kappa, rel=1e-10), (rabi, tag)
 
 
-def test_sweep_refuses_a_bracket_without_sign_change():
-    # at rabi = 1e8 the lower-branch index puts n/Lambda above tan at the
-    # top of the q window: the m = 1 root lies outside its bracket
-    with pytest.raises(ResonanceScanError, match=r"rabi/omega_t = 1e\+08"):
-        figure2_sweep([0.5, 1e8], 5.0)
+def test_sweep_and_hopfield_refuse_the_same_couplings(tmp_path, capsys):
+    # the m = 1 roots exist at every coupling, so figure2 refuses exactly
+    # the couplings whose two-mode closed forms leave the float range
+    rng = np.random.default_rng(19)
+    codes = []
+    for rabi in (10.0 ** rng.uniform(-320.0, 100.0, 40)).tolist():
+        sweep = ["--set", f"sweep.start={rabi!r}", "--set", f"sweep.stop={2.0 * rabi!r}",
+                 "--set", "sweep.count=3"]
+        pair = [main([command, "--out", str(tmp_path), *sweep])
+                for command in ("figure2", "hopfield")]
+        assert pair[0] == pair[1], (rabi, capsys.readouterr().err)
+        codes.append(pair[0])
+    assert set(codes) == {0, 1}
+    # at rabi = 1e8 and Lambda = 5 the lower root sits 3e-8 below the pole
+    # of tan(qL), where f's sign is lost; the phase has no pole
+    tab = figure2_sweep([0.5, 1e8], 5.0)
+    assert all(np.isfinite(tab.array(name)).all() for name in tab.names)
+
+
+@pytest.mark.parametrize("lam", [5.0, 7.822, 1e3])
+def test_sweep_roots_match_mpmath_from_weak_to_deep_strong_coupling(lam):
+    # log-uniform couplings over 16 decades: the phase is rounded to a few
+    # ulps of qL, which puts W within 2 ulps on both branches
+    pytest.importorskip("mpmath")
+    grid = np.sort(10.0 ** np.random.default_rng(23).uniform(-12.0, 4.0, 12))
+    tab = figure2_sweep(grid, lam)
+    bare = MediumParams(gamma=0.0)
+    for i, rabi in enumerate(grid.tolist()):
+        cfg = CavityConfig(tuned_length(lam, bare), lam,
+                           MediumParams(beta4pi=4.0 * rabi * rabi, gamma=0.0))
+        for tag, upper in (("L", False), ("U", True)):
+            omega = tab.column(f"omega_{tag}_mbc")[i]
+            exact = exact_mode_root(1, cfg, upper)
+            assert abs(omega - exact) <= 2.0 * math.ulp(omega), (rabi, tag)

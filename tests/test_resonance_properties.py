@@ -1,12 +1,13 @@
 """Property test: find_resonances over random media, cavities and windows.
 
-Every call must end in one of two ways: certified roots with consecutive
-mode indices per branch that agree with the scan oracle wherever a scan
-resolves the window, or a typed ResonanceScanError or StopBandError.
+Every call must end in one of two ways: roots with consecutive mode
+indices per branch that agree with the scan oracle wherever a scan
+resolves the window, or a StopBandError for a window inside the stop band.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -45,16 +46,24 @@ def test_roots_are_certified_consecutive_and_match_the_scan(problem):
     cfg, window, max_count = problem
     try:
         found = find_resonances(cfg, window, max_count)
-    except (ResonanceScanError, StopBandError) as err:
+    except StopBandError as err:
         event(type(err).__name__)
         return
     assert len(found) <= max_count
     omegas = [r.omega for r in found]
     assert omegas == sorted(omegas)
     assert all(window[0] <= w <= window[1] for w in omegas)
+
+    def f(w):
+        n = refractive_index(w, cfg.medium).real
+        return math.tan(n * w * cfg.length) - n / cfg.lambda_mirror
+
     for res in found:
+        # |f| < 1e-9 where a double meets it; next to omega_t one ulp of
+        # omega can move f by more, and f changes sign across the root
+        below, above = np.nextafter(res.omega, 0.0), np.nextafter(res.omega, math.inf)
+        assert abs(f(res.omega)) < 1e-9 or f(below) < 0.0 < f(above), res
         n = refractive_index(res.omega, cfg.medium).real
-        assert abs(math.tan(n * res.omega * cfg.length) - n / cfg.lambda_mirror) < 1e-9
         assert math.floor(n * res.omega * cfg.length / math.pi) == res.mode_index
     for branch in {r.branch for r in found}:
         modes = [r.mode_index for r in found if r.branch is branch]

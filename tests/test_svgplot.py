@@ -104,6 +104,29 @@ def test_plot_memory_does_not_grow_with_the_point_count(tmp_path):
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+def test_refused_plot_costs_no_more_memory_than_a_written_one(tmp_path):
+    # naming the series at fault reduces each curve in numpy, without
+    # turning a million points into a list
+    xs = np.linspace(0.0, 1.0, 10**6)
+    ys = np.sin(40.0 * xs)
+    bad = ys.copy()
+    bad[-1] = math.inf
+    peaks = []
+    for y, raises in ((ys, False), (bad, True)):
+        tracemalloc.start()
+        try:
+            if raises:
+                with pytest.raises(ValueError, match="series 'a': no finite y axis range"):
+                    write_svg(tmp_path / "bad.svg", [("a", xs, y, "solid")])
+            else:
+                write_svg(tmp_path / "plot.svg", [("a", xs, y, "solid")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+    assert not (tmp_path / "bad.svg").exists()
+
+
 def test_series_validation():
     with pytest.raises(ValueError):
         line_plot([])
