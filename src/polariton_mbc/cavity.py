@@ -193,14 +193,14 @@ def _mode_roots(m, length, lambda_mirror, omega_t, beta4pi, upper, lo=0.0, hi=ma
 
     bottom, top = m * math.pi / length, (m + 0.5) * math.pi / length
     if np.ndim(beta4pi) or beta4pi > 0.0:  # else vacuum, W = q
-        omega_l = omega_t * np.sqrt(1.0 + beta4pi)
         bottom, top = (
-            np.where(upper, *_branches(q, omega_t, omega_l)[::-1]) for q in (bottom, top)
+            np.where(upper, *_branches(q, omega_t, beta4pi)[0][::-1]) for q in (bottom, top)
         )
     a, b = np.maximum(bottom, lo), np.minimum(top, hi)
     inside, clip_a, clip_b = a <= b, bottom < lo, top > hi
     if np.any(clip_a) or np.any(clip_b):  # f only where an end is clipped
-        fa, fb = (np.tan(index(w) * w * length) - index(w) / lambda_mirror for w in (a, b))
+        with np.errstate(invalid="ignore"):  # an end that rounds onto omega_t: nan, unused
+            fa, fb = (np.tan(index(w) * w * length) - index(w) / lambda_mirror for w in (a, b))
         inside &= ~(clip_a & (fa > 0.0)) & ~(clip_b & (fb < 0.0))
         a, b = np.where(clip_b & (fb == 0.0), b, a), np.where(clip_a & (fa == 0.0), a, b)
     ra = rb = np.full(np.shape(a), math.inf)

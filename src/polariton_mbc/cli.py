@@ -29,10 +29,8 @@ from .cavity import (
     tuned_length,
 )
 from .config import RunConfig, load_config
-from .dielectric import MediumParams, bulk_dispersion, group_velocity, in_stop_band
-from .dielectric import refractive_index
-from .errors import ConfigError, PolaritonError, StepSizeError, StopBandError
-from .errors import ToleranceError
+from .dielectric import MediumParams, _bulk_branches, in_stop_band
+from .errors import ConfigError, PolaritonError, StepSizeError, StopBandError, ToleranceError
 from .fluct import FieldCommutators, solve_omega_q
 from .greens import _wavenumber, delta_jump, fd_step, green_function, membrane_jump
 from .greens import ode_residual
@@ -66,19 +64,10 @@ class Output(NamedTuple):
 
 def cmd_dispersion(cfg: RunConfig) -> list[Output]:
     """Bulk branch frequencies, index, and group velocity over a wavenumber sweep."""
-    med = cfg.medium
     ks = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
-    wl, wu = bulk_dispersion(ks, med)
-    loss0 = med.lossless()
-    table = SweepTable([
-        ("k", ks),
-        ("omega_L", wl),
-        ("omega_U", wu),
-        ("n_L", np.asarray(refractive_index(wl, loss0)).real),
-        ("n_U", np.asarray(refractive_index(wu, loss0)).real),
-        ("vg_L", group_velocity(wl, med)),
-        ("vg_U", group_velocity(wu, med)),
-    ])
+    w, n, vg = _bulk_branches(ks, cfg.medium)
+    names = ["omega_L", "omega_U", "n_L", "n_U", "vg_L", "vg_U"]
+    table = SweepTable([("k", ks), *zip(names, [*w, *n, *vg])])
     plot = Plot([
         ("lower branch", "k", "omega_L", "solid"),
         ("upper branch", "k", "omega_U", "solid"),
@@ -320,10 +309,9 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
 
 def cmd_fluct(cfg: RunConfig) -> list[Output]:
     """Field commutator weights along a vacuum-wavenumber sweep."""
-    med = cfg.medium
     qs = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
-    omega_q = solve_omega_q(qs, med)
-    n = refractive_index(omega_q, med.lossless()).real
+    omega_q = solve_omega_q(qs, cfg.medium)
+    n = qs / omega_q
     weights = vars(FieldCommutators.at_index(qs, n))
     table = SweepTable([("q", qs), ("omega_q", omega_q), ("n", n), *weights.items()])
     plot = Plot([

@@ -118,12 +118,53 @@ def _group_velocity(omega, omega_t, beta4pi):
     return np.ones_like(w) if beta4pi == 0.0 else vg
 
 
-def _branches(k, omega_t, omega_longitudinal):
-    """bulk_dispersion broadcast over k and omega_longitudinal; no checks."""
-    wt2 = omega_t * omega_t
-    s = k * k + omega_longitudinal ** 2
-    big = s + np.sqrt(s * s - 4.0 * k * k * wt2)
-    return math.sqrt(2.0) * k * omega_t / np.sqrt(big), np.sqrt(0.5 * big)
+def _branches(k, omega_t, beta4pi):
+    """W and d = (W/omega_t)**2 - 1 of both branches (lower, upper) at k.
+
+    With q = k/omega_t and b = beta4pi, the lower d is the negative root of
+    d**2 + ((1 - q**2) - b) d - b = 0 and the upper e = d - b the positive
+    root of e**2 + ((1 - q**2) + b) e - b q**2 = 0, each the larger root or
+    the product of the roots over it, so nothing nearly equal is subtracted.
+    W = omega_t sqrt(1 + d), or k sqrt(1/(1 + d_upper)) far below the band
+    (d < -1/2). Broadcasts; no checks: an overflowing (k/omega_t)**2 gives inf.
+    """
+    q = k / omega_t
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gap = (1.0 - q) * (1.0 + q)  # 1 - q**2, not rounding q**2 next to q = 1
+        # x**2 + 2 h x - c = 0 has the roots -h - r and c / (r - h), r = hypot(h, c**0.5)
+        h = 0.5 * (gap - beta4pi)
+        r = np.hypot(h, np.sqrt(beta4pi))
+        d_lo = np.where(h >= 0.0, -(r + h), beta4pi / (h - r))
+        h = 0.5 * (gap + beta4pi)
+        r = np.hypot(h, np.sqrt(beta4pi) * q)
+        d_up = beta4pi + np.where(h <= 0.0, r - h, beta4pi / (r + h) * (q * q))
+        far = k * np.sqrt(1.0 / (1.0 + d_up))  # where 1 + d would lose W
+        w_lo = np.where(d_lo < -0.5, far, omega_t * np.sqrt(1.0 + d_lo))
+        return np.stack([w_lo, omega_t * np.sqrt(1.0 + d_up)]), np.stack([d_lo, d_up])
+
+
+def _bulk_branches(k, p: MediumParams):
+    """W, n = k/W and v_g of both branches (lower, upper) at wavenumbers k.
+
+    v_g = n d**2/(d**2 + 4 pi beta) is written n |d| / (|d_lower| + d_upper),
+    as d_lower d_upper = -4 pi beta, so that it cannot overflow. In vacuum
+    W = min(k, omega_t), max(k, omega_t) and n = v_g = 1. ValueError for k
+    < 0 and where (k/omega_t)**2 or the upper W overflows.
+    """
+    kk = np.asarray(k, dtype=float)
+    if np.any(kk < 0.0):
+        raise ValueError("wavenumber must be non-negative")
+    w, d = _branches(kk, p.omega_t, p.beta4pi)
+    bad = kk[~np.isfinite(w[1])]
+    if bad.size:
+        raise ValueError(f"wavenumber k = {bad.flat[0]:g} is too large: "
+                         "(k/omega_t)**2 or the upper branch frequency overflows")
+    if p.beta4pi == 0.0:
+        w = np.stack([np.minimum(kk, p.omega_t), np.maximum(kk, p.omega_t)])
+        return w, np.ones_like(w), np.ones_like(w)
+    with np.errstate(invalid="ignore"):  # k = 0: n = 0/0 on the lower branch
+        n = kk / w
+        return w, n, n * np.abs(d) / (np.abs(d[0]) + d[1])
 
 
 def epsilon(omega, p: MediumParams):
@@ -197,33 +238,13 @@ def group_velocity(omega, p: MediumParams):
 def bulk_dispersion(k, p: MediumParams):
     """Both branch frequencies (omega_lower, omega_upper) at wavenumber k.
 
-    Solves omega**2 * eps(omega) = k**2 at gamma = 0, i.e. the quartic
-
-        omega**4 - omega**2 (k**2 + omega_long**2) + k**2 omega_t**2 = 0.
-
-    The lower branch saturates at omega_t from below as k grows; the
-    upper branch starts at omega_longitudinal for k = 0. For beta = 0
-    this degenerates to min(k, omega_t) and max(k, omega_t). Written in
-    product form so small roots keep full relative accuracy. Raises
-    ValueError for a medium whose omega_longitudinal**4 overflows (above
-    about 1.3e77) and for a k where that form overflows, above about
-    1e77 (omega_t and omega_longitudinal near 1).
+    The roots of omega**2 eps(omega) = k**2 at gamma = 0, the quartic
+    omega**4 - omega**2 (k**2 + omega_long**2) + k**2 omega_t**2 = 0, from
+    the band-edge detunings of `_branches`. The lower branch saturates at
+    omega_t from below as k grows; the upper branch starts at
+    omega_longitudinal for k = 0. For beta = 0 they are min(k, omega_t) and
+    max(k, omega_t). Raises ValueError for k < 0 and where (k/omega_t)**2
+    or omega_upper overflows.
     """
-    kk = np.asarray(k, dtype=float)
-    if np.any(kk < 0.0):
-        raise ValueError("wavenumber must be non-negative")
-    wl2 = p.omega_longitudinal * p.omega_longitudinal  # ** on a float raises
-    if not math.isfinite(wl2 * wl2):
-        raise ValueError(
-            f"omega_longitudinal = {p.omega_longitudinal:g} is too large: "
-            "its fourth power overflows the bulk quartic"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        lower, upper = _branches(kk, p.omega_t, p.omega_longitudinal)
-    bad = ~np.isfinite(upper)
-    if np.any(bad):
-        raise ValueError(
-            f"wavenumber k = {kk[bad].flat[0]:g} is too large: the branch "
-            "frequencies overflow above about 1e77"
-        )
-    return _unwrap(lower, float), _unwrap(upper, float)
+    w, _, _ = _bulk_branches(k, p)
+    return _unwrap(w[0], float), _unwrap(w[1], float)

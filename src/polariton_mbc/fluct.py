@@ -57,9 +57,10 @@ class FieldCommutators:
     def at_index(cls, q, n) -> "FieldCommutators":
         """The weights at vacuum wavenumber q and real index n, scalars or arrays.
 
-        n^3 is taken by multiplication, which rounds alike for both.
+        q/n^3 is taken as q/n/n/n, which rounds alike for both and does not
+        overflow where the weight is a double.
         """
-        return cls(1.0 / (2.0 * q * n), 0.5 * q / (n * n * n), 0.5 * q / n, 0.5 * q * n)
+        return cls(1.0 / (2.0 * q * n), 0.5 * q / n / n / n, 0.5 * q / n, 0.5 * q * n)
 
 
 def solve_omega_q(q, p: MediumParams, branch: str = "auto"):
@@ -68,43 +69,33 @@ def solve_omega_q(q, p: MediumParams, branch: str = "auto"):
     The q <-> W map is monotonic on each propagating branch, so the
     branch picks the solution: "lower" lives below omega_t, "upper"
     above the stop band. "auto" chooses per element, lower for
-    q < omega_t and upper otherwise. The root is the closed form of
-    `bulk_dispersion` at gamma = 0, a few ulp in W (q itself in vacuum).
-    Raises BranchError for the upper branch below omega_t in vacuum and
-    for a root that rounds onto its band edge (lower W >= omega_t, upper
-    W <= omega_longitudinal), and ValueError where `bulk_dispersion`
-    overflows (q or omega_longitudinal above about 1e77).
+    q < omega_t and upper otherwise. The root is `bulk_dispersion`'s at
+    gamma = 0 (q itself in vacuum); it may round onto a band edge, where
+    the index is q/W all the same. Raises BranchError for the upper branch
+    below omega_t in vacuum, and ValueError where bulk_dispersion does.
     """
     qq = np.array(q, dtype=float)
     if not np.all(qq > 0):
         raise ValueError("q must be positive")
     if branch not in ("lower", "upper", "auto"):
         raise ValueError(f"unknown branch {branch!r}")
-    wt = p.omega_t
     if p.beta4pi == 0.0:
-        if branch == "upper" and np.any(qq < wt):
+        if branch == "upper" and np.any(qq < p.omega_t):
             raise BranchError("no upper branch in vacuum (beta = 0) below omega_t")
         return _unwrap(qq, float)
-    lower = qq < wt if branch == "auto" else np.full(qq.shape, branch == "lower")
-    w = np.where(lower, *bulk_dispersion(qq, p))
-    inside = np.where(lower, (w > 0.0) & (w < wt), w > p.omega_longitudinal)
-    if not np.all(inside):
-        i = np.flatnonzero(~inside)[0]
-        name = "lower" if lower.flat[i] else "upper"
-        raise BranchError(f"{name}-branch solve for q = {qq.flat[i]:g} stalled at the band edge")
-    return _unwrap(w, float)
+    lower = qq < p.omega_t if branch == "auto" else np.full(qq.shape, branch == "lower")
+    return _unwrap(np.where(lower, *bulk_dispersion(qq, p)), float)
 
 
 def mode_commutators(q, p: MediumParams, branch: str = "auto") -> FieldCommutators:
     """The four equal-time commutator weights at vacuum wavenumber q (or array).
 
-    Evaluates the index at the self-consistent Omega_q on the chosen
-    propagating branch (see solve_omega_q) and applies the printed
+    Takes the index n = q/Omega_q at the self-consistent Omega_q on the
+    chosen propagating branch (see solve_omega_q) and applies the printed
     powers: n^-1, n^-3, n^-1, n^+1 on A, E, B, D.
     """
     q = _unwrap(np.asarray(q, dtype=float), float)
-    omega_q = solve_omega_q(q, p, branch)
-    return FieldCommutators.at_index(q, refractive_index(omega_q, p.lossless()).real)
+    return FieldCommutators.at_index(q, q / solve_omega_q(q, p, branch))
 
 
 def forward_commutator_decay(

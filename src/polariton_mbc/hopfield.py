@@ -21,6 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dielectric import _branches
+
 __all__ = ["BogoliubovProblem", "HopfieldModes", "hopfield_modes", "weight"]
 
 
@@ -105,11 +107,11 @@ def hopfield_modes(photon_freq, omega_t, rabi) -> HopfieldModes:
     """Closed-form frequencies and Hopfield coefficients of both modes.
 
     rabi is taken as an at-least-1-d array; photon_freq and omega_t
-    broadcast against it. The frequencies are the roots of
-    omega**4 - omega**2 (omega_c**2 + omega_t**2 + g) + omega_c**2 omega_t**2 = 0
-    with g = coupling4pi * omega_t**2, the lower one from the product of
-    roots to avoid cancellation when photon_freq is small. Each
-    eigenvector follows from a template at its frequency, with an
+    broadcast against it. The frequencies and their band-edge detunings
+    d = (omega/omega_t)**2 - 1 are `dielectric._branches` at k = omega_c
+    and 4*pi*beta = coupling4pi: the two-mode problem's quartic is the
+    bulk one. Each eigenvector follows from a template at its frequency,
+    with 1 - omega/omega_t and omega - omega_c written through d, and an
     overall minus sign on the upper branch so that w stays real positive.
 
     Where rabi = 0 the photon-like mode has w = 1 and the excitation-like
@@ -117,30 +119,28 @@ def hopfield_modes(photon_freq, omega_t, rabi) -> HopfieldModes:
     side of the crossing; at the degeneracy photon_freq = omega_t the
     photon-like mode is the lower one. A coupling whose closed forms
     leave the float range (4 rabi**2 underflowing to 0 at the degeneracy,
-    or s**2 overflowing) gets non-finite entries; see `HopfieldModes.finite`.
+    or d**2 overflowing above rabi ~ 6e76 omega_t) gets non-finite
+    entries; see `HopfieldModes.finite`.
     """
     wc = np.asarray(photon_freq, dtype=float)
     wt = np.asarray(omega_t, dtype=float)
     g = np.atleast_1d(np.asarray(rabi, dtype=float))
     if not ((wc > 0).all() and (wt > 0).all() and (g >= 0).all()):
         raise ValueError("need photon_freq > 0, omega_t > 0 and rabi >= 0")
-    ratio = wc / wt
-    r = ratio * ratio
     with np.errstate(all="ignore"):  # out-of-range couplings show in .finite
         g4 = _coupling4pi(g, wc, wt)
-        s = 1.0 + g4 + r
-        root = s + np.sqrt(s * s - 4.0 * r)
-        omega = wt * np.sqrt([2.0 * r / root, 0.5 * root])
+        omega, d = _branches(wc, wt, g4)
         sq = 0.5 * np.sqrt(g4)  # sqrt(pi * beta_eff)
         rw = omega / wt
-        d = 1.0 - rw * rw
+        norm = rw * (d * d + g4)  # inf is an overflow, not a zero weight
+        root = np.sqrt(np.where(np.isinf(norm), np.nan, norm))
         sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * g4.ndim)
-        pref = sign / np.sqrt(rw * (d * d + g4))
         scale = np.sqrt(wt / wc) / (2.0 * wt)
-        w = (pref * d * (omega + wc) * scale).astype(complex)
-        x = -1j * (pref * sq * (1.0 + rw))
-        y = (pref * d * (omega - wc) * scale).astype(complex)
-        z = -1j * (pref * sq * (1.0 - rw))
+        # -sign d = |d|, 1 - rw = -d/(1 + rw), omega - wc = omega**2 g4/(d (omega + wc))
+        w = (np.abs(d) * (omega + wc) * scale / root).astype(complex)
+        x = -1j * (sign * sq * (1.0 + rw) / root)
+        y = (-sign * g4 * omega * (omega / (omega + wc)) * scale / root).astype(complex)
+        z = 1j * (sign * sq * d / ((1.0 + rw) * root))
     off = g == 0.0
     if off.any():
         below = np.broadcast_to(wc <= wt, g4.shape)  # the photon-like mode is lower

@@ -99,7 +99,7 @@ def figure2_sweep(
 
     L does not depend on the coupling, so every (coupling, branch) root
     is the m = 1 root of `cavity._mode_roots`, all solved in one call:
-    its bracket comes from the closed form of bulk_dispersion, the
+    its bracket comes from the bulk branches of dielectric._branches, the
     tuned L Lambda > 1 for Lambda >= 5 makes that root unique, and the
     sign change of the phase across the bracket puts it a double or two
     from the exact root at every coupling. A coupling whose

@@ -1,8 +1,10 @@
 """Independent reference computations the tests compare against.
 
 Everything here recomputes results along a different route than the
-package: dense eigendecomposition instead of closed forms, the
-per-coupling scalar closed forms instead of the whole-sweep array
+package: dense eigendecomposition instead of closed forms, 50-digit
+mpmath roots of the bulk quartic in W**2 instead of the band-edge
+detunings of dielectric._branches, and the eigenvector template at
+those roots, one coupling at a time, instead of the whole-sweep array
 kernel of hopfield_modes, a direct two-unknown boundary-value solve
 instead of the assembled Green function, sign-change scans of a
 frequency window instead of the per-mode analytic brackets of
@@ -133,57 +135,77 @@ def lorentzian_extract(spectrum: SweepTable) -> tuple[float, float]:
     return float(center), right - left
 
 
-def _looped_mode(omega, sign, wc, wt, g4):
-    # the eigenvector template at omega in scalar arithmetic; the upper
-    # branch carries an overall minus sign so that w stays real positive
-    sq = 0.5 * math.sqrt(g4)
-    rw = omega / wt
-    d = 1.0 - rw * rw
-    pref = sign / math.sqrt(rw * (d * d + g4))
-    scale = math.sqrt(wt / wc) / (2.0 * wt)
-    return (
-        complex(pref * d * (omega + wc) * scale),
-        complex(pref * (-1j) * sq * (1.0 + rw)),
-        complex(pref * d * (omega - wc) * scale),
-        complex(pref * (-1j) * sq * (1.0 - rw)),
-    )
+def exact_branches(k, omega_t, beta4pi):
+    """((W, d, n, v_g) lower, (W, d, n, v_g) upper) at wavenumber k, in
+    50-digit mpmath, with d = (W/omega_t)**2 - 1.
 
-
-def looped_modes(prob: BogoliubovProblem):
-    """((omega, w, x, y, z) lower, (...) upper) of one problem, in scalar arithmetic.
-
-    The per-coupling closed forms as the package evaluated them before
-    the array kernel: Python floats and complex numbers, squares by
-    `** 2`, and the decoupled case rabi = 0 resolved by hand (photon-like
-    mode lower at the degeneracy).
+    x = W**2 solves x**2 - x (k**2 + omega_t**2 (1 + b)) + k**2 omega_t**2
+    = 0, b = 4 pi beta, with the discriminant written as a sum of
+    positive terms; the upper root's d has its one cancellation
+    rationalized away, the lower one is -b / d_upper (the product of the
+    d roots is -b), n = k/W and v_g = n d**2/(d**2 + b). In vacuum the
+    branches are min(k, omega_t) and max(k, omega_t), with n = v_g = 1.
+    Arguments are taken exactly as given (doubles or mpf).
     """
-    wc, wt = prob.photon_freq, prob.omega_t
-    if prob.rabi == 0.0:
-        if wc <= wt:
-            return (wc, 1 + 0j, 0j, 0j, 0j), (wt, 0j, 1j, 0j, 0j)
-        return (wt, 0j, -1j, 0j, 0j), (wc, 1 + 0j, 0j, 0j, 0j)
-    g4 = 4.0 * prob.rabi * prob.rabi * wc / wt**3
-    r = (wc / wt) ** 2
-    s = 1.0 + g4 + r
-    disc = math.sqrt(s * s - 4.0 * r)
-    lower = wt * math.sqrt(2.0 * r / (s + disc))
-    upper = wt * math.sqrt(0.5 * (s + disc))
-    return (
-        (lower, *_looped_mode(lower, 1.0, wc, wt, g4)),
-        (upper, *_looped_mode(upper, -1.0, wc, wt, g4)),
-    )
+    import mpmath
+
+    with mpmath.workdps(50):
+        k, wt, b = (mpmath.mpf(v) for v in (k, omega_t, beta4pi))
+        kk, tt = k * k, wt * wt
+        disc = mpmath.sqrt((kk - tt) ** 2 + 2 * b * tt * (kk + tt) + (b * tt) ** 2)
+        x_up = (kk + tt * (1 + b) + disc) / 2
+        ws = (k * wt / mpmath.sqrt(x_up), mpmath.sqrt(x_up))
+        if not b:
+            return [(w, w * w / tt - 1, mpmath.mpf(1), mpmath.mpf(1)) for w in ws]
+        lift = kk - tt + disc if kk >= tt else 2 * b * tt * (kk + tt) + (b * tt) ** 2
+        if kk < tt:
+            lift /= disc + tt - kk
+        d_up = (lift + b * tt) / (2 * tt)
+        out = []
+        for w, d in zip(ws, (-b / d_up, d_up)):
+            n = k / w
+            out.append((w, d, n, n * d * d / (d * d + b)))
+        return out
 
 
-def looped_hopfield_rows(grid, omega_t=1.0):
-    """The rows of hopfield.csv, one coupling at a time (rabi/omega_t in grid)."""
-    rows = []
-    for r in grid:
-        lo, up = looped_modes(BogoliubovProblem(omega_t, omega_t, float(r) * omega_t))
-        row = [float(r), lo[0] / omega_t, up[0] / omega_t]
-        for mode in (lo, up):
-            row += [abs(c) ** 2 for c in mode[1:]]
-        rows.append(row)
-    return rows
+def ulps_from(value, exact) -> float:
+    """|value - exact| in units of the spacing of doubles at float(exact),
+    formed at 50 digits (exact is an mpf or mpc part from this module)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(value) - exact) / math.ulp(float(exact)))
+
+
+def exact_modes(prob: BogoliubovProblem):
+    """((omega, w, x, y, z) lower, (...) upper) of one coupled problem
+    (rabi > 0) in 50-digit mpmath, as mpf and mpc.
+
+    The frequencies are `exact_branches` at k = photon_freq and 4 pi beta
+    = 4 rabi**2 photon_freq / omega_t**3; each eigenvector is the template
+    hopfield_modes documents, written with 1 - (omega/omega_t)**2 and
+    omega - photon_freq formed directly, and an overall minus sign on
+    the upper branch so that w stays real positive.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        wc, wt, g = (mpmath.mpf(v) for v in (prob.photon_freq, prob.omega_t, prob.rabi))
+        g4 = 4 * g * g * wc / wt**3
+        sq, scale = mpmath.sqrt(g4) / 2, mpmath.sqrt(wt / wc) / (2 * wt)
+        out = []
+        for (omega, *_), sign in zip(exact_branches(wc, wt, g4), (1, -1)):
+            rw = omega / wt
+            d = 1 - rw * rw
+            pref = sign / mpmath.sqrt(rw * (d * d + g4))
+            out.append((
+                omega,
+                mpmath.mpc(pref * d * (omega + wc) * scale),
+                -1j * pref * sq * (1 + rw),
+                mpmath.mpc(pref * d * (omega - wc) * scale),
+                -1j * pref * sq * (1 - rw),
+            ))
+        return out
 
 
 def dense_modes(prob: BogoliubovProblem):
@@ -338,8 +360,9 @@ def scanned_resonances(cfg: CavityConfig, omega_range, subintervals=2000, max_co
     floating-point resolution. f falls only across a pole of tan, as it
     increases on each tan branch, so a cell where it falls holds no root.
     Mode indices floor(n W L/pi)
-    that are not consecutive within a part mean two crossings shared a
-    cell and raise ResonanceScanError. At most max_count roots are kept,
+    that are not consecutive within a part, or a part's first root more
+    than one mode above the index at the part's start, mean crossings
+    were missed and raise ResonanceScanError. At most max_count roots are kept,
     and none past them is checked. Returns Resonance objects, ascending.
     """
     lo, hi = omega_range
@@ -369,6 +392,9 @@ def scanned_resonances(cfg: CavityConfig, omega_range, subintervals=2000, max_co
         if max_count is not None:
             roots = roots[: max(max_count - len(found), 0)]
         modes = np.floor(refractive_index(roots, med).real * roots * cfg.length / math.pi)
+        first = math.floor(refractive_index(leg_lo, med).real * leg_lo * cfg.length / math.pi)
+        if modes.size and modes[0] > first + 1:
+            raise ResonanceScanError(f"roots skipped between mode {first} and mode {modes[0]:g}")
         gaps = np.flatnonzero(np.diff(modes) != 1)
         if gaps.size:
             raise ResonanceScanError(
@@ -413,7 +439,7 @@ def exact_mode_root(m: int, cfg: CavityConfig, upper: bool = False):
     Solves n W L = m pi + atan(n/Lambda) at gamma = 0 with omega_t, 4 pi
     beta, L and Lambda taken exactly as the doubles of cfg. The bracket
     n W L in [m pi, (m + 1/2) pi] is mapped to W on the lower or the
-    upper branch by the bulk quartic, W = q in vacuum, and bisected 200
+    upper branch by `exact_branches`, W = q in vacuum, and bisected 200
     times, far below one ulp of a double.
     """
     import mpmath
@@ -427,11 +453,7 @@ def exact_mode_root(m: int, cfg: CavityConfig, upper: bool = False):
             return n * w * length - m * mpmath.pi - mpmath.atan(n / lam)
 
         def to_omega(q):
-            if not b:
-                return q
-            s = q * q + wt**2 * (1 + b)
-            big = s + mpmath.sqrt(s * s - 4 * q * q * wt**2)
-            return mpmath.sqrt(big / 2) if upper else q * wt * mpmath.sqrt(2 / big)
+            return exact_branches(q, wt, b)[upper][0] if b else q
 
         lo, hi = (to_omega(k * mpmath.pi / length) for k in (m, m + mpmath.mpf(0.5)))
         for _ in range(200):

@@ -112,6 +112,22 @@ def test_modes_piling_up_at_the_band_edge_match_mpmath():
         assert abs(omega - exact_mode_root(m, cfg)) <= math.ulp(omega), m
 
 
+def test_upper_modes_next_to_a_narrow_stop_band_match_mpmath():
+    # at 4 pi beta = 1e-6 the first two upper modes sit within 1e-6 of
+    # omega_L, where the bracket ends come from the band-edge detunings
+    # of the bulk quartic; a sign-change scan misses both, and says so
+    pytest.importorskip("mpmath")
+    cfg = CavityConfig(10.0, 1.0, MediumParams(omega_t=1.0, beta4pi=1e-6, gamma=0.0))
+    found = find_resonances(cfg, (1.0, 2.0))
+    assert [(r.branch, r.mode_index) for r in found[:3]] == [(Branch.UPPER, m) for m in (1, 2, 3)]
+    assert [r.omega for r in found[:2]] == [1.0000005687215308, 1.0000009509339587]
+    for res in found[:2]:
+        assert res.omega == float(exact_mode_root(res.mode_index, cfg, upper=True))
+    for cells in (20_000, 80_000):
+        with pytest.raises(ResonanceScanError, match="between mode 0 and mode 3"):
+            scanned_resonances(cfg, (1.0, 2.0), cells)
+
+
 def test_mode_indices_past_float_resolution_fail_loudly():
     # past 2^53 consecutive mode indices are no longer distinct floats;
     # the window holds roots, so an empty answer would be wrong

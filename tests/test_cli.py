@@ -19,8 +19,8 @@ import polariton_mbc.config as config
 import polariton_mbc.greens as greens
 import polariton_mbc.hopfield as hopfield
 import polariton_mbc.iomodel as iomodel
-from oracles import looped_hopfield_rows
-from polariton_mbc import figure2_sweep
+from oracles import exact_branches, exact_modes, ulps_from
+from polariton_mbc import BogoliubovProblem, figure2_sweep
 from polariton_mbc.cli import _random_transparent, main
 from polariton_mbc.config import MAX_SWEEP_COUNT, load_config
 from polariton_mbc.errors import ConfigError
@@ -406,7 +406,7 @@ def test_hopfield_weights_are_normalized(tmp_path):
 
 @pytest.mark.parametrize("start, stop, first_bad", [
     ("1e-163", "1", "1e-163"),  # 4 rabi^2 underflows to 0 at the degeneracy
-    ("0.1", "1e160", "5e+159"),  # s^2 overflows above rabi ~ 1e77
+    ("0.1", "1e160", "5e+159"),  # d^2 + 4 rabi^2 overflows above rabi ~ 6e76
 ])
 def test_hopfield_refuses_couplings_outside_the_float_range(tmp_path, capsys, start, stop, first_bad):
     code = main([
@@ -447,15 +447,22 @@ def test_hopfield_keeps_the_decoupled_row(tmp_path):
 
 
 def test_hopfield_matches_the_per_coupling_loop(tmp_path):
-    # the whole-sweep kernel squares by multiplication, the scalar loop by
-    # pow: at most one ulp apart in any cell
+    # the whole-sweep kernel against the eigenvector template evaluated
+    # one coupling at a time in 50-digit mpmath: each frequency within
+    # one double of the correctly rounded root (1.31 ulps from the exact
+    # root at worst, on the lower branch), each weight within 2e-15
+    # relative (9.9e-16 at worst)
+    pytest.importorskip("mpmath")
     assert main(["hopfield", "--out", str(tmp_path), "--set", "sweep.count=2000"]) == 0
     _, header, rows = read_csv(tmp_path / "hopfield.csv")
     got = np.array(rows, dtype=float)
-    want = np.array(looped_hopfield_rows(got[:, 0]))
-    assert got.shape == want.shape == (2000, 11)
-    assert np.all(np.sign(got) == np.sign(want))
-    assert np.max(np.abs(got.view(np.int64) - want.view(np.int64))) <= 1
+    assert got.shape == (2000, 11)
+    for row in got:
+        modes = exact_modes(BogoliubovProblem(1.0, 1.0, row[0]))
+        for (omega, *coefficients), cells in zip(modes, (row[[1, 3, 4, 5, 6]], row[[2, 7, 8, 9, 10]])):
+            assert abs(cells[0] - float(omega)) <= math.ulp(float(omega)), row[0]
+            want = np.array([float(abs(c) ** 2) for c in coefficients])
+            assert np.all(np.abs(cells[1:] - want) <= 2e-15 * want), row[0]
 
 
 def test_sweeps_make_no_per_coupling_hopfield_call(tmp_path, monkeypatch):
@@ -626,12 +633,12 @@ def test_infinite_plot_value_is_a_typed_error(tmp_path, capsys):
 # sha256 of each default command's CSV without its '#' comment lines (which
 # echo the output path): the bytes every change to the numerics must keep
 DEFAULT_CSV_BODIES = {
-    "dispersion.csv": "43ecceb8476fe84ff2f95509efccfa8bf6078d19102448aa496ff1bdf4bb5cf4",
-    "fig2_frequencies.csv": "4dd8f38daf800263efbd2bfc85545f25fb0faa7bef7a7e6ac2c9fe14feb528dc",
-    "fig2_rates.csv": "df758c6ae1038bb850fe1ad6e67576fa0d56688ee14996046fce295be50688ce",
+    "dispersion.csv": "6889e62b27867f77cc2be5a18c0626709ee57d5053e570799840d9611b81debd",
+    "fig2_frequencies.csv": "c920aeeec487255adb9a59b2b01efb78f5beaf71960a9114980d607533559c1e",
+    "fig2_rates.csv": "00dca9dccaeea6ee3b2f007cb24bc27314afa7c474db6643d73b20da11427064",
     "fluct.csv": "d2160213f43336dad3f2496eb70ece62c93270a2bcf66042a52302c8e286ecaf",
     "greens_check.csv": "53d1505a2b145441540ddce7fe031053314e276dac58318565f4faae883b9076",
-    "hopfield.csv": "9518d5bf6950d3d522e6eb18bc99d1fec883ee330931a5d3cb56df1e1251fac1",
+    "hopfield.csv": "e6530cc80d0fa98164f21c2574e4aa7303ef515a9ff2be7ec27985059a5b3297",
     "kappa_sweep.csv": "7cceabaaa002a0c7191761c2175708eb0a4f356f1ed71bf980d7a741435aebcd",
     "resonances.csv": "ff82531b6866bb5200855cc4a40141fc21fd32e8774249ddc302ccdd5571070c",
     "spectrum.csv": "3467adb7c198e74adbdf5006127e5cbc9b258bb75aaf9066291797049da6125c",
@@ -689,11 +696,13 @@ def test_default_plots_keep_their_bytes(tmp_path):
         (["figure2", "--set", "cavity.lambda_mirror=inf"], 1, []),
         (["greens-check", "--set", "sweep.start=0"], 1, []),
         (["greens-check", "--set", "sweep.start=-1"], 1, []),
-        (["dispersion", "--set", "medium.omega_t=1e308"], 1, []),
-        (["fluct", "--set", "medium.omega_t=1e308", "--set", "medium.beta4pi=0.36"],
-         1, []),
-        (["dispersion", "--set", "medium.omega_t=1e154"], 1, []),
-        (["fluct", "--set", "medium.beta4pi=0.36", "--set", "sweep.stop=1e78",
+        # the upper branch omega_t sqrt(5) overflows
+        (["dispersion", "--set", "medium.omega_t=1e308", "--set", "medium.beta4pi=4"], 1, []),
+        (["fluct", "--set", "medium.omega_t=1e308", "--set", "medium.beta4pi=4",
+          "--set", "sweep.start=1e308", "--set", "sweep.stop=1.7e308"], 1, []),
+        # (k/omega_t)**2 overflows
+        (["dispersion", "--set", "medium.omega_t=1e-154"], 1, []),
+        (["fluct", "--set", "medium.beta4pi=0.36", "--set", "sweep.stop=1e155",
           "--set", "sweep.count=3"], 1, []),
     ],
     ids=["figure2-rate-overflow", "figure2-rate-overflow-svg", "dispersion-huge-k",
@@ -711,6 +720,76 @@ def test_refused_runs_write_nothing_but_a_failing_check(tmp_path, capsys, argv, 
     assert sorted(os.listdir(tmp_path)) == written
     err = capsys.readouterr().err
     assert err.startswith("polariton-mbc: ") and err.count("\n") == 1
+
+
+def worst_ulps_against_mpmath(path):
+    """The largest distance, in ulps, of each number column of a
+    dispersion.csv or fluct.csv from `exact_branches` at its configuration;
+    fluct's weights are checked against the powers of the exact index."""
+    mpmath = pytest.importorskip("mpmath")
+    comments, header, rows = read_csv(path)
+    setting = dict(c[2:].split(" = ", 1) for c in comments if " = " in c)
+    wt, b4 = float(setting["medium.omega_t"]), float(setting["medium.beta4pi"])
+    worst = dict.fromkeys(header[1:], 0.0)
+    for row in rows:
+        x, *cells = map(float, row)
+        exact = exact_branches(x, wt, b4)
+        with mpmath.workdps(50):
+            if header[0] == "k":  # both branches
+                want = [exact[0][0], exact[1][0], exact[0][2], exact[1][2], exact[0][3], exact[1][3]]
+            else:  # the branch fluct picks, lower below omega_t
+                w, _, n, _ = exact[x >= wt]
+                want = [w, n, 1 / (2 * x * n), x / (2 * n**3), x / (2 * n), x * n / 2]
+        for name, got, value in zip(header[1:], cells, want):
+            worst[name] = max(worst[name], ulps_from(got, value))
+    return worst
+
+
+# each used to exit 2 or 1: a root rounded onto its band edge, or the
+# quartic's fourth powers overflowed long before the roots do
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--set", "medium.beta4pi=0.36", "--set", "sweep.start=1e-8"],
+    ["dispersion", "--set", "medium.beta4pi=0.36", "--set", "sweep.stop=1e8"],
+    ["dispersion", "--set", "medium.beta4pi=1e-12"],
+    ["fluct", "--set", "medium.beta4pi=1e-308"],
+    ["dispersion", "--set", "medium.omega_t=1e308"],
+    ["dispersion", "--set", "medium.omega_t=1e308", "--set", "medium.beta4pi=0.36"],
+    ["dispersion", "--set", "medium.omega_t=1e154"],
+    ["dispersion", "--set", "medium.omega_t=1e154", "--set", "medium.beta4pi=0.36"],
+    ["fluct", "--set", "medium.omega_t=1e308", "--set", "medium.beta4pi=0.36"],
+    ["fluct", "--set", "medium.omega_t=1e154", "--set", "medium.beta4pi=0.36"],
+    ["fluct", "--set", "medium.beta4pi=0.36", "--set", "sweep.stop=1e78", "--set", "sweep.count=3"],
+], ids=["dispersion-upper-edge", "dispersion-lower-edge", "dispersion-narrow-band",
+        "fluct-narrow-band", "dispersion-huge-omega-t", "dispersion-huge-omega-t-medium",
+        "dispersion-quartic-overflow", "dispersion-quartic-overflow-medium",
+        "fluct-huge-omega-t", "fluct-quartic-overflow", "fluct-huge-q"])
+def test_runs_at_band_edges_and_huge_scales_match_mpmath(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    # measured at worst: 1.19 ulps in omega, 2.03 in n, 3.82 in v_g and
+    # 3.36 in a commutator weight
+    worst = worst_ulps_against_mpmath(tmp_path / f"{argv[0]}.csv")
+    bounds = {"omega": 1.5, "n": 3.0, "vg": 5.0, "a": 5.0, "e": 5.0, "b": 5.0, "d": 5.0}
+    assert all(value <= bounds[name.split("_")[0]] for name, value in worst.items()), worst
+
+
+def test_couplings_next_to_the_degeneracy_keep_their_splitting(tmp_path):
+    # hopfield at rabi = 1e-10 wrote omega_L = omega_U = 1.0 with photon
+    # weight 0.0 on both modes, and figure2 at rabi = 1e-9 omega_L_disc =
+    # omega_U_disc = 1.0
+    pytest.importorskip("mpmath")
+    sweep = ["--set", "sweep.stop=1e-6", "--set", "sweep.count=3"]
+    assert main(["hopfield", "--out", str(tmp_path), "--set", "sweep.start=1e-10", *sweep]) == 0
+    assert main(["figure2", "--out", str(tmp_path), "--set", "sweep.start=1e-9", *sweep]) == 0
+    _, header, rows = read_csv(tmp_path / "hopfield.csv")
+    first = dict(zip(header, map(float, rows[0])))
+    assert (first["omega_L"], first["omega_U"]) == (0.9999999999, 1.0000000001)
+    assert (first["w2_L"], first["x2_U"]) == (0.49999999995, 0.49999999994999983)
+    _, header, rows = read_csv(tmp_path / "fig2_frequencies.csv")
+    for row in rows:
+        cells = dict(zip(header, map(float, row)))
+        modes = exact_modes(BogoliubovProblem(1.0, 1.0, cells["rabi_over_wt"]))
+        for tag, (omega, *_) in zip("LU", modes):
+            assert abs(cells[f"omega_{tag}_disc"] - float(omega)) <= math.ulp(float(omega))
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))

@@ -1,4 +1,5 @@
-"""Property test: the CLI contract of `resonances` and `figure2`.
+"""Property test: the CLI contract of `resonances`, `figure2`, `dispersion`,
+`hopfield` and `fluct`.
 
 Every run ends in exit 0 with all-finite CSVs, or in exit 1 with nothing
 written. The one exit 2 left is `resonances` on a window whose mode
@@ -36,7 +37,7 @@ def log_uniform(lo, hi):
 
 @st.composite
 def runs(draw):
-    command = draw(st.sampled_from(["resonances", "figure2"]))
+    command = draw(st.sampled_from(["resonances", "figure2", "dispersion", "hopfield", "fluct"]))
     keys = {
         "medium.omega_t": log_uniform(-300.0, 300.0),
         "medium.beta4pi": st.one_of(st.just("0"), log_uniform(-320.0, 300.0)),
@@ -75,7 +76,7 @@ def stop(signum, frame):
 
 
 @seed(20261019)
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=400, deadline=None, database=None)
 @given(runs())
 def test_every_run_ends_in_a_finite_table_or_a_typed_refusal(argv):
     err = io.StringIO()

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import medium_rabi
+from oracles import exact_branches, medium_rabi, ulps_from
 from polariton_mbc import (
     MediumParams,
     StopBandError,
@@ -17,6 +17,7 @@ from polariton_mbc import (
     refractive_index,
     wavenumber,
 )
+from polariton_mbc.dielectric import _branches, _bulk_branches
 
 
 def test_epsilon_known_values():
@@ -206,23 +207,62 @@ def test_bulk_dispersion_validates_wavenumber():
 
 @pytest.mark.parametrize("beta4pi", [0.0, 0.36])
 def test_bulk_dispersion_refuses_wavenumbers_that_overflow(beta4pi):
-    # (k^2 + omega_L^2)^2 overflows from k ~ 1.2e77 and k^2 itself from
-    # ~1.3e154: refused by name, without a RuntimeWarning on the way
+    # (k/omega_t)^2 overflows from k ~ 1.34e154: refused by name, without
+    # a RuntimeWarning on the way; below that the roots are finite, where
+    # the quartic's (k^2 + omega_L^2)^2 used to overflow from k ~ 1.2e77
     med = MediumParams(omega_t=1.0, beta4pi=beta4pi, gamma=0.0)
-    lo, hi = bulk_dispersion(np.array([1.0, 1e76]), med)
+    lo, hi = bulk_dispersion(np.array([1.0, 1e76, 1e78, 1e154]), med)
     assert np.all(np.isfinite(hi)) and np.all(lo > 0.0)
-    for ks, first in [([1.0, 1e78, 1e155], "1e+78"), ([1e155], "1e+155"), (1e100, "1e+100")]:
+    assert hi[3] == 1e154 and lo[3] == 1.0
+    for ks, first in [([1.0, 1e78, 1e155], "1e+155"), ([1e155], "1e+155"), (1e200, "1e+200")]:
         with pytest.raises(ValueError, match=re.escape(f"k = {first} is too large")):
             bulk_dispersion(ks, med)
 
 
 @pytest.mark.parametrize("omega_t", [1e78, 1e154, 1e308])
-def test_bulk_dispersion_refuses_a_medium_whose_quartic_overflows(omega_t):
-    # omega_longitudinal**4 is not finite: refused by name at every k,
-    # where ** on the float would raise OverflowError
+def test_bulk_dispersion_at_a_huge_omega_t_matches_mpmath(omega_t):
+    # omega_longitudinal**4 used to overflow the quartic and refuse every k;
+    # the detunings never form it. The upper branch overflows, and is
+    # refused, only once omega_t sqrt(1 + 4 pi beta) leaves the float range
+    pytest.importorskip("mpmath")
     med = MediumParams(omega_t=omega_t, beta4pi=0.36, gamma=0.0)
-    with pytest.raises(ValueError, match="omega_longitudinal = .* is too large"):
-        bulk_dispersion(0.01, med)
+    for k in (0.01, 0.5 * omega_t, omega_t, 1.3 * omega_t):
+        for got, (want, *_) in zip(bulk_dispersion(k, med), exact_branches(k, omega_t, 0.36)):
+            assert abs(got - float(want)) <= math.ulp(float(want)), k
+    with pytest.raises(ValueError, match="upper branch frequency overflows"):
+        bulk_dispersion(0.01, MediumParams(omega_t=1e308, beta4pi=4.0, gamma=0.0))
+
+
+def _ulps_from_mpmath(k, b4, worst):
+    """Record in worst the largest distances of `_branches` and
+    `_bulk_branches` from `exact_branches` at (k, b4), omega_t = 1: W from
+    the correctly rounded root, d, n and v_g from the exact values."""
+    w, d = _branches(k, 1.0, b4)
+    _, n, vg = _bulk_branches(k, MediumParams(omega_t=1.0, beta4pi=b4, gamma=0.0))
+    for j, exact in enumerate(exact_branches(k, 1.0, b4)):
+        got = (w[j], d[j], n[j], vg[j])
+        rounded = abs(w[j] - float(exact[0])) / math.ulp(float(exact[0]))
+        for name, value in zip("Wdnv", (rounded, *map(ulps_from, got[1:], exact[1:]))):
+            worst[name] = max(worst[name], (float(value), k, b4))
+
+
+def test_branches_match_mpmath_on_both_branches():
+    # log-uniform q = k/omega_t in [1e-8, 1e8] and 4 pi beta in [1e-12, 1e4].
+    # Measured at worst over these draws: W one double from the correctly
+    # rounded root; d 2.37 ulps (q = 1.2e-6, 4 pi beta = 7.3e-5); n 1.89
+    # ulps (q = 2.8e-8, 3.3e-10); v_g 4.12 ulps (q = 4.9e-6, 3.7e-4)
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(89)
+    worst = dict.fromkeys("Wdnv", (0.0,))
+    for k, b4 in zip(10.0 ** rng.uniform(-8.0, 8.0, 1500), 10.0 ** rng.uniform(-12.0, 4.0, 1500)):
+        _ulps_from_mpmath(k, b4, worst)
+    assert worst["W"][0] <= 1.0 and worst["d"][0] <= 3.0, worst
+    assert worst["n"][0] <= 3.0 and worst["v"][0] <= 5.0, worst
+    # vacuum: the light line and omega_t, n = v_g = 1 on both
+    ks = np.array([1e-8, 0.3, 0.7071, 0.99, 1.0, 1.01, 2.5, 1e8])
+    (lo, hi), n, vg = _bulk_branches(ks, MediumParams(omega_t=1.0, beta4pi=0.0, gamma=0.0))
+    assert np.all(lo == np.minimum(ks, 1.0)) and np.all(hi == np.maximum(ks, 1.0))
+    assert np.all(n == 1.0) and np.all(vg == 1.0)
 
 
 def test_medium_params_validation():

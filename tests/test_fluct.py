@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bisected_omega_q
+from oracles import bisected_omega_q, exact_branches, ulps_from
 from polariton_mbc import (
     BranchError,
     MediumParams,
@@ -170,51 +170,56 @@ def test_array_solve_and_commutators_equal_scalar_calls_to_the_bit(b4, branch):
 
 
 def _exact_mode(q, b4, branch):
-    """W and the four weights from the quartic W^4 - W^2 (q^2 + 1 + 4 pi beta)
-    + q^2 = 0 (omega_t = 1), solved by mpmath at 50 digits."""
+    """W and the four weights at the exact index q/W of `exact_branches`
+    (omega_t = 1), in 50-digit mpmath."""
     mpmath = pytest.importorskip("mpmath")
+    w, _, n, _ = exact_branches(q, 1.0, b4)[branch == "upper"]
     with mpmath.workdps(50):
-        q = mpmath.mpf(q)
-        s = q * q + 1 + mpmath.mpf(b4)
-        upper = (s + mpmath.sqrt(s * s - 4 * q * q)) / 2
-        w = mpmath.sqrt(q * q / upper if branch == "lower" else upper)
-        n = q / w
         weights = (1 / (2 * q * n), q / (2 * n**3), q / (2 * n), q * n / 2)
-        return float(w), [float(x) for x in weights]
+    return w, weights
+
+
+def _assert_matches_mpmath(q, med, branch):
+    # the root within one double of the correctly rounded one, and the
+    # weights, through n = q/W, within 4 ulps (3.42 measured at worst)
+    w_exact, weights = _exact_mode(q, med.beta4pi, branch)
+    assert abs(solve_omega_q(q, med, branch) - float(w_exact)) <= math.ulp(float(w_exact))
+    c = mode_commutators(q, med, branch)
+    for got, want in zip((c.a_comm, c.e_comm, c.b_comm, c.d_comm), weights):
+        assert ulps_from(got, want) <= 4.0, (q, branch)
 
 
 @pytest.mark.parametrize("q, branch", [(1e6, "lower"), (1e-6, "upper")])
 def test_band_edge_roots_against_mpmath(q, branch):
     # 1 - W = 1.8e-13 on the lower branch and W - omega_L = 1.1e-13 on the
-    # upper one: the root must be right to the last ulp or the index,
-    # which diverges or vanishes at the edge, comes out far off (a
-    # bisection stopped at 1e-12 relative puts e_comm 5.6x too high at
-    # q = 1e6 and 12x too low at q = 1e-6)
-    med = lossless(0.36)
-    w_exact, weights = _exact_mode(q, 0.36, branch)
-    assert abs(solve_omega_q(q, med, branch) - w_exact) <= np.spacing(w_exact)
-    c = mode_commutators(q, med, branch)
-    for got, want in zip((c.a_comm, c.e_comm, c.b_comm, c.d_comm), weights):
-        assert abs(got - want) < 5e-3 * want
+    # upper one, where the index diverges or vanishes: n = q/W keeps every
+    # weight to a few ulps (a bisection stopped at 1e-12 relative puts
+    # e_comm 5.6x too high at q = 1e6 and 12x too low at q = 1e-6)
+    _assert_matches_mpmath(q, lossless(0.36), branch)
 
 
-def test_roots_that_round_onto_the_band_edge_raise():
+def test_roots_that_round_onto_the_band_edge_match_mpmath():
+    # the lower root at q = 1e8 rounds onto omega_t and the upper one at
+    # q = 1e-8 onto omega_L; the index q/W is still right
     med = lossless(0.36)
-    with pytest.raises(BranchError, match="lower-branch solve for q = 1e\\+08 stalled"):
-        solve_omega_q(1e8, med, "lower")
-    with pytest.raises(BranchError, match="upper-branch solve for q = 1e-08 stalled"):
-        solve_omega_q(1e-8, med, "upper")
-    # the quartic's q^4 overflows: refused as bulk_dispersion refuses it,
-    # the root not returned as 0 or inf
-    for q in (1e150, 1e200):
+    assert solve_omega_q(1e8, med, "lower") == 1.0
+    assert solve_omega_q(1e-8, med, "upper") == med.omega_longitudinal
+    _assert_matches_mpmath(1e8, med, "lower")
+    _assert_matches_mpmath(1e-8, med, "upper")
+    for q in (1e77, 1e150):  # past the old overflow of the quartic's q^4
+        _assert_matches_mpmath(q, med, "lower")
+        _assert_matches_mpmath(q, med, "upper")
+    # (q/omega_t)**2 overflows: refused as bulk_dispersion refuses it, the
+    # root not returned as 0 or inf
+    for q in (1e155, 1e200):
         for branch in ("lower", "upper"):
             with pytest.raises(ValueError, match="too large"):
                 solve_omega_q(q, med, branch)
     # one such element fails the whole array
-    with pytest.raises(BranchError):
-        solve_omega_q(np.array([0.5, 1e8, 0.7]), med, "lower")
-    with pytest.raises(BranchError):
-        mode_commutators(np.array([0.5, 1e8]), med, "lower")
+    with pytest.raises(ValueError, match="k = 1e\\+155 is too large"):
+        solve_omega_q(np.array([0.5, 1e155, 0.7]), med, "lower")
+    fc = mode_commutators(np.array([0.5, 1e8]), med, "lower")
+    assert fc.e_comm[1] == mode_commutators(1e8, med, "lower").e_comm
 
 
 def test_forward_kernel_decay_and_symmetry():
