@@ -103,7 +103,7 @@ def _amplitude_kernel(omega, cfg: CavityConfig):
     """
     w = np.array(omega, dtype=complex, ndmin=1)
     p = cfg.medium
-    n = _refractive_index(w, p.omega_t, p.beta4pi, p.gamma)
+    n = _refractive_index(w / p.omega_t, p.beta4pi, p.gamma / p.omega_t)
     e = np.exp(1j * cfg.length * (n * w))
     e2 = e * e
     return n, e, (1.0 - 1j * cfg.lambda_mirror) * (e2 - 1.0) - n * (e2 + 1.0)
@@ -167,17 +167,18 @@ def kappa_bare(cfg: CavityConfig) -> float:
     return 2.0 / (cfg.lambda_mirror**2 * cfg.length)
 
 
-def _mode_roots(m, length, lambda_mirror, omega_t, beta4pi, upper, lo=0.0, hi=math.inf):
-    """Mode m's root of tan(n W L) = n/Lambda on one branch: (W, n, inside).
+def _mode_roots(m, length, lambda_mirror, beta4pi, upper, lo=0.0, hi=math.inf):
+    """Mode m's root of tan(n x L) = n/Lambda on one branch: (x, n, inside).
 
-    The root is the zero of the phase g = n W L - m pi - atan(n/Lambda)
-    on qL in [m pi, (m + 1/2) pi], q = n(W) W. g has no pole there and,
-    while L Lambda omega_t > 1, increases strictly (dn/dq < 1/omega_t),
+    Dimensionless: x is W/omega_t, length is L omega_t and [lo, hi] is a
+    window of W/omega_t. The root is the zero of the phase g = n x L - m
+    pi - atan(n/Lambda) on qL in [m pi, (m + 1/2) pi], q = n(x) x. g has
+    no pole there and, while L Lambda > 1, increases strictly (dn/dq < 1),
     from -atan(n/Lambda) < 0 at the bottom to pi/2 - atan(n/Lambda) > 0
     at the top: those signs are known, not computed. `_branches` maps the
-    ends to W on the lower or, where `upper`, the upper branch (W = q in
+    ends to x on the lower or, where `upper`, the upper branch (x = q in
     vacuum); m, beta4pi and upper broadcast together, at gamma = 0. [lo,
-    hi] clips the ends, and a clipped end gets a sign test on f = tan(n W
+    hi] clips the ends, and a clipped end gets a sign test on f = tan(n x
     L) - n/Lambda, which has g's sign: `inside` is False where f > 0 at a
     clipped bottom or f < 0 at a clipped top, and an end where f is
     exactly 0 is the root.
@@ -189,12 +190,12 @@ def _mode_roots(m, length, lambda_mirror, omega_t, beta4pi, upper, lo=0.0, hi=ma
     """
 
     def index(w):
-        return _refractive_index(w, omega_t, beta4pi, 0.0).real
+        return _refractive_index(w, beta4pi, 0.0).real
 
     bottom, top = m * math.pi / length, (m + 0.5) * math.pi / length
     if np.ndim(beta4pi) or beta4pi > 0.0:  # else vacuum, W = q
         bottom, top = (
-            np.where(upper, *_branches(q, omega_t, beta4pi)[0][::-1]) for q in (bottom, top)
+            np.where(upper, *_branches(q, beta4pi)[0][::-1]) for q in (bottom, top)
         )
     a, b = np.maximum(bottom, lo), np.minimum(top, hi)
     inside, clip_a, clip_b = a <= b, bottom < lo, top > hi
@@ -243,13 +244,13 @@ def find_resonances(
     if not lo > 0:
         raise ValueError("range must be positive")
     p = cfg.medium.lossless()
-    if p.beta4pi > 0.0 and not cfg.length * cfg.lambda_mirror * p.omega_t > 1.0:
+    wt, b, length = p.omega_t, p.beta4pi, cfg.length * p.omega_t
+    if b > 0.0 and not length * cfg.lambda_mirror > 1.0:
         raise ValueError("one root per mode needs length * lambda_mirror * omega_t > 1")
-    legs = [(lo, hi)]
-    if p.beta4pi > 0.0:  # skip the stop band
-        wt, wl = p.stop_band()
-        edge = 1e-9 * p.omega_t
-        legs = [(lo, min(hi, wt - edge)), (max(lo, wl + edge), hi)]
+    legs = [(lo / wt, hi / wt)]
+    if b > 0.0:  # skip the stop band
+        x_lo, x_hi = legs[0]
+        legs = [(x_lo, min(x_hi, 1.0 - 1e-9)), (max(x_lo, math.sqrt(1.0 + b) + 1e-9), x_hi)]
     legs = [(a, b) for a, b in legs if b > a]
     if not legs:
         raise StopBandError(
@@ -258,21 +259,19 @@ def find_resonances(
 
     found: list[Resonance] = []
     for leg in legs:
-        upper = leg[0] > p.omega_t
+        upper = leg[0] > 1.0
         ends = np.array(leg)
-        n = _refractive_index(ends, p.omega_t, p.beta4pi, 0.0).real
-        m_lo, m_hi = np.floor(n * ends * cfg.length / math.pi)
+        n = _refractive_index(ends, b, 0.0).real
+        m_lo, m_hi = np.floor(n * ends * length / math.pi)
         if not m_hi < 2.0**53:  # else consecutive mode indices are not distinct floats
             raise ResonanceScanError(f"mode index {m_hi:g} exceeds floating-point resolution")
         if max_count is not None:  # one spare: the first root may lie below the leg
             m_hi = min(m_hi, m_lo + max_count - len(found))
         modes = np.arange(int(m_lo), int(m_hi) + 1)
-        roots, _, inside = _mode_roots(
-            modes, cfg.length, cfg.lambda_mirror, p.omega_t, p.beta4pi, upper, *leg
-        )
+        roots, _, inside = _mode_roots(modes, length, cfg.lambda_mirror, b, upper, *leg)
         take = np.flatnonzero(inside)[: None if max_count is None else max_count - len(found)]
-        roots, modes = roots[take], modes[take]
-        branch = Branch.BARE if p.beta4pi == 0.0 else Branch.UPPER if upper else Branch.LOWER
+        roots, modes = roots[take] * wt, modes[take]
+        branch = Branch.BARE if b == 0.0 else Branch.UPPER if upper else Branch.LOWER
         for root, kappa, m in zip(roots, kappa_mbc(roots, cfg), modes):
             found.append(Resonance(float(root), float(kappa), branch, int(m)))
     return found

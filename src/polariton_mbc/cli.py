@@ -79,14 +79,14 @@ def cmd_dispersion(cfg: RunConfig) -> list[Output]:
 def cmd_hopfield(cfg: RunConfig) -> list[Output]:
     """Two-mode eigenfrequencies and mode weights over a coupling sweep.
 
-    One `hopfield_modes` call covers the sweep. A coupling whose closed
-    forms leave the float range is refused with a configuration error.
+    One `hopfield_modes` call in units of omega_t covers the sweep. A
+    coupling whose closed forms leave the float range is refused with a
+    configuration error.
     """
-    wt = cfg.medium.omega_t
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
-    modes = hopfield_modes(wt, wt, grid * wt)
+    modes = hopfield_modes(1.0, 1.0, grid)
     modes.require_finite(grid)
-    cols = {"omega_L": modes.omega[0] / wt, "omega_U": modes.omega[1] / wt}
+    cols = {"omega_L": modes.omega[0], "omega_U": modes.omega[1]}
     for i, tag in enumerate("LU"):
         for part in "wxyz":
             cols[f"{part}2_{tag}"] = weight(getattr(modes, part)[i])

@@ -77,14 +77,14 @@ def _unwrap(x, kind):
     return kind(x) if x.ndim == 0 else x
 
 
-def _epsilon(omega, omega_t, beta4pi, gamma):
-    """The one Lorentz eps(omega); broadcasts over omega and an array of beta4pi."""
+def _epsilon(x, beta4pi, gamma):
+    """The one Lorentz eps at x = omega/omega_t and gamma/omega_t; broadcasts
+    over x and an array of beta4pi."""
     # at least 1-d: numpy rounds complex products of scalars and of arrays
     # (fused multiply-adds) differently, and an omega must not depend on it
-    z = np.array(omega, dtype=complex, ndmin=1) + 1j * gamma
-    wt2 = omega_t * omega_t
+    z = np.array(x, dtype=complex, ndmin=1) + 1j * gamma
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps = 1.0 + beta4pi * wt2 / (wt2 - z * z)
+        eps = 1.0 + beta4pi / (1.0 - z * z)
     # no oscillator: eps is 1 everywhere, including at omega_t where the
     # formula evaluates 0 * inf; np.where only for an array of couplings,
     # as it triples the cost of a scalar call and adds a full-size copy
@@ -92,43 +92,41 @@ def _epsilon(omega, omega_t, beta4pi, gamma):
         eps = np.where(beta4pi == 0.0, 1.0 + 0.0j, eps)
     elif beta4pi == 0.0:
         eps = np.ones_like(z)
-    return eps.reshape(()) if np.ndim(omega) == 0 and np.ndim(beta4pi) == 0 else eps
+    return eps.reshape(()) if np.ndim(x) == 0 and np.ndim(beta4pi) == 0 else eps
 
 
-def _refractive_index(omega, omega_t, beta4pi, gamma):
-    """refractive_index as an array, broadcast over omega and beta4pi."""
-    n = np.sqrt(_epsilon(omega, omega_t, beta4pi, gamma))
+def _refractive_index(x, beta4pi, gamma):
+    """refractive_index at x = omega/omega_t and gamma/omega_t, as an array."""
+    n = np.sqrt(_epsilon(x, beta4pi, gamma))
     return np.where(n.imag < 0.0, -n, n)
 
 
-def _group_velocity(omega, omega_t, beta4pi):
-    """group_velocity as an array, broadcast over omega and beta4pi; no checks."""
-    w = np.asarray(omega, dtype=float)
+def _group_velocity(x, beta4pi):
+    """group_velocity at x = omega/omega_t as an array, broadcast over x and beta4pi; no checks."""
+    r = np.asarray(x, dtype=float)
     # squares by multiplication: ** 2 on a numpy scalar goes through pow()
     # and can differ in the last digit from the same omega inside an array
-    r = w / omega_t
     d = r * r - 1.0  # u - 1 with u = (omega/omega_t)**2
     d2 = d * d
-    n = _refractive_index(w, omega_t, beta4pi, 0.0).real
+    n = _refractive_index(r, beta4pi, 0.0).real
     with np.errstate(invalid="ignore"):
         vg = n * d2 / (d2 + beta4pi)
     # vacuum: 1, also at omega_t where the closed form is 0/0
     if isinstance(beta4pi, np.ndarray):
         return np.where(beta4pi == 0.0, 1.0, vg)
-    return np.ones_like(w) if beta4pi == 0.0 else vg
+    return np.ones_like(r) if beta4pi == 0.0 else vg
 
 
-def _branches(k, omega_t, beta4pi):
-    """W and d = (W/omega_t)**2 - 1 of both branches (lower, upper) at k.
+def _branches(q, beta4pi):
+    """W/omega_t and d = (W/omega_t)**2 - 1 of both branches (lower, upper) at q = k/omega_t.
 
-    With q = k/omega_t and b = beta4pi, the lower d is the negative root of
+    With b = beta4pi, the lower d is the negative root of
     d**2 + ((1 - q**2) - b) d - b = 0 and the upper e = d - b the positive
     root of e**2 + ((1 - q**2) + b) e - b q**2 = 0, each the larger root or
     the product of the roots over it, so nothing nearly equal is subtracted.
-    W = omega_t sqrt(1 + d), or k sqrt(1/(1 + d_upper)) far below the band
-    (d < -1/2). Broadcasts; no checks: an overflowing (k/omega_t)**2 gives inf.
+    W/omega_t = sqrt(1 + d), or q sqrt(1/(1 + d_upper)) far below the band
+    (d < -1/2). Broadcasts; no checks: an overflowing q**2 gives inf.
     """
-    q = k / omega_t
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gap = (1.0 - q) * (1.0 + q)  # 1 - q**2, not rounding q**2 next to q = 1
         # x**2 + 2 h x - c = 0 has the roots -h - r and c / (r - h), r = hypot(h, c**0.5)
@@ -138,31 +136,34 @@ def _branches(k, omega_t, beta4pi):
         h = 0.5 * (gap + beta4pi)
         r = np.hypot(h, np.sqrt(beta4pi) * q)
         d_up = beta4pi + np.where(h <= 0.0, r - h, beta4pi / (r + h) * (q * q))
-        far = k * np.sqrt(1.0 / (1.0 + d_up))  # where 1 + d would lose W
-        w_lo = np.where(d_lo < -0.5, far, omega_t * np.sqrt(1.0 + d_lo))
-        return np.stack([w_lo, omega_t * np.sqrt(1.0 + d_up)]), np.stack([d_lo, d_up])
+        far = q * np.sqrt(1.0 / (1.0 + d_up))  # where 1 + d would lose W
+        w_lo = np.where(d_lo < -0.5, far, np.sqrt(1.0 + d_lo))
+        return np.stack([w_lo, np.sqrt(1.0 + d_up)]), np.stack([d_lo, d_up])
 
 
 def _bulk_branches(k, p: MediumParams):
-    """W, n = k/W and v_g of both branches (lower, upper) at wavenumbers k.
+    """W, n = k/W and v_g of both branches (lower, upper) at wavenumbers k, unchecked.
 
-    v_g = n d**2/(d**2 + 4 pi beta) is written n |d| / (|d_lower| + d_upper),
-    as d_lower d_upper = -4 pi beta, so that it cannot overflow. In vacuum
-    W = min(k, omega_t), max(k, omega_t) and n = v_g = 1. ValueError for k
-    < 0 and where (k/omega_t)**2 or the upper W overflows.
+    W is omega_t times `_branches` at k/omega_t, except far below the band,
+    where the lower W is k sqrt(1/(1 + d_upper)) from k itself, whose ratio
+    to omega_t may have lost digits to underflow. v_g = n d**2/(d**2 + 4 pi
+    beta) is written n |d| / (|d_lower| + d_upper), as d_lower d_upper = -4
+    pi beta, so that it cannot overflow. In vacuum W = min(k, omega_t),
+    max(k, omega_t) and n = v_g = 1. W is inf where it overflows, and on
+    both branches where (k/omega_t)**2 does, in vacuum too. ValueError for
+    k < 0.
     """
     kk = np.asarray(k, dtype=float)
     if np.any(kk < 0.0):
         raise ValueError("wavenumber must be non-negative")
-    w, d = _branches(kk, p.omega_t, p.beta4pi)
-    bad = kk[~np.isfinite(w[1])]
-    if bad.size:
-        raise ValueError(f"wavenumber k = {bad.flat[0]:g} is too large: "
-                         "(k/omega_t)**2 or the upper branch frequency overflows")
-    if p.beta4pi == 0.0:
-        w = np.stack([np.minimum(kk, p.omega_t), np.maximum(kk, p.omega_t)])
-        return w, np.ones_like(w), np.ones_like(w)
-    with np.errstate(invalid="ignore"):  # k = 0: n = 0/0 on the lower branch
+    x, d = _branches(kk / p.omega_t, p.beta4pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # k = 0: n = 0/0 on the lower branch
+        lower = np.where(d[0] < -0.5, kk * np.sqrt(1.0 / (1.0 + d[1])), x[0] * p.omega_t)
+        w = np.stack([np.where(np.isfinite(x[1]), lower, np.inf), x[1] * p.omega_t])
+        if p.beta4pi == 0.0:
+            vacuum = np.stack([np.minimum(kk, p.omega_t), np.maximum(kk, p.omega_t)])
+            w = np.where(np.isfinite(w), vacuum, w)
+            return w, np.ones_like(w), np.ones_like(w)
         n = kk / w
         return w, n, n * np.abs(d) / (np.abs(d[0]) + d[1])
 
@@ -176,7 +177,7 @@ def epsilon(omega, p: MediumParams):
     omega = omega_t) returns a non-finite value (the inf sentinel);
     callers that can reach the pole must check np.isfinite.
     """
-    return _unwrap(_epsilon(omega, p.omega_t, p.beta4pi, p.gamma), complex)
+    return _unwrap(_epsilon(np.divide(omega, p.omega_t), p.beta4pi, p.gamma / p.omega_t), complex)
 
 
 def refractive_index(omega, p: MediumParams):
@@ -186,7 +187,8 @@ def refractive_index(omega, p: MediumParams):
     the real part is taken >= 0. In the stop band at gamma = 0 the
     result is purely imaginary.
     """
-    return _unwrap(_refractive_index(omega, p.omega_t, p.beta4pi, p.gamma), complex)
+    n = _refractive_index(np.divide(omega, p.omega_t), p.beta4pi, p.gamma / p.omega_t)
+    return _unwrap(n, complex)
 
 
 def wavenumber(omega, p: MediumParams):
@@ -232,7 +234,7 @@ def group_velocity(omega, p: MediumParams):
         raise StopBandError(
             f"omega inside the stop band [{lo:g}, {hi:g}]: no propagating mode"
         )
-    return _unwrap(_group_velocity(w, p.omega_t, p.beta4pi), float)
+    return _unwrap(_group_velocity(w / p.omega_t, p.beta4pi), float)
 
 
 def bulk_dispersion(k, p: MediumParams):
@@ -247,4 +249,13 @@ def bulk_dispersion(k, p: MediumParams):
     or omega_upper overflows.
     """
     w, _, _ = _bulk_branches(k, p)
+    _require_finite(k, w[1], "upper branch")
     return _unwrap(w[0], float), _unwrap(w[1], float)
+
+
+def _require_finite(k, w, branch):
+    """ValueError naming the first wavenumber k whose frequency w is not finite."""
+    bad = np.asarray(k, dtype=float)[~np.isfinite(w)]
+    if bad.size:
+        raise ValueError(f"wavenumber k = {bad.flat[0]:g} is too large: "
+                         f"(k/omega_t)**2 or the {branch} frequency overflows")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dielectric import MediumParams, _unwrap, bulk_dispersion, refractive_index
+from .dielectric import MediumParams, _bulk_branches, _require_finite, _unwrap, refractive_index
 from .errors import BranchError
 
 __all__ = [
@@ -57,10 +57,10 @@ class FieldCommutators:
     def at_index(cls, q, n) -> "FieldCommutators":
         """The weights at vacuum wavenumber q and real index n, scalars or arrays.
 
-        q/n^3 is taken as q/n/n/n, which rounds alike for both and does not
-        overflow where the weight is a double.
+        1/(2 q n) is taken as 0.5/(q n) and q/n^3 as q/n/n/n, which round
+        alike for both and do not overflow where the weight is a double.
         """
-        return cls(1.0 / (2.0 * q * n), 0.5 * q / n / n / n, 0.5 * q / n, 0.5 * q * n)
+        return cls(0.5 / (q * n), 0.5 * q / n / n / n, 0.5 * q / n, 0.5 * q * n)
 
 
 def solve_omega_q(q, p: MediumParams, branch: str = "auto"):
@@ -72,7 +72,8 @@ def solve_omega_q(q, p: MediumParams, branch: str = "auto"):
     q < omega_t and upper otherwise. The root is `bulk_dispersion`'s at
     gamma = 0 (q itself in vacuum); it may round onto a band edge, where
     the index is q/W all the same. Raises BranchError for the upper branch
-    below omega_t in vacuum, and ValueError where bulk_dispersion does.
+    below omega_t in vacuum, and ValueError where (q/omega_t)**2 or the
+    branch it returns overflows: the other one may.
     """
     qq = np.array(q, dtype=float)
     if not np.all(qq > 0):
@@ -84,7 +85,9 @@ def solve_omega_q(q, p: MediumParams, branch: str = "auto"):
             raise BranchError("no upper branch in vacuum (beta = 0) below omega_t")
         return _unwrap(qq, float)
     lower = qq < p.omega_t if branch == "auto" else np.full(qq.shape, branch == "lower")
-    return _unwrap(np.where(lower, *bulk_dispersion(qq, p)), float)
+    w = np.where(lower, *_bulk_branches(qq, p)[0])
+    _require_finite(qq, w, "returned branch")
+    return _unwrap(w, float)
 
 
 def mode_commutators(q, p: MediumParams, branch: str = "auto") -> FieldCommutators:

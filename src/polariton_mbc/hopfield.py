@@ -26,8 +26,9 @@ from .dielectric import _branches
 __all__ = ["BogoliubovProblem", "HopfieldModes", "hopfield_modes", "weight"]
 
 
-def _coupling4pi(rabi, photon_freq, omega_t):
-    return 4.0 * rabi * rabi * photon_freq / omega_t**3
+def _coupling4pi(g, c):
+    """4 pi beta_eff = 4 g**2 c at g = rabi/omega_t and c = photon_freq/omega_t."""
+    return 4.0 * g * g * c
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class BogoliubovProblem:
         medium value 4*rabi**2/omega_t**2 on resonance
         photon_freq = omega_t.
         """
-        return _coupling4pi(self.rabi, self.photon_freq, self.omega_t)
+        return _coupling4pi(self.rabi / self.omega_t, self.photon_freq / self.omega_t)
 
 
 class HopfieldModes(NamedTuple):
@@ -107,12 +108,14 @@ def hopfield_modes(photon_freq, omega_t, rabi) -> HopfieldModes:
     """Closed-form frequencies and Hopfield coefficients of both modes.
 
     rabi is taken as an at-least-1-d array; photon_freq and omega_t
-    broadcast against it. The frequencies and their band-edge detunings
-    d = (omega/omega_t)**2 - 1 are `dielectric._branches` at k = omega_c
-    and 4*pi*beta = coupling4pi: the two-mode problem's quartic is the
-    bulk one. Each eigenvector follows from a template at its frequency,
-    with 1 - omega/omega_t and omega - omega_c written through d, and an
-    overall minus sign on the upper branch so that w stays real positive.
+    broadcast against it. Everything is computed in units of omega_t,
+    with c = photon_freq/omega_t and x = omega/omega_t, and only the
+    frequencies are scaled back. x and its band-edge detuning d = x**2 - 1
+    are `dielectric._branches` at q = c and 4*pi*beta = coupling4pi: the
+    two-mode problem's quartic is the bulk one. Each eigenvector follows
+    from a template at its frequency, with 1 - x and x - c written through
+    d, and an overall minus sign on the upper branch so that w stays real
+    positive.
 
     Where rabi = 0 the photon-like mode has w = 1 and the excitation-like
     mode x = +i or -i, the rabi -> 0 limit of the closed forms on either
@@ -128,19 +131,20 @@ def hopfield_modes(photon_freq, omega_t, rabi) -> HopfieldModes:
     if not ((wc > 0).all() and (wt > 0).all() and (g >= 0).all()):
         raise ValueError("need photon_freq > 0, omega_t > 0 and rabi >= 0")
     with np.errstate(all="ignore"):  # out-of-range couplings show in .finite
-        g4 = _coupling4pi(g, wc, wt)
-        omega, d = _branches(wc, wt, g4)
+        c = wc / wt
+        g4 = _coupling4pi(g / wt, c)
+        xs, d = _branches(c, g4)
         sq = 0.5 * np.sqrt(g4)  # sqrt(pi * beta_eff)
-        rw = omega / wt
-        norm = rw * (d * d + g4)  # inf is an overflow, not a zero weight
+        norm = xs * (d * d + g4)  # inf is an overflow, not a zero weight
         root = np.sqrt(np.where(np.isinf(norm), np.nan, norm))
         sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * g4.ndim)
-        scale = np.sqrt(wt / wc) / (2.0 * wt)
-        # -sign d = |d|, 1 - rw = -d/(1 + rw), omega - wc = omega**2 g4/(d (omega + wc))
-        w = (np.abs(d) * (omega + wc) * scale / root).astype(complex)
-        x = -1j * (sign * sq * (1.0 + rw) / root)
-        y = (-sign * g4 * omega * (omega / (omega + wc)) * scale / root).astype(complex)
-        z = 1j * (sign * sq * d / ((1.0 + rw) * root))
+        scale = 0.5 / np.sqrt(c)
+        # -sign d = |d|, 1 - x = -d/(1 + x), x - c = x**2 g4/(d (x + c))
+        w = (np.abs(d) * (xs + c) * scale / root).astype(complex)
+        x = -1j * (sign * sq * (1.0 + xs) / root)
+        y = (-sign * g4 * xs * (xs / (xs + c)) * scale / root).astype(complex)
+        z = 1j * (sign * sq * d / ((1.0 + xs) * root))
+    omega = xs * wt
     off = g == 0.0
     if off.any():
         below = np.broadcast_to(wc <= wt, g4.shape)  # the photon-like mode is lower

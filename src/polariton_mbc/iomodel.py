@@ -126,8 +126,8 @@ def figure2_sweep(
     modes = hopfield_modes(1.0, 1.0, grid)
     modes.require_finite(grid)
     b4 = 4.0 * np.square(grid)[:, None]  # (coupling, 1) against (branch,) below
-    w, n, _ = _mode_roots(1, length, lambda_mirror, 1.0, b4, [False, True])
-    kappa = n * _group_velocity(w, 1.0, b4) * k_bare  # 2 n v_g / (Lambda^2 L)
+    w, n, _ = _mode_roots(1, length, lambda_mirror, b4, [False, True])
+    kappa = n * _group_velocity(w, b4) * k_bare  # 2 n v_g / (Lambda^2 L)
     rwa = kappa_rwa(modes, k0)
     return SweepTable([
         ("rabi_over_wt", grid),

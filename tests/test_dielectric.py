@@ -237,7 +237,7 @@ def _ulps_from_mpmath(k, b4, worst):
     """Record in worst the largest distances of `_branches` and
     `_bulk_branches` from `exact_branches` at (k, b4), omega_t = 1: W from
     the correctly rounded root, d, n and v_g from the exact values."""
-    w, d = _branches(k, 1.0, b4)
+    w, d = _branches(k, b4)
     _, n, vg = _bulk_branches(k, MediumParams(omega_t=1.0, beta4pi=b4, gamma=0.0))
     for j, exact in enumerate(exact_branches(k, 1.0, b4)):
         got = (w[j], d[j], n[j], vg[j])
