@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dielectric import MediumParams, _branches, _refractive_index, _unwrap
-from .dielectric import group_velocity, refractive_index
+from .dielectric import MediumParams, _branches, _group_velocity, _propagating
+from .dielectric import _refractive_index, _unwrap
 from .errors import ResonanceScanError, StopBandError
 
 __all__ = [
@@ -153,13 +153,19 @@ def tuned_length(lambda_mirror: float, medium: MediumParams) -> float:
 def kappa_mbc(omega, cfg: CavityConfig):
     """Boundary-condition dissipation rate 2 n v_g / (Lambda**2 L), gamma = 0.
 
-    Takes a scalar or an array omega. Raises StopBandError (propagated
-    from group_velocity) if any omega lies in the stop band.
+    Takes a scalar or an array omega. Raises StopBandError, as
+    group_velocity does, if any omega lies in the stop band.
     """
-    p = cfg.medium.lossless()
-    n = refractive_index(omega, p).real
-    vg = group_velocity(omega, p)
-    return 2.0 * n * vg / (cfg.lambda_mirror**2 * cfg.length)
+    p = cfg.medium
+    x, n = _propagating(omega, p)
+    kappa = _kappa(x, n, p.beta4pi, cfg.lambda_mirror, cfg.length * p.omega_t)
+    return _unwrap(kappa * p.omega_t, float)
+
+
+def _kappa(x, n, beta4pi, lambda_mirror, length):
+    """kappa_mbc/omega_t at x = W/omega_t, index n and length = L omega_t."""
+    vg = _group_velocity(n, (x - 1.0) * (x + 1.0), beta4pi)
+    return 2.0 * n * vg / (lambda_mirror**2 * length)
 
 
 def kappa_bare(cfg: CavityConfig) -> float:
@@ -231,7 +237,7 @@ def find_resonances(
     On each transparent leg (the stop band is skipped) every mode m from
     floor(n W L/pi) at the leg's bottom to that at its top is solved in
     its own bracket by one `_mode_roots` call, and the rates come from
-    one kappa_mbc call. Every mode in the window comes back, up to the
+    the index it returns. Every mode in the window comes back, up to the
     1e-9 omega_t margin at each band edge, each root a double or two from
     the exact one. At most `max_count` roots are returned, and none past
     them is checked. A window whose mode indices pass 2^53 raises
@@ -268,10 +274,11 @@ def find_resonances(
         if max_count is not None:  # one spare: the first root may lie below the leg
             m_hi = min(m_hi, m_lo + max_count - len(found))
         modes = np.arange(int(m_lo), int(m_hi) + 1)
-        roots, _, inside = _mode_roots(modes, length, cfg.lambda_mirror, b, upper, *leg)
+        x, n, inside = _mode_roots(modes, length, cfg.lambda_mirror, b, upper, *leg)
         take = np.flatnonzero(inside)[: None if max_count is None else max_count - len(found)]
-        roots, modes = roots[take] * wt, modes[take]
+        x, n, modes = x[take], n[take], modes[take]
+        kappa = _kappa(x, n, b, cfg.lambda_mirror, length) * wt
         branch = Branch.BARE if b == 0.0 else Branch.UPPER if upper else Branch.LOWER
-        for root, kappa, m in zip(roots, kappa_mbc(roots, cfg), modes):
-            found.append(Resonance(float(root), float(kappa), branch, int(m)))
+        for root, rate, m in zip(x * wt, kappa, modes):
+            found.append(Resonance(float(root), float(rate), branch, int(m)))
     return found

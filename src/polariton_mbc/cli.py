@@ -20,22 +20,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import (
-    CavityConfig,
-    amplitudes,
-    find_resonances,
-    kappa_bare,
-    kappa_mbc,
-    tuned_length,
-)
+from .cavity import CavityConfig, amplitudes, find_resonances, kappa_bare, kappa_mbc
 from .config import RunConfig, load_config
-from .dielectric import MediumParams, _bulk_branches, in_stop_band
+from .dielectric import _bulk_branches, in_stop_band
 from .errors import ConfigError, PolaritonError, StepSizeError, StopBandError, ToleranceError
 from .fluct import FieldCommutators, solve_omega_q
 from .greens import _wavenumber, delta_jump, fd_step, green_function, membrane_jump
 from .greens import ode_residual
 from .hopfield import hopfield_modes, weight
-from .iomodel import figure2_sweep, kappa_fit
+from .iomodel import _tuned, figure2_sweep, kappa_fit
 from .svgplot import layout, write_svg
 from .tables import SweepTable
 
@@ -172,10 +165,9 @@ def cmd_figure2(cfg: RunConfig) -> list[Output]:
     """Both dissipation-rate prescriptions over a coupling sweep (two files)."""
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     lam, k0 = cfg.lambda_mirror, cfg.kappa0_over_wt
-    if k0 is None:  # figure2_sweep's default: the tuned empty cavity at omega_t = 1
-        bare = MediumParams()
-        k0 = kappa_bare(CavityConfig(tuned_length(lam, bare), lam, bare))
     table = figure2_sweep(grid, lam, k0)
+    if k0 is None:  # figure2_sweep's default, the bare rate of its tuned cavity
+        k0 = _tuned(lam)[1]
     axis = table.array("rabi_over_wt")
 
     def part(stem, quantity, other, legend, title, ylabel, extra):

@@ -101,20 +101,20 @@ def _refractive_index(x, beta4pi, gamma):
     return np.where(n.imag < 0.0, -n, n)
 
 
-def _group_velocity(x, beta4pi):
-    """group_velocity at x = omega/omega_t as an array, broadcast over x and beta4pi; no checks."""
-    r = np.asarray(x, dtype=float)
-    # squares by multiplication: ** 2 on a numpy scalar goes through pow()
-    # and can differ in the last digit from the same omega inside an array
-    d = r * r - 1.0  # u - 1 with u = (omega/omega_t)**2
-    d2 = d * d
-    n = _refractive_index(r, beta4pi, 0.0).real
-    with np.errstate(invalid="ignore"):
-        vg = n * d2 / (d2 + beta4pi)
-    # vacuum: 1, also at omega_t where the closed form is 0/0
+def _group_velocity(n, d, beta4pi, other=None):
+    """v_g = n d**2/(d**2 + 4 pi beta) at index n and band-edge detuning d.
+
+    d = (W/omega_t)**2 - 1, and other is the other branch's d at the same
+    wavenumber, -4 pi beta/d, so that v_g = n d/(d - other), which cannot
+    overflow. `_branches` computes other on its own, which keeps v_g
+    within a few ulps where -4 pi beta/d would double the error of d. 1 in
+    vacuum, also at d = 0. Broadcasts over n, d and an array of beta4pi.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vg = n * (d / (d - (-beta4pi / d if other is None else other)))
     if isinstance(beta4pi, np.ndarray):
         return np.where(beta4pi == 0.0, 1.0, vg)
-    return np.ones_like(r) if beta4pi == 0.0 else vg
+    return np.ones_like(vg) if beta4pi == 0.0 else vg
 
 
 def _branches(q, beta4pi):
@@ -146,9 +146,8 @@ def _bulk_branches(k, p: MediumParams):
 
     W is omega_t times `_branches` at k/omega_t, except far below the band,
     where the lower W is k sqrt(1/(1 + d_upper)) from k itself, whose ratio
-    to omega_t may have lost digits to underflow. v_g = n d**2/(d**2 + 4 pi
-    beta) is written n |d| / (|d_lower| + d_upper), as d_lower d_upper = -4
-    pi beta, so that it cannot overflow. In vacuum W = min(k, omega_t),
+    to omega_t may have lost digits to underflow. v_g is `_group_velocity`
+    at the d of `_branches`. In vacuum W = min(k, omega_t),
     max(k, omega_t) and n = v_g = 1. W is inf where it overflows, and on
     both branches where (k/omega_t)**2 does, in vacuum too. ValueError for
     k < 0.
@@ -165,7 +164,7 @@ def _bulk_branches(k, p: MediumParams):
             w = np.where(np.isfinite(w), vacuum, w)
             return w, np.ones_like(w), np.ones_like(w)
         n = kk / w
-        return w, n, n * np.abs(d) / (np.abs(d[0]) + d[1])
+    return w, n, _group_velocity(n, d, p.beta4pi, d[::-1])
 
 
 def epsilon(omega, p: MediumParams):
@@ -226,6 +225,14 @@ def group_velocity(omega, p: MediumParams):
     Raises StopBandError if omega lies in the stop band (band edges
     included), where no propagating mode exists.
     """
+    x, n = _propagating(omega, p)
+    return _unwrap(_group_velocity(n, (x - 1.0) * (x + 1.0), p.beta4pi), float)
+
+
+def _propagating(omega, p: MediumParams):
+    """x = omega/omega_t and the real index n there, at gamma = 0, for
+    group_velocity and the rates built on it: ValueError where omega <= 0
+    and StopBandError where omega lies in the stop band."""
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0.0):
         raise ValueError("group_velocity needs omega > 0")
@@ -234,7 +241,8 @@ def group_velocity(omega, p: MediumParams):
         raise StopBandError(
             f"omega inside the stop band [{lo:g}, {hi:g}]: no propagating mode"
         )
-    return _unwrap(_group_velocity(w / p.omega_t, p.beta4pi), float)
+    x = w / p.omega_t
+    return x, _refractive_index(x, p.beta4pi, 0.0).real
 
 
 def bulk_dispersion(k, p: MediumParams):

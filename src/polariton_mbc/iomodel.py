@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cavity import CavityConfig, Resonance, _mode_roots, kappa_bare, tuned_length
-from .dielectric import MediumParams, _group_velocity, _unwrap
+from .cavity import CavityConfig, Resonance, _kappa, _mode_roots, kappa_bare, tuned_length
+from .dielectric import MediumParams, _unwrap
 from .hopfield import HopfieldModes, hopfield_modes, weight
 from .tables import SweepTable
 
@@ -82,6 +82,13 @@ def kappa_fit(omega, kappa0: float, omega_t: float = 1.0):
     return _unwrap(out, float)
 
 
+def _tuned(lambda_mirror: float) -> tuple[float, float]:
+    """Length and kappa_bare of the empty cavity tuned to omega_t = 1."""
+    bare = MediumParams(omega_t=1.0, gamma=0.0)
+    cavity = CavityConfig(tuned_length(lambda_mirror, bare), lambda_mirror, bare)
+    return cavity.length, kappa_bare(cavity)
+
+
 def figure2_sweep(
     rabi_grid: Sequence[float],
     lambda_mirror: float,
@@ -118,17 +125,13 @@ def figure2_sweep(
     if not 5.0 <= lambda_mirror < math.inf:
         raise ValueError("lambda_mirror must be finite and in the good-cavity regime (>= 5)")
 
-    bare = MediumParams(omega_t=1.0, gamma=0.0)
-    length = tuned_length(lambda_mirror, bare)
-    k_bare = kappa_bare(CavityConfig(length, lambda_mirror, bare))
-    k0 = k_bare if kappa0 is None else kappa0
-
+    length, k_bare = _tuned(lambda_mirror)
     modes = hopfield_modes(1.0, 1.0, grid)
     modes.require_finite(grid)
     b4 = 4.0 * np.square(grid)[:, None]  # (coupling, 1) against (branch,) below
     w, n, _ = _mode_roots(1, length, lambda_mirror, b4, [False, True])
-    kappa = n * _group_velocity(w, b4) * k_bare  # 2 n v_g / (Lambda^2 L)
-    rwa = kappa_rwa(modes, k0)
+    kappa = _kappa(w, n, b4, lambda_mirror, length)
+    rwa = kappa_rwa(modes, k_bare if kappa0 is None else kappa0)
     return SweepTable([
         ("rabi_over_wt", grid),
         ("omega_L_mbc", w[:, 0]),

@@ -635,7 +635,7 @@ def test_infinite_plot_value_is_a_typed_error(tmp_path, capsys):
 DEFAULT_CSV_BODIES = {
     "dispersion.csv": "6889e62b27867f77cc2be5a18c0626709ee57d5053e570799840d9611b81debd",
     "fig2_frequencies.csv": "c920aeeec487255adb9a59b2b01efb78f5beaf71960a9114980d607533559c1e",
-    "fig2_rates.csv": "00dca9dccaeea6ee3b2f007cb24bc27314afa7c474db6643d73b20da11427064",
+    "fig2_rates.csv": "a02c20d0750ad9d6e3d07a92fd704084b213f21ae114b01909f80a632ac13dc4",
     "fluct.csv": "d2160213f43336dad3f2496eb70ece62c93270a2bcf66042a52302c8e286ecaf",
     "greens_check.csv": "53d1505a2b145441540ddce7fe031053314e276dac58318565f4faae883b9076",
     "hopfield.csv": "e6530cc80d0fa98164f21c2574e4aa7303ef515a9ff2be7ec27985059a5b3297",
