@@ -13,7 +13,9 @@ codes: 0 success, 1 configuration error, 2 numerical-tolerance failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import math
 import os
 import sys
 from typing import NamedTuple
@@ -22,7 +24,7 @@ import numpy as np
 
 from .cavity import CavityConfig, amplitudes, find_resonances, kappa_bare, kappa_mbc
 from .config import RunConfig, load_config
-from .dielectric import _bulk_branches, in_stop_band
+from .dielectric import MediumParams, _bulk_branches, in_stop_band
 from .errors import ConfigError, PolaritonError, StepSizeError, StopBandError, ToleranceError
 from .fluct import FieldCommutators, solve_omega_q
 from .greens import _wavenumber, delta_jump, fd_step, green_function, membrane_jump
@@ -240,6 +242,21 @@ def _hardest_to_resolve(cfg: RunConfig, cavity: CavityConfig) -> list[float]:
     return [least, stop]
 
 
+def _at_unit_omega_t(cfg: RunConfig) -> RunConfig:
+    """cfg in units of omega_t: omega_t = 1, with gamma, the length and the
+    sweep window each divided or multiplied by it once. ConfigError where
+    one of them leaves the range of positive doubles."""
+    wt, med = cfg.medium.omega_t, cfg.medium
+    gamma, start, stop = med.gamma / wt, cfg.sweep_start / wt, cfg.sweep_stop / wt
+    length = None if cfg.length is None else cfg.length * wt
+    if not (start > 0.0 and max(gamma, stop) < math.inf
+            and (length is None or 0.0 < length < math.inf)):
+        raise ConfigError(f"in units of omega_t = {wt:g}, medium.gamma, cavity.length "
+                          "or the sweep window leaves the range of positive doubles")
+    return dataclasses.replace(cfg, medium=MediumParams(1.0, med.beta4pi, gamma),
+                               length=length, sweep_start=start, sweep_stop=stop)
+
+
 def cmd_greens_check(cfg: RunConfig) -> list[Output]:
     """Check the Green's function against its defining properties.
 
@@ -254,6 +271,7 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
         raise ConfigError(
             f"greens-check window must start above 0, got sweep.start = {cfg.sweep_start:g}"
         )
+    cfg = _at_unit_omega_t(cfg)  # every check value is dimensionless
     cavity = cfg.cavity()
     length = cavity.length
     tol_c, tol_r = cfg.tol_coefficient, cfg.tol_residual
@@ -268,11 +286,12 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
             raise ConfigError(f"greens-check cannot check the window at {w:g}: {err}") from err
 
     # piecewise evaluation consistency: G(z, z') = G(z', z) across regions;
-    # draws as (z_in, z_out) pairs, one pair per frequency in turn
+    # draws as (z_in, z_out) pairs, one pair per frequency in turn, measured
+    # against the largest |G| drawn, as G scales like 1/omega
     u = rng.uniform([0.1, 0.1], [0.9, 1.9], size=(ws.size, 2))
     z_in, z_out = u[:, 0] * length, -u[:, 1] * length
-    swapped = green_function(z_out, z_in, ws, cavity) - green_function(z_in, z_out, ws, cavity)
-    dev_s = float(np.max(np.abs(swapped)))
+    pair = green_function(z_out, z_in, ws, cavity), green_function(z_in, z_out, ws, cavity)
+    dev_s = float(np.max(np.abs(np.subtract(*pair))) / np.max(np.abs(pair)))
 
     w_probe = float(ws[0])
     h = fd_step(w_probe, cavity, clearance, tol_r)

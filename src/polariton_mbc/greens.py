@@ -119,8 +119,13 @@ def _wavenumber(omega, cfg: CavityConfig) -> float:
 
 
 def _rounding(omega, cfg: CavityConfig) -> float:
-    """R of the rounding term R/(hk)^2 of `fd_error`."""
-    return 2.0 * np.finfo(float).eps * (5.0 + 1.0 / abs(omega * cfg.length))
+    """R of the rounding term R/(hk)^2 of `fd_error`. StepSizeError where
+    omega L is so small that R leaves the float range (it divides by omega
+    L): no step can check G there."""
+    wl = abs(omega * cfg.length)
+    if not wl > 2.0 / np.finfo(float).max:
+        raise StepSizeError(f"omega L = {wl:g} is too small to check G by finite differences")
+    return 2.0 * np.finfo(float).eps * (5.0 + 1.0 / wl)
 
 
 def _check_step(omega, zprime: float, cfg: CavityConfig, h: float):
@@ -147,7 +152,7 @@ def fd_error(omega: float, cfg: CavityConfig, h: float) -> float:
     explained in its docstring; `delta_jump`'s is smaller.
     """
     hk = h * _wavenumber(omega, cfg)
-    return hk * hk / 3.0 + _rounding(omega, cfg) / (hk * hk)
+    return hk * hk / 3.0 + _rounding(omega, cfg) / hk / hk
 
 
 def fd_step(omega: float, cfg: CavityConfig, clearance: float, tol: float) -> float:
@@ -209,10 +214,10 @@ def ode_residual(zprime: float, omega: float, cfg: CavityConfig, h: float) -> fl
     L = cfg.length
     z = np.arange(-2.0 * L, L - 0.5 * h, h)
     g = green_function(z, zprime, omega, cfg)
-    d2 = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (h * h)
+    d2 = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h / h  # h * h may leave the float range
     zi = z[1:-1]
     eps_z = np.where(zi <= 0.0, 1.0 + 0.0j, epsilon(omega, cfg.medium))
-    source = omega * omega * eps_z * g[1:-1]
+    source = omega * (omega * (eps_z * g[1:-1]))  # omega G is O(1); omega**2 may not be
     keep = (
         (np.abs(zi - zprime) >= 3.0 * h)
         & (np.abs(zi) >= 3.0 * h)

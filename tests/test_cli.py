@@ -355,6 +355,33 @@ def test_greens_check_next_to_a_band_edge(
         assert 300_000 in sizes  # each probe below the band needs the smallest step
 
 
+def test_greens_check_refuses_an_underflowing_omega_l_by_name(tmp_path, capsys):
+    # omega L = 1e-350 underflows to 0, where fd_error's rounding term
+    # divided by it and escaped as a ZeroDivisionError traceback
+    code = main([
+        "greens-check", "--out", str(tmp_path), "--set", "cavity.length=1e-200",
+        "--set", "sweep.start=1e-150", "--set", "sweep.stop=2e-150",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert "too small to check G by finite differences" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_greens_check_symmetry_is_relative_to_the_size_of_g(tmp_path):
+    # the default cavity at 4 pi beta = 0.36 in units where omega_t = 1e-4:
+    # G grows like 1/omega, and the symmetry check, absolute before, failed
+    # at 7.77e-12
+    assert main([
+        "greens-check", "--out", str(tmp_path), "--set", "medium.omega_t=1e-4",
+        "--set", "medium.gamma=1e-13", "--set", "medium.beta4pi=0.36",
+        "--set", "cavity.length=32687.474394869972",
+        "--set", "sweep.start=1e-5", "--set", "sweep.stop=3e-4",
+    ]) == 0
+    _, header, rows = read_csv(tmp_path / "greens_check.csv")
+    assert float(rows[0][1]) < 1e-15 and rows[0][0] == "cross_region_symmetry"
+
+
 def test_greens_check_reports_tolerance_failures(tmp_path):
     code = main([
         "greens-check", "--out", str(tmp_path),
@@ -389,6 +416,16 @@ def test_fluct_refuses_an_overflowing_weight(tmp_path, capsys):
     assert code == 1
     assert "a_comm is not finite at q = 1e-310" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_fluct_runs_where_only_the_unused_branch_overflows(tmp_path):
+    # every q of the default sweep lies on the lower branch, below omega_t;
+    # the upper branch, omega_t sqrt(5), overflows and used to refuse the run
+    argv = ["fluct", "--out", str(tmp_path),
+            "--set", "medium.omega_t=1e308", "--set", "medium.beta4pi=4"]
+    assert main(argv) == 0
+    _, header, rows = read_csv(tmp_path / "fluct.csv")
+    assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 def test_hopfield_weights_are_normalized(tmp_path):
@@ -637,7 +674,7 @@ DEFAULT_CSV_BODIES = {
     "fig2_frequencies.csv": "c920aeeec487255adb9a59b2b01efb78f5beaf71960a9114980d607533559c1e",
     "fig2_rates.csv": "a02c20d0750ad9d6e3d07a92fd704084b213f21ae114b01909f80a632ac13dc4",
     "fluct.csv": "d2160213f43336dad3f2496eb70ece62c93270a2bcf66042a52302c8e286ecaf",
-    "greens_check.csv": "53d1505a2b145441540ddce7fe031053314e276dac58318565f4faae883b9076",
+    "greens_check.csv": "19efa6d959b4b784f57594593030f5e297199592a1e877258232b7e8e115d6a4",
     "hopfield.csv": "e6530cc80d0fa98164f21c2574e4aa7303ef515a9ff2be7ec27985059a5b3297",
     "kappa_sweep.csv": "7cceabaaa002a0c7191761c2175708eb0a4f356f1ed71bf980d7a741435aebcd",
     "resonances.csv": "ff82531b6866bb5200855cc4a40141fc21fd32e8774249ddc302ccdd5571070c",

@@ -222,6 +222,19 @@ def test_roots_that_round_onto_the_band_edge_match_mpmath():
     assert fc.e_comm[1] == mode_commutators(1e8, med, "lower").e_comm
 
 
+def test_vector_potential_weight_is_subnormal_not_zero():
+    # n = q/W is about q on the lower branch at q = 1.2e154, where 2 q n
+    # overflows: a_comm was written 0.0, and 0.5/(q n) keeps the weight
+    mpmath = pytest.importorskip("mpmath")
+    q = 1.2e154
+    _, _, n, _ = exact_branches(q, 1.0, 0.36)[0]
+    with mpmath.workdps(50):
+        exact = float(1 / (2 * q * n))
+    a_comm = mode_commutators(q, lossless(0.36), "lower").a_comm
+    assert 0.0 < exact < 2.0**-1022
+    assert abs(a_comm - exact) <= math.ulp(exact)
+
+
 def test_forward_kernel_decay_and_symmetry():
     med = MediumParams(omega_t=1.0, beta4pi=2.0, gamma=1e-3)
     w = 0.9
