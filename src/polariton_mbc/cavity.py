@@ -101,10 +101,10 @@ def _amplitude_kernel(omega, cfg: CavityConfig):
     term overflows. At least 1-d, as in dielectric._epsilon, so that a
     scalar omega rounds as it does inside an array.
     """
-    w = np.array(omega, dtype=complex, ndmin=1)
     p = cfg.medium
-    n = _refractive_index(w / p.omega_t, p.beta4pi, p.gamma / p.omega_t)
-    e = np.exp(1j * cfg.length * (n * w))
+    x = np.array(omega, dtype=complex, ndmin=1) / p.omega_t
+    n = _refractive_index(x, p.beta4pi, p.gamma / p.omega_t)
+    e = np.exp(1j * (cfg.length * p.omega_t) * (n * x))  # the phase n omega L, in units of omega_t
     e2 = e * e
     return n, e, (1.0 - 1j * cfg.lambda_mirror) * (e2 - 1.0) - n * (e2 + 1.0)
 
@@ -151,11 +151,8 @@ def tuned_length(lambda_mirror: float, medium: MediumParams) -> float:
 
 
 def kappa_mbc(omega, cfg: CavityConfig):
-    """Boundary-condition dissipation rate 2 n v_g / (Lambda**2 L), gamma = 0.
-
-    Takes a scalar or an array omega. Raises StopBandError, as
-    group_velocity does, if any omega lies in the stop band.
-    """
+    """Boundary-condition dissipation rate 2 n v_g / (Lambda**2 L) at gamma = 0,
+    for a scalar or an array omega; StopBandError in the stop band."""
     p = cfg.medium
     x, n = _propagating(omega, p)
     kappa = _kappa(x, n, p.beta4pi, cfg.lambda_mirror, cfg.length * p.omega_t)
@@ -176,23 +173,21 @@ def kappa_bare(cfg: CavityConfig) -> float:
 def _mode_roots(m, length, lambda_mirror, beta4pi, upper, lo=0.0, hi=math.inf):
     """Mode m's root of tan(n x L) = n/Lambda on one branch: (x, n, inside).
 
-    Dimensionless: x is W/omega_t, length is L omega_t and [lo, hi] is a
-    window of W/omega_t. The root is the zero of the phase g = n x L - m
-    pi - atan(n/Lambda) on qL in [m pi, (m + 1/2) pi], q = n(x) x. g has
-    no pole there and, while L Lambda > 1, increases strictly (dn/dq < 1),
-    from -atan(n/Lambda) < 0 at the bottom to pi/2 - atan(n/Lambda) > 0
-    at the top: those signs are known, not computed. `_branches` maps the
-    ends to x on the lower or, where `upper`, the upper branch (x = q in
-    vacuum); m, beta4pi and upper broadcast together, at gamma = 0. [lo,
-    hi] clips the ends, and a clipped end gets a sign test on f = tan(n x
-    L) - n/Lambda, which has g's sign: `inside` is False where f > 0 at a
-    clipped bottom or f < 0 at a clipped top, and an end where f is
-    exactly 0 is the root.
+    In units of omega_t: x = W/omega_t, length = L omega_t, and [lo, hi]
+    clips the bracket in x. The root is the zero of the pole-free phase
+    g = n x L - m pi - atan(n/Lambda) on qL in [m pi, (m + 1/2) pi], q = n x,
+    which rises strictly while L Lambda > 1 (dn/dq < 1), from
+    -atan(n/Lambda) < 0 to pi/2 - atan(n/Lambda) > 0: known signs, not
+    computed ones. `_branches` maps the ends to x on the lower or, where
+    `upper`, the upper branch; m, beta4pi and upper broadcast together, at
+    gamma = 0. A clipped end gets a sign test on f = tan(n x L) -
+    n/Lambda, which has g's sign: `inside` is False where the root lies
+    outside [lo, hi], and an end where f is exactly 0 is the root.
 
     All brackets are bisected at once until no midpoint splits them; the
-    end with the smaller computed |g| is the root, an end never evaluated
-    counting as infinitely far. Finished brackets stay frozen, so each
-    root is the one a scalar loop on its own bracket returns.
+    end with the smaller computed |g| (inf if never evaluated) is the root.
+    Finished brackets stay frozen, so each root is the one a scalar loop on
+    its own bracket returns.
     """
 
     def index(w):
@@ -253,15 +248,12 @@ def find_resonances(
     wt, b, length = p.omega_t, p.beta4pi, cfg.length * p.omega_t
     if b > 0.0 and not length * cfg.lambda_mirror > 1.0:
         raise ValueError("one root per mode needs length * lambda_mirror * omega_t > 1")
-    legs = [(lo / wt, hi / wt)]
-    if b > 0.0:  # skip the stop band
-        x_lo, x_hi = legs[0]
-        legs = [(x_lo, min(x_hi, 1.0 - 1e-9)), (max(x_lo, math.sqrt(1.0 + b) + 1e-9), x_hi)]
-    legs = [(a, b) for a, b in legs if b > a]
+    x_lo, x_hi = lo / wt, hi / wt
+    legs = [(x_lo, x_hi)] if b == 0.0 else [  # skip the stop band
+        (x_lo, min(x_hi, 1.0 - 1e-9)), (max(x_lo, math.sqrt(1.0 + b) + 1e-9), x_hi)]
+    legs = [leg for leg in legs if leg[1] > leg[0]]
     if not legs:
-        raise StopBandError(
-            f"range [{lo:g}, {hi:g}] lies inside the stop band {p.stop_band()}"
-        )
+        raise StopBandError(f"range [{lo:g}, {hi:g}] lies inside the stop band {p.stop_band()}")
 
     found: list[Resonance] = []
     for leg in legs:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import os
 import sys
 from typing import NamedTuple
@@ -168,8 +167,7 @@ def cmd_figure2(cfg: RunConfig) -> list[Output]:
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     lam, k0 = cfg.lambda_mirror, cfg.kappa0_over_wt
     table = figure2_sweep(grid, lam, k0)
-    if k0 is None:  # figure2_sweep's default, the bare rate of its tuned cavity
-        k0 = _tuned(lam)[1]
+    k0 = _tuned(lam)[1] if k0 is None else k0  # figure2_sweep's default
     axis = table.array("rabi_over_wt")
 
     def part(stem, quantity, other, legend, title, ylabel, extra):
@@ -242,21 +240,6 @@ def _hardest_to_resolve(cfg: RunConfig, cavity: CavityConfig) -> list[float]:
     return [least, stop]
 
 
-def _at_unit_omega_t(cfg: RunConfig) -> RunConfig:
-    """cfg in units of omega_t: omega_t = 1, with gamma, the length and the
-    sweep window each divided or multiplied by it once. ConfigError where
-    one of them leaves the range of positive doubles."""
-    wt, med = cfg.medium.omega_t, cfg.medium
-    gamma, start, stop = med.gamma / wt, cfg.sweep_start / wt, cfg.sweep_stop / wt
-    length = None if cfg.length is None else cfg.length * wt
-    if not (start > 0.0 and max(gamma, stop) < math.inf
-            and (length is None or 0.0 < length < math.inf)):
-        raise ConfigError(f"in units of omega_t = {wt:g}, medium.gamma, cavity.length "
-                          "or the sweep window leaves the range of positive doubles")
-    return dataclasses.replace(cfg, medium=MediumParams(1.0, med.beta4pi, gamma),
-                               length=length, sweep_start=start, sweep_stop=stop)
-
-
 def cmd_greens_check(cfg: RunConfig) -> list[Output]:
     """Check the Green's function against its defining properties.
 
@@ -265,13 +248,17 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
     written all the same and exits with code 2. A window with a frequency
     of `_hardest_to_resolve` that no finite-difference step can check within
     the residual tolerance is refused first, with a configuration error,
-    as is a window that does not start above zero frequency.
+    as is a window that does not start above zero frequency. Every check
+    runs in units of omega_t.
     """
-    if not cfg.sweep_start > 0:
-        raise ConfigError(
-            f"greens-check window must start above 0, got sweep.start = {cfg.sweep_start:g}"
-        )
-    cfg = _at_unit_omega_t(cfg)  # every check value is dimensionless
+    wt, med = cfg.medium.omega_t, cfg.medium
+    cfg = dataclasses.replace(  # every check value is dimensionless: check in units of omega_t
+        cfg, medium=MediumParams(1.0, med.beta4pi, med.gamma / wt),
+        length=cfg.length and cfg.length * wt,
+        sweep_start=cfg.sweep_start / wt, sweep_stop=cfg.sweep_stop / wt)
+    if not 0.0 < cfg.sweep_start < cfg.sweep_stop < np.inf:
+        raise ConfigError(f"greens-check window must lie in (0, inf) in units of omega_t = "
+                          f"{wt:g}, got [{cfg.sweep_start:g}, {cfg.sweep_stop:g}]")
     cavity = cfg.cavity()
     length = cavity.length
     tol_c, tol_r = cfg.tol_coefficient, cfg.tol_residual
@@ -325,12 +312,9 @@ def cmd_fluct(cfg: RunConfig) -> list[Output]:
     n = qs / omega_q
     weights = vars(FieldCommutators.at_index(qs, n))
     table = SweepTable([("q", qs), ("omega_q", omega_q), ("n", n), *weights.items()])
-    plot = Plot([
-        ("vector potential", "q", "a_comm", "solid"),
-        ("electric field", "q", "e_comm", "solid"),
-        ("magnetic field", "q", "b_comm", "solid"),
-        ("displacement field", "q", "d_comm", "solid"),
-    ], "equal-time commutator weights", "vacuum wavenumber q", "commutator weight")
+    fields = ["vector potential", "electric field", "magnetic field", "displacement field"]
+    plot = Plot([(label, "q", name, "solid") for label, name in zip(fields, weights)],
+                "equal-time commutator weights", "vacuum wavenumber q", "commutator weight")
     return [Output("fluct", table, plot)]
 
 

@@ -110,12 +110,8 @@ class RunConfig:
     _lines: tuple[str, ...] = field(repr=False)  # the header, see _render
 
     def cavity(self) -> CavityConfig:
-        length = self.length
-        if length is None:
-            length = tuned_length(self.lambda_mirror, self.medium)
-        return CavityConfig(
-            length=length, lambda_mirror=self.lambda_mirror, medium=self.medium
-        )
+        length = self.length or tuned_length(self.lambda_mirror, self.medium)
+        return CavityConfig(length, self.lambda_mirror, self.medium)
 
     def resolved(self) -> list[str]:
         """The full configuration as ordered `section.key = value` lines."""

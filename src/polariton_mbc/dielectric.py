@@ -2,7 +2,9 @@
 
 Natural units are used throughout the package: c = hbar = eps0 = 1, and
 frequencies are quoted in units of the transverse excitation frequency
-(omega_t = 1 by default). Frequency arguments accept scalars or numpy
+(omega_t = 1 by default). The private kernels take omega/omega_t,
+k/omega_t and gamma/omega_t; the public functions convert once on the way
+in and once on the way out. Frequency arguments accept scalars or numpy
 arrays and the return value matches the input shape.
 """
 
@@ -67,9 +69,7 @@ class MediumParams:
 
     def lossless(self) -> "MediumParams":
         """Copy of these parameters with gamma set to exactly zero."""
-        if self.gamma == 0.0:
-            return self
-        return MediumParams(self.omega_t, self.beta4pi, 0.0)
+        return self if self.gamma == 0.0 else MediumParams(self.omega_t, self.beta4pi, 0.0)
 
 
 def _unwrap(x, kind):
@@ -104,17 +104,14 @@ def _refractive_index(x, beta4pi, gamma):
 def _group_velocity(n, d, beta4pi, other=None):
     """v_g = n d**2/(d**2 + 4 pi beta) at index n and band-edge detuning d.
 
-    d = (W/omega_t)**2 - 1, and other is the other branch's d at the same
-    wavenumber, -4 pi beta/d, so that v_g = n d/(d - other), which cannot
-    overflow. `_branches` computes other on its own, which keeps v_g
-    within a few ulps where -4 pi beta/d would double the error of d. 1 in
-    vacuum, also at d = 0. Broadcasts over n, d and an array of beta4pi.
+    d = (W/omega_t)**2 - 1, and other = -4 pi beta/d is the other branch's d
+    at the same wavenumber: v_g = n d/(d - other), which cannot overflow.
+    `_branches` computes other on its own, which keeps v_g a few ulps from
+    exact where -4 pi beta/d would double the error of d. 1 in vacuum.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         vg = n * (d / (d - (-beta4pi / d if other is None else other)))
-    if isinstance(beta4pi, np.ndarray):
-        return np.where(beta4pi == 0.0, 1.0, vg)
-    return np.ones_like(vg) if beta4pi == 0.0 else vg
+    return np.where(np.asarray(beta4pi) == 0.0, 1.0, vg)
 
 
 def _branches(q, beta4pi):
@@ -142,15 +139,13 @@ def _branches(q, beta4pi):
 
 
 def _bulk_branches(k, p: MediumParams):
-    """W, n = k/W and v_g of both branches (lower, upper) at wavenumbers k, unchecked.
+    """W, n = k/W and v_g of both branches (lower, upper) at wavenumbers k >= 0.
 
-    W is omega_t times `_branches` at k/omega_t, except far below the band,
-    where the lower W is k sqrt(1/(1 + d_upper)) from k itself, whose ratio
-    to omega_t may have lost digits to underflow. v_g is `_group_velocity`
-    at the d of `_branches`. In vacuum W = min(k, omega_t),
-    max(k, omega_t) and n = v_g = 1. W is inf where it overflows, and on
-    both branches where (k/omega_t)**2 does, in vacuum too. ValueError for
-    k < 0.
+    W is omega_t times `_branches` at k/omega_t, but k sqrt(1/(1 + d_upper))
+    far below the band, from k itself, as k/omega_t may have underflowed.
+    In vacuum W = min(k, omega_t), max(k, omega_t) and n = v_g = 1.
+    Unchecked: W is inf where it overflows, on both branches where
+    (k/omega_t)**2 does.
     """
     kk = np.asarray(k, dtype=float)
     if np.any(kk < 0.0):
@@ -160,10 +155,8 @@ def _bulk_branches(k, p: MediumParams):
         lower = np.where(d[0] < -0.5, kk * np.sqrt(1.0 / (1.0 + d[1])), x[0] * p.omega_t)
         w = np.stack([np.where(np.isfinite(x[1]), lower, np.inf), x[1] * p.omega_t])
         if p.beta4pi == 0.0:
-            vacuum = np.stack([np.minimum(kk, p.omega_t), np.maximum(kk, p.omega_t)])
-            w = np.where(np.isfinite(w), vacuum, w)
-            return w, np.ones_like(w), np.ones_like(w)
-        n = kk / w
+            w = np.where(np.isfinite(w), [np.minimum(kk, p.omega_t), np.maximum(kk, p.omega_t)], w)
+        n = kk / w if p.beta4pi else np.ones_like(w)
     return w, n, _group_velocity(n, d, p.beta4pi, d[::-1])
 
 
@@ -230,17 +223,14 @@ def group_velocity(omega, p: MediumParams):
 
 
 def _propagating(omega, p: MediumParams):
-    """x = omega/omega_t and the real index n there, at gamma = 0, for
-    group_velocity and the rates built on it: ValueError where omega <= 0
-    and StopBandError where omega lies in the stop band."""
+    """x = omega/omega_t and the index n there at gamma = 0, refusing
+    omega <= 0 and, with StopBandError, omega in the stop band."""
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0.0):
         raise ValueError("group_velocity needs omega > 0")
     if np.any(in_stop_band(w, p)):
         lo, hi = p.stop_band()
-        raise StopBandError(
-            f"omega inside the stop band [{lo:g}, {hi:g}]: no propagating mode"
-        )
+        raise StopBandError(f"omega inside the stop band [{lo:g}, {hi:g}]: no propagating mode")
     x = w / p.omega_t
     return x, _refractive_index(x, p.beta4pi, 0.0).real
 

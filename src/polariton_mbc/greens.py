@@ -119,9 +119,7 @@ def _wavenumber(omega, cfg: CavityConfig) -> float:
 
 
 def _rounding(omega, cfg: CavityConfig) -> float:
-    """R of the rounding term R/(hk)^2 of `fd_error`. StepSizeError where
-    omega L is so small that R leaves the float range (it divides by omega
-    L): no step can check G there."""
+    """R of the rounding term R/(hk)^2 of `fd_error`, refused where it overflows."""
     wl = abs(omega * cfg.length)
     if not wl > 2.0 / np.finfo(float).max:
         raise StepSizeError(f"omega L = {wl:g} is too small to check G by finite differences")

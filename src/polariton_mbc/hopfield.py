@@ -108,22 +108,19 @@ def hopfield_modes(photon_freq, omega_t, rabi) -> HopfieldModes:
     """Closed-form frequencies and Hopfield coefficients of both modes.
 
     rabi is taken as an at-least-1-d array; photon_freq and omega_t
-    broadcast against it. Everything is computed in units of omega_t,
-    with c = photon_freq/omega_t and x = omega/omega_t, and only the
-    frequencies are scaled back. x and its band-edge detuning d = x**2 - 1
-    are `dielectric._branches` at q = c and 4*pi*beta = coupling4pi: the
+    broadcast against it. In units of omega_t, with c = photon_freq/omega_t,
+    each frequency x and its band-edge detuning d = x**2 - 1 are
+    `dielectric._branches` at q = c and 4*pi*beta = coupling4pi: the
     two-mode problem's quartic is the bulk one. Each eigenvector follows
-    from a template at its frequency, with 1 - x and x - c written through
-    d, and an overall minus sign on the upper branch so that w stays real
-    positive.
+    from a template at x, with 1 - x and x - c written through d, and an
+    overall minus sign on the upper branch so that w stays real positive.
 
     Where rabi = 0 the photon-like mode has w = 1 and the excitation-like
-    mode x = +i or -i, the rabi -> 0 limit of the closed forms on either
-    side of the crossing; at the degeneracy photon_freq = omega_t the
-    photon-like mode is the lower one. A coupling whose closed forms
-    leave the float range (4 rabi**2 underflowing to 0 at the degeneracy,
-    or d**2 overflowing above rabi ~ 6e76 omega_t) gets non-finite
-    entries; see `HopfieldModes.finite`.
+    mode x = +i or -i, the rabi -> 0 limit on either side of the crossing;
+    at the degeneracy photon_freq = omega_t the photon-like mode is the
+    lower one. A coupling whose closed forms leave the float range (4
+    rabi**2 underflowing at the degeneracy, d**2 overflowing above rabi ~
+    6e76 omega_t) gets non-finite entries; see `HopfieldModes.finite`.
     """
     wc = np.asarray(photon_freq, dtype=float)
     wt = np.asarray(omega_t, dtype=float)

@@ -84,9 +84,8 @@ def kappa_fit(omega, kappa0: float, omega_t: float = 1.0):
 
 def _tuned(lambda_mirror: float) -> tuple[float, float]:
     """Length and kappa_bare of the empty cavity tuned to omega_t = 1."""
-    bare = MediumParams(omega_t=1.0, gamma=0.0)
-    cavity = CavityConfig(tuned_length(lambda_mirror, bare), lambda_mirror, bare)
-    return cavity.length, kappa_bare(cavity)
+    length = tuned_length(lambda_mirror, MediumParams())
+    return length, kappa_bare(CavityConfig(length, lambda_mirror, MediumParams()))
 
 
 def figure2_sweep(
@@ -105,14 +104,11 @@ def figure2_sweep(
     kappa0 defaults to kappa_bare of the tuned cavity.
 
     L does not depend on the coupling, so every (coupling, branch) root
-    is the m = 1 root of `cavity._mode_roots`, all solved in one call:
-    its bracket comes from the bulk branches of dielectric._branches, the
-    tuned L Lambda > 1 for Lambda >= 5 makes that root unique, and the
-    sign change of the phase across the bracket puts it a double or two
-    from the exact root at every coupling. A coupling whose
-    two-mode closed forms leave the float range raises ValueError, as
-    does a perfect mirror (Lambda = inf), whose m = 1 roots sit on their
-    bracket bottom qL = pi.
+    is the m = 1 root of `cavity._mode_roots`, all solved in one call, a
+    double or two from the exact root; the tuned L Lambda > 1 for Lambda
+    >= 5 makes it unique. A coupling whose two-mode closed forms leave the
+    float range raises ValueError, as does a perfect mirror (Lambda = inf),
+    whose m = 1 roots sit on their bracket bottom qL = pi.
 
     Columns: rabi_over_wt, omega_L_mbc, omega_U_mbc, omega_L_disc,
     omega_U_disc, kappa_L_mbc, kappa_U_mbc, kappa_L_rwa, kappa_U_rwa.
@@ -132,14 +128,8 @@ def figure2_sweep(
     w, n, _ = _mode_roots(1, length, lambda_mirror, b4, [False, True])
     kappa = _kappa(w, n, b4, lambda_mirror, length)
     rwa = kappa_rwa(modes, k_bare if kappa0 is None else kappa0)
-    return SweepTable([
-        ("rabi_over_wt", grid),
-        ("omega_L_mbc", w[:, 0]),
-        ("omega_U_mbc", w[:, 1]),
-        ("omega_L_disc", modes.omega[0]),
-        ("omega_U_disc", modes.omega[1]),
-        ("kappa_L_mbc", kappa[:, 0]),
-        ("kappa_U_mbc", kappa[:, 1]),
-        ("kappa_L_rwa", rwa[0]),
-        ("kappa_U_rwa", rwa[1]),
+    pairs = {"omega_{}_mbc": w.T, "omega_{}_disc": modes.omega, "kappa_{}_mbc": kappa.T,
+             "kappa_{}_rwa": rwa}  # name: (lower, upper)
+    return SweepTable([("rabi_over_wt", grid)] + [
+        (name.format(tag), col) for name, cols in pairs.items() for tag, col in zip("LU", cols)
     ])
