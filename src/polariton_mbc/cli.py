@@ -254,7 +254,7 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
     wt, med = cfg.medium.omega_t, cfg.medium
     cfg = dataclasses.replace(  # every check value is dimensionless: check in units of omega_t
         cfg, medium=MediumParams(1.0, med.beta4pi, med.gamma / wt),
-        length=cfg.length and cfg.length * wt,
+        length=None if cfg.length is None else cfg.length * wt,
         sweep_start=cfg.sweep_start / wt, sweep_stop=cfg.sweep_stop / wt)
     if not 0.0 < cfg.sweep_start < cfg.sweep_stop < np.inf:
         raise ConfigError(f"greens-check window must lie in (0, inf) in units of omega_t = "

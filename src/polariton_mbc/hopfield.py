@@ -109,10 +109,10 @@ def hopfield_modes(photon_freq, omega_t, rabi) -> HopfieldModes:
 
     rabi is taken as an at-least-1-d array; photon_freq and omega_t
     broadcast against it. In units of omega_t, with c = photon_freq/omega_t,
-    each frequency x and its band-edge detuning d = x**2 - 1 are
-    `dielectric._branches` at q = c and 4*pi*beta = coupling4pi: the
+    each frequency rw = omega/omega_t and its band-edge detuning d = rw**2 - 1
+    are `dielectric._branches` at q = c and 4*pi*beta = coupling4pi: the
     two-mode problem's quartic is the bulk one. Each eigenvector follows
-    from a template at x, with 1 - x and x - c written through d, and an
+    from a template at rw, with 1 - rw and rw - c written through d, and an
     overall minus sign on the upper branch so that w stays real positive.
 
     Where rabi = 0 the photon-like mode has w = 1 and the excitation-like
@@ -130,18 +130,18 @@ def hopfield_modes(photon_freq, omega_t, rabi) -> HopfieldModes:
     with np.errstate(all="ignore"):  # out-of-range couplings show in .finite
         c = wc / wt
         g4 = _coupling4pi(g / wt, c)
-        xs, d = _branches(c, g4)
+        rw, d = _branches(c, g4)
         sq = 0.5 * np.sqrt(g4)  # sqrt(pi * beta_eff)
-        norm = xs * (d * d + g4)  # inf is an overflow, not a zero weight
+        norm = rw * (d * d + g4)  # inf is an overflow, not a zero weight
         root = np.sqrt(np.where(np.isinf(norm), np.nan, norm))
         sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * g4.ndim)
         scale = 0.5 / np.sqrt(c)
-        # -sign d = |d|, 1 - x = -d/(1 + x), x - c = x**2 g4/(d (x + c))
-        w = (np.abs(d) * (xs + c) * scale / root).astype(complex)
-        x = -1j * (sign * sq * (1.0 + xs) / root)
-        y = (-sign * g4 * xs * (xs / (xs + c)) * scale / root).astype(complex)
-        z = 1j * (sign * sq * d / ((1.0 + xs) * root))
-    omega = xs * wt
+        # -sign d = |d|, 1 - rw = -d/(1 + rw), rw - c = rw**2 g4/(d (rw + c))
+        w = (np.abs(d) * (rw + c) * scale / root).astype(complex)
+        x = -1j * (sign * sq * (1.0 + rw) / root)
+        y = (-sign * g4 * rw * (rw / (rw + c)) * scale / root).astype(complex)
+        z = 1j * (sign * sq * d / ((1.0 + rw) * root))
+    omega = rw * wt
     off = g == 0.0
     if off.any():
         below = np.broadcast_to(wc <= wt, g4.shape)  # the photon-like mode is lower

@@ -53,7 +53,7 @@ def run(command, b4, j):
         "sweep.start": math.ldexp(cfg.sweep_start, j * p),
         "sweep.stop": math.ldexp(cfg.sweep_stop, j * p),
     }
-    argv = [command, *(arg for key, value in sets.items() for arg in ("--set", f"{key}={value!r}"))]
+    argv = [command, *(a for key, value in sets.items() for a in ("--set", f"{key}={value!r}"))]
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(io.StringIO()):
         code = main([*argv, "--out", out])
         tables = {}
