@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dielectric import MediumParams, _branches, _group_velocity, _propagating
-from .dielectric import _refractive_index, _unwrap
+from .dielectric import MediumParams, _branches, _group_velocity, _lossless_index
+from .dielectric import _propagating, _refractive_index, _unwrap
 from .errors import ResonanceScanError, StopBandError
 
 __all__ = [
@@ -191,7 +191,7 @@ def _mode_roots(m, length, lambda_mirror, beta4pi, upper, lo=0.0, hi=math.inf):
     """
 
     def index(w):
-        return _refractive_index(w, beta4pi, 0.0).real
+        return _lossless_index(w, beta4pi)
 
     bottom, top = m * math.pi / length, (m + 0.5) * math.pi / length
     if np.ndim(beta4pi) or beta4pi > 0.0:  # else vacuum, W = q
@@ -259,7 +259,7 @@ def find_resonances(
     for leg in legs:
         upper = leg[0] > 1.0
         ends = np.array(leg)
-        n = _refractive_index(ends, b, 0.0).real
+        n = _lossless_index(ends, b)
         m_lo, m_hi = np.floor(n * ends * length / math.pi)
         if not m_hi < 2.0**53:  # else consecutive mode indices are not distinct floats
             raise ResonanceScanError(f"mode index {m_hi:g} exceeds floating-point resolution")
@@ -271,6 +271,6 @@ def find_resonances(
         x, n, modes = x[take], n[take], modes[take]
         kappa = _kappa(x, n, b, cfg.lambda_mirror, length) * wt
         branch = Branch.BARE if b == 0.0 else Branch.UPPER if upper else Branch.LOWER
-        for root, rate, m in zip(x * wt, kappa, modes):
-            found.append(Resonance(float(root), float(rate), branch, int(m)))
+        for root, rate, m in zip((x * wt).tolist(), kappa.tolist(), modes.tolist()):
+            found.append(Resonance(root, rate, branch, m))
     return found

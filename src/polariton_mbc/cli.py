@@ -102,6 +102,10 @@ def cmd_resonances(cfg: RunConfig) -> list[Output]:
         found = find_resonances(cavity, window, max_count=cfg.sweep_count)
     except StopBandError as err:  # the window, not the solver, is at fault
         raise ConfigError(f"resonances window: {err}") from err
+    for a, b in zip(found, found[1:]):  # modes piled up at a band edge
+        if a.omega == b.omega:
+            raise ConfigError(f"resonances window: modes {a.mode_index} and {b.mode_index} "
+                              f"share the double omega = {a.omega!r}")
     return [Output("resonances", SweepTable([
         ("omega", [res.omega for res in found]),
         ("kappa", [res.kappa for res in found]),
@@ -278,6 +282,9 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
     u = rng.uniform([0.1, 0.1], [0.9, 1.9], size=(ws.size, 2))
     z_in, z_out = u[:, 0] * length, -u[:, 1] * length
     pair = green_function(z_out, z_in, ws, cavity), green_function(z_in, z_out, ws, cavity)
+    if not np.all(np.isfinite(pair)):  # |G| ~ 1/omega
+        raise ConfigError(f"greens-check: G overflows in the window [{cfg.sweep_start:g}, "
+                          f"{cfg.sweep_stop:g}] with L = {length:g}, in units of omega_t = {wt:g}")
     dev_s = float(np.max(np.abs(np.subtract(*pair))) / np.max(np.abs(pair)))
 
     w_probe = float(ws[0])

@@ -5,7 +5,9 @@ frequencies are quoted in units of the transverse excitation frequency
 (omega_t = 1 by default). The private kernels take omega/omega_t,
 k/omega_t and gamma/omega_t; the public functions convert once on the way
 in and once on the way out. Frequency arguments accept scalars or numpy
-arrays and the return value matches the input shape.
+arrays and the return value matches the input shape. `_lossless_index`
+is the real part of the one complex index, `_refractive_index`, at
+gamma = 0, bit for bit in real arithmetic.
 """
 
 from __future__ import annotations
@@ -101,6 +103,15 @@ def _refractive_index(x, beta4pi, gamma):
     return np.where(n.imag < 0.0, -n, n)
 
 
+def _lossless_index(x, beta4pi):
+    """_refractive_index(x, beta4pi, 0.0).real bit for bit: sqrt(max(eps, 0)),
+    eps = 1 + beta4pi (1/(1 - x**2)) as numpy divides by 1 - x**2 + 0j (not
+    beta4pi/(1 - x**2), an ulp off), and 1 where beta4pi = 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n = np.sqrt(np.maximum(1.0 + beta4pi * (1.0 / (1.0 - x * x)), 0.0))
+    return np.where(np.asarray(beta4pi) == 0.0, 1.0, n)
+
+
 def _group_velocity(n, d, beta4pi, other=None):
     """v_g = n d**2/(d**2 + 4 pi beta) at index n and band-edge detuning d.
 
@@ -143,8 +154,9 @@ def _bulk_branches(k, p: MediumParams):
 
     W is omega_t times `_branches` at k/omega_t, but k sqrt(1/(1 + d_upper))
     far below the band, from k itself, as k/omega_t may have underflowed.
-    In vacuum W = min(k, omega_t), max(k, omega_t) and n = v_g = 1.
-    Unchecked: W is inf where it overflows, on both branches where
+    In vacuum W = min(k, omega_t), max(k, omega_t) and n = v_g = 1. At k = 0
+    the lower branch's n = k/W = 0/0 is its limit sqrt(1 + 4 pi beta), v_g
+    1/n. Unchecked: W is inf where it overflows, on both branches where
     (k/omega_t)**2 does.
     """
     kk = np.asarray(k, dtype=float)
@@ -157,7 +169,10 @@ def _bulk_branches(k, p: MediumParams):
         if p.beta4pi == 0.0:
             w = np.where(np.isfinite(w), [np.minimum(kk, p.omega_t), np.maximum(kk, p.omega_t)], w)
         n = kk / w if p.beta4pi else np.ones_like(w)
-    return w, n, _group_velocity(n, d, p.beta4pi, d[::-1])
+    vg = _group_velocity(n, d, p.beta4pi, d[::-1])
+    n0 = _lossless_index(0.0, p.beta4pi)  # the lower branch's limits at k = 0
+    n[0], vg[0] = np.where(kk == 0.0, n0, n[0]), np.where(kk == 0.0, 1.0 / n0, vg[0])
+    return w, n, vg
 
 
 def epsilon(omega, p: MediumParams):
@@ -232,7 +247,7 @@ def _propagating(omega, p: MediumParams):
         lo, hi = p.stop_band()
         raise StopBandError(f"omega inside the stop band [{lo:g}, {hi:g}]: no propagating mode")
     x = w / p.omega_t
-    return x, _refractive_index(x, p.beta4pi, 0.0).real
+    return x, _lossless_index(x, p.beta4pi)
 
 
 def bulk_dispersion(k, p: MediumParams):

@@ -6,8 +6,8 @@ coordinates as ' x,y x,y' with '{:.2f}', for svgplot's streamed write.
 Both give each value one zero-padded row of '<u4' words holding ASCII
 bytes, filled by whole-block numpy operations and digit tables, and drop
 the NUL padding at the end. The text is the same, byte for byte, as
-formatting each value on its own in Python.
-A value the arithmetic cannot certify is formatted by Python itself.
+formatting each value on its own in Python. A value the arithmetic
+cannot certify is formatted by Python itself.
 
 repr. Its digits are the fewest whose nearest decimal lies strictly
 inside x's rounding interval, x +- ulp(x)/2. The kernel scales |x| by an
@@ -16,17 +16,17 @@ lies in [1e16, 1e17), one rounding away from the exact product, so
 within half a long-double ulp of y (2**-8 at most). The interval becomes
 y +- h, with h = ulp(x) 10**k / 2 > 0.55, so 17 digits always qualify,
 and 16 or 15 digits qualify when the nearest multiple of 10 or 100 lies
-within h of y. A multiple of 100 within h < 12 of y is the only one
-there, so any shorter answer is that multiple, whose trailing zeros the
-digit tables print as NUL. Every decision, a tie of y's fraction with
-1/2 only for a 17-digit answer, must clear its tie or interval edge by
-one long-double ulp of y, twice y's rounding error. repr runs on what
-is not certified: zero, NaN, inf, powers of two (whose interval is
-lopsided), |x| outside [1e-10, 1e16), the few cells next to a power of
-ten where log10 rounds across it and y misses [1e16, 1e17), and
-decisions inside the margin, 0.3-2% of the cells of a smooth sweep.
-Where long double has fewer than 64 significand bits, repr formats
-every cell.
+within h of y, both ulps taken from exponent bits. A multiple of 100
+within h < 12 of y is the only one there, so any shorter answer is that
+multiple, whose trailing zeros the digit tables print as NUL. Every
+decision, a tie of y's fraction with 1/2 only for a 17-digit answer,
+must clear its tie or interval edge by one long-double ulp of y, twice
+y's rounding error. repr runs on what is not certified: zero, NaN, inf,
+powers of two (whose interval is lopsided), |x| outside [1e-10, 1e16),
+the few cells next to a power of ten where log10 rounds across it and
+y's integer part misses [1e16, 1e17), and decisions inside the margin,
+0.3-2% of the cells of a smooth sweep. Where long double has fewer than
+64 significand bits, repr formats every cell.
 
 '{:.2f}'. A coordinate with |v| < 999999 takes its hundredths from
 rint(100 |v|). That is the correctly rounded answer unless 100 |v| lies
@@ -73,16 +73,26 @@ _LEAD, _TRAIL, _FIRST = 10000, 20000, 30000
 _UNITS = (_DIGITS[np.r_[0:1000, _LEAD:_LEAD + 1000]] >> 8) | np.uint32(ord(".") << 24)
 
 
-def _nearest(yi, f, h, m, p):
-    """The multiple of p nearest y = yi + f, in units of p; whether it
+def _nearest(yi, r, f, h, m, p):
+    """The multiple of p nearest y = yi + f, given r = yi mod p; whether it
     lies within h of y; whether both answers clear their edges by m."""
-    r = yi % p
     below = r + f
     above = (p - r) - f
     near = np.minimum(below, above)
     inside = near < h - m
     sure = (inside & (np.abs(below - above) > 2 * m)) | (near > h + m)
-    return (yi - r) // p + (above < below), inside, sure
+    return yi - r + p * (above < below), inside, sure
+
+
+def _divmod(x, c):
+    """np.divmod(x, c) of int64 by a floor-divide, in half np.divmod's time."""
+    q = x // c
+    return q, x - q * c
+
+
+def _ulp(v, scale=0):
+    """ulp(v) 2**-scale of positive normal doubles v, from their exponent bits."""
+    return ((v.view(np.uint64) >> 52 << 52) - (52 + scale << 52)).view(np.float64)
 
 
 def _shortest(a):
@@ -97,14 +107,15 @@ def _shortest(a):
     y = a.astype(np.longdouble) * _POW10_LD[k]
     yi = y.astype(np.int64)
     f = (y - yi).astype(np.float64)  # exact: at most 10 fraction bits
-    h = np.spacing(a) * _HALF_POW10[k]
-    m = np.spacing(yi.astype(np.float64)) * 2.0**-11  # an ulp of y at 64 bits
-    d16, in16, sure16 = _nearest(yi, f, h, m, 10)
-    d15, in15, sure15 = _nearest(yi, f, h, m, 100)
+    h = _ulp(a) * _HALF_POW10[k]
+    m = _ulp(yi.astype(np.float64), 11)  # an ulp of y at 64 bits
+    r100 = _divmod(yi, 100)[1]
+    d16, in16, sure16 = _nearest(yi, _divmod(r100, 10)[1], f, h, m, 10)
+    d15, in15, sure15 = _nearest(yi, r100, f, h, m, 100)
     # y leaves [1e16, 1e17) only next to a power of ten, where log10 rounds
-    sure = (y >= 1e16) & (y < 1e17) & sure16 & (sure15 | ~in16)
+    sure = (yi >= _POW10[16]) & (yi < _POW10[17]) & sure16 & (sure15 | ~in16)
     sure &= in16 | (np.abs(f - 0.5) > m)  # the tie of 17 digits
-    digits = np.where(in15, d15 * 100, np.where(in16, d16 * 10, yi + (f > 0.5)))
+    digits = np.where(in15, d15, np.where(in16, d16, yi + (f > 0.5)))
     point = 17 - k
     carry = digits == _POW10[17]  # rounded up to 10**17: "1"
     digits[carry] = _POW10[16]
@@ -113,22 +124,20 @@ def _shortest(a):
 
 
 def _cells(count, width, texts):
-    """Zeroed rows of '<u4' words for count values: width words, or
-    enough for a separator byte and the longest of texts."""
-    longest = max(map(len, texts), default=0)
-    return np.zeros((count, max(width, longest // 4 + 1)), "<u4")
+    """A zeroed bytearray and its rows of '<u4' words for count values:
+    width words, or enough for a separator byte and the longest of texts."""
+    width = max(width, max(map(len, texts), default=0) // 4 + 1)
+    buf = bytearray(4 * count * width)
+    return buf, np.frombuffer(buf, "<u4").reshape(count, width)
 
 
-def _squeeze(cells, at, texts) -> bytes:
-    """Write texts after the separator byte of rows at, then drop every NUL."""
-    raw = cells.view(np.uint8)
-    if texts:
-        longest = max(map(len, texts))
-        raw[at, 1:] = 0
-        raw[at, 1:1 + longest] = (
-            np.array(texts, dtype=f"S{longest}").view(np.uint8).reshape(len(texts), longest)
-        )
-    return raw[raw != 0].tobytes()
+def _squeeze(buf, cells, at, texts) -> bytes:
+    """Write texts after the separator byte of rows at, then drop every NUL
+    from buf, in place of a copy to bytes."""
+    if texts:  # each NUL-padded to the row's end
+        width = 4 * cells.shape[1] - 1
+        cells.view(np.uint8)[at, 1:] = np.array(texts, f"S{width}").view("u1").reshape(-1, width)
+    return bytes(buf.translate(None, b"\0"))
 
 
 def repr_rows(block) -> bytes:
@@ -147,15 +156,14 @@ def repr_rows(block) -> bytes:
     expo = point < -3  # repr's exponent form, 1e-05 and below
     ip = np.where(expo, 1, np.maximum(point, 0))  # digits before the point
     z = np.where(expo, 0, np.maximum(-point, 0))  # zeros after it, up to 3
-    whole, frac = np.divmod(digits, _POW10[17 - ip])
+    whole, frac = _divmod(digits, _POW10[17 - ip])
     single = expo & (frac == 0)  # "1e-05": no point
     frac *= _POW10[ip]  # the digits after the point, 17 wide
     # "0" * z + frac, 20 digits: the first four, then sixteen
-    head, tail = np.divmod(frac, _POW10[13 + z])
-    tail *= _POW10[3 - z]
-    q, g4 = np.divmod(tail, 10000)
-    q, g3 = np.divmod(q, 10000)
-    g1, g2 = np.divmod(q, 10000)
+    head, tail = _divmod(frac, _POW10[13 + z])
+    q, g4 = _divmod(tail * _POW10[3 - z], 10000)
+    q, g3 = _divmod(q, 10000)
+    g1, g2 = _divmod(q, 10000)
     rest4 = g4 == 0  # restN: every digit from group N on is zero
     rest3 = rest4 & (g3 == 0)
     rest2 = rest3 & (g2 == 0)
@@ -166,18 +174,18 @@ def repr_rows(block) -> bytes:
     ng = 1 + (max(len(str(int(whole.max(initial=0)))) - 3, 0) + 3) // 4
     any_exp = bool(expo.any())
     texts = [repr(v) for v in x[~ok].tolist()]
-    cells = _cells(x.size, 1 + ng + 5 + any_exp, texts)
+    buf, cells = _cells(x.size, 1 + ng + 5 + any_exp, texts)
     sep = np.full(cols, ord(","), np.uint32)
     sep[0] = ord("\n")
     cells.reshape(rows, cols, -1)[:, :, 0] = sep
     cells[:1, 0] = 0  # the block's first cell follows no separator
     cells[:, 0] |= np.signbit(x) * _SIGN
-    units = _UNITS[whole % 1000 + 1000 * (whole < 1000)]
+    units = _UNITS[_divmod(whole, 1000)[1] + 1000 * (whole < 1000)]
     units[single] &= np.uint32(0x00FFFFFF)
     cells[:, ng] = units
     for j in range(1, ng):
         q = whole // _POW10[4 * j - 1]
-        cells[:, ng - j] = _DIGITS[q % 10000 + _LEAD * (q < 10000)] * (q > 0)
+        cells[:, ng - j] = _DIGITS[_divmod(q, 10000)[1] + _LEAD * (q < 10000)] * (q > 0)
     cells[:, ng + 1] = _DIGITS[head + _FIRST * rest1] * ~single
     cells[:, ng + 2] = _DIGITS[g1 + _TRAIL * rest2]
     cells[:, ng + 3] = _DIGITS[g2 + _TRAIL * rest3]
@@ -185,9 +193,9 @@ def repr_rows(block) -> bytes:
     cells[:, ng + 5] = _DIGITS[g4 + _TRAIL]
     if any_exp:
         e = (1 - point).astype(np.uint32)  # 5..10
-        word = (48 + e // 10) << 16 | (48 + e % 10) << 24 | ord("e") | ord("-") << 8
-        cells[:, ng + 6] = word * expo
-    return _squeeze(cells, np.flatnonzero(~ok), texts) + b"\n"
+        word = (48 + e // 10) << 16 | (48 + _divmod(e, 10)[1]) << 24
+        cells[:, ng + 6] = (word | ord("e") | ord("-") << 8) * expo
+    return _squeeze(buf, cells, np.flatnonzero(~ok), texts) + b"\n"
 
 
 def _hundredths(v) -> bytes:
@@ -196,12 +204,12 @@ def _hundredths(v) -> bytes:
     small = a < 999999.0
     t = np.where(small, a, 0.0) * 100.0
     ok = small & (np.abs(t - np.floor(t) - 0.5) > 1e-6)
-    q, r = np.divmod(np.rint(t).astype(np.int64), 100)
+    q, r = _divmod(np.rint(t).astype(np.int64), 100)
     texts = ["{:.2f}".format(c) for c in v[~ok].tolist()]
-    cells = _cells(v.size, 4, texts)
+    buf, cells = _cells(v.size, 4, texts)
     cells.reshape(-1, 2, cells.shape[1])[:, :, 0] = [ord(" "), ord(",")]
     cells[:, 0] |= np.signbit(v) * _SIGN
     cells[:, 1] = _DIGITS[q // 1000 + _LEAD] * (q >= 1000)
-    cells[:, 2] = _UNITS[q % 1000 + 1000 * (q < 1000)]
+    cells[:, 2] = _UNITS[_divmod(q, 1000)[1] + 1000 * (q < 1000)]
     cells[:, 3] = _DIGITS[r] >> 16
-    return _squeeze(cells, np.flatnonzero(~ok), texts)
+    return _squeeze(buf, cells, np.flatnonzero(~ok), texts)

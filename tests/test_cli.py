@@ -76,6 +76,24 @@ def test_dispersion_vacuum_columns(tmp_path):
     assert all(v == 1.0 for v in column(header, rows, "vg_U"))
 
 
+@pytest.mark.parametrize("beta4pi", ["0", "0.36", "16"])
+def test_dispersion_writes_the_limits_at_k_zero(tmp_path, beta4pi):
+    # n = k/W is 0/0 on the lower branch at k = 0, where n -> sqrt(1 + 4 pi beta)
+    # and v_g -> 1/sqrt(1 + 4 pi beta); the other cells are as before
+    argv = ["dispersion", "--set", f"medium.beta4pi={beta4pi}", "--set", "sweep.count=5"]
+    assert main(argv + ["--out", str(tmp_path / "a"), "--set", "sweep.start=0"]) == 0
+    assert main(argv + ["--out", str(tmp_path / "b"), "--set", "sweep.start=1e-300"]) == 0
+    _, header, rows = read_csv(tmp_path / "a" / "dispersion.csv")
+    _, _, later = read_csv(tmp_path / "b" / "dispersion.csv")
+    b = float(beta4pi)
+    at_zero = dict(zip(header, map(float, rows[0])))
+    assert at_zero["k"] == 0.0 and at_zero["omega_L"] == 0.0
+    assert at_zero["n_L"] == math.sqrt(1.0 + b)
+    assert at_zero["vg_L"] == 1.0 / math.sqrt(1.0 + b)
+    assert at_zero["omega_U"] == math.sqrt(1.0 + b)
+    assert rows[1:] == later[1:]
+
+
 def test_dispersion_branches_avoid_the_gap(tmp_path):
     assert main([
         "dispersion", "--out", str(tmp_path), "--set", "medium.beta4pi=4.0",
@@ -365,6 +383,19 @@ def test_greens_check_refuses_an_underflowing_omega_l_by_name(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1 and err.count("\n") == 1
     assert "too small to check G by finite differences" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_greens_check_refuses_an_overflowing_g_by_name(tmp_path, capsys):
+    # |G| ~ 1/omega reaches inf at omega = 1e-308, L = 1e307; the writer's
+    # generic check named neither G nor the window
+    code = main([
+        "greens-check", "--out", str(tmp_path), "--set", "cavity.length=1e307",
+        "--set", "sweep.start=1e-308", "--set", "sweep.stop=2e-308",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert "G overflows in the window [1e-308, 2e-308] with L = 1e+307" in err
     assert os.listdir(tmp_path) == []
 
 
@@ -995,6 +1026,21 @@ def test_resonance_mode_indices_past_float_resolution_exit_two(tmp_path, capsys)
     code = main(["resonances", "--out", str(tmp_path), "--set", "cavity.length=1e300"])
     assert code == 2
     assert "floating-point resolution" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_resonances_sharing_a_double_are_refused_by_name(tmp_path, capsys):
+    # 1e7 omega_t long, modes pile up below the band edge closer than the
+    # doubles there: two roots round to the window's bottom
+    code = main([
+        "resonances", "--out", str(tmp_path), "--set", "medium.beta4pi=0.36",
+        "--set", "cavity.length=1e7", "--set", "sweep.start=0.999999998",
+        "--set", "sweep.stop=0.999999999",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert ("resonances window: modes 30197526958 and 30197526959 share the double "
+            "omega = 0.999999998") in err
     assert os.listdir(tmp_path) == []
 
 

@@ -1,5 +1,5 @@
 """Property test: the CLI contract of `resonances`, `figure2`, `dispersion`,
-`hopfield` and `fluct`.
+`hopfield`, `fluct`, `spectrum` and `kappa-sweep`.
 
 Every run ends in exit 0 with all-finite CSVs, or in exit 1 with nothing
 written. The one exit 2 left is `resonances` on a window whose mode
@@ -37,7 +37,9 @@ def log_uniform(lo, hi):
 
 @st.composite
 def runs(draw):
-    command = draw(st.sampled_from(["resonances", "figure2", "dispersion", "hopfield", "fluct"]))
+    command = draw(st.sampled_from(
+        ["resonances", "figure2", "dispersion", "hopfield", "fluct", "spectrum", "kappa-sweep"]
+    ))
     keys = {
         "medium.omega_t": log_uniform(-300.0, 300.0),
         "medium.beta4pi": st.one_of(st.just("0"), log_uniform(-320.0, 300.0)),

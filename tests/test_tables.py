@@ -161,6 +161,20 @@ def test_few_dispersion_cells_go_to_repr(tmp_path, monkeypatch):
     assert len(calls) <= 0.005 * cells, f"{len(calls)} of {cells} cells went to repr"
 
 
+def test_kernel_prints_every_double_near_its_bit_boundaries_as_repr():
+    # the ulps h and m come from exponent bits, which step at 2**e, and the
+    # scaled value is range-tested on its integer part, whose bounds 1e16
+    # and 1e17 sit next to powers of ten: every double within 2 ulps of
+    # both, of both signs, prints as repr prints it
+    centres = np.array([2.0**e for e in range(-34, 57)] + [10.0**j for j in range(-10, 17)])
+    near = (centres.view(np.int64)[:, None] + np.arange(-2, 3)).view(np.float64).ravel()
+    x = np.concatenate([near, -near])
+    for cols in (1, 5):
+        block = x.reshape(-1, cols)
+        expected = "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+        assert floatfmt.repr_rows(block) == expected.encode()
+
+
 @pytest.mark.parametrize("n", [0, 1, B, B + 1])
 def test_text_columns_match_cell_by_cell_rendering(tmp_path, n):
     # text cells are written as they are, between floats printed as repr;
