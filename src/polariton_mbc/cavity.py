@@ -186,8 +186,8 @@ def _mode_roots(m, length, lambda_mirror, beta4pi, upper, lo=0.0, hi=math.inf):
 
     All brackets are bisected at once until no midpoint splits them; the
     end with the smaller computed |g| (inf if never evaluated) is the root.
-    Finished brackets stay frozen, so each root is the one a scalar loop on
-    its own bracket returns.
+    Ends change in place only where live, so each root is the one a scalar
+    loop on its own bracket returns. A nan or inf only compares: no warning.
     """
 
     def index(w):
@@ -200,24 +200,24 @@ def _mode_roots(m, length, lambda_mirror, beta4pi, upper, lo=0.0, hi=math.inf):
         )
     a, b = np.maximum(bottom, lo), np.minimum(top, hi)
     inside, clip_a, clip_b = a <= b, bottom < lo, top > hi
-    if np.any(clip_a) or np.any(clip_b):  # f only where an end is clipped
-        with np.errstate(invalid="ignore"):  # an end that rounds onto omega_t: nan, unused
+    with np.errstate(all="ignore"):
+        if np.any(clip_a) or np.any(clip_b):  # f only where an end is clipped
             fa, fb = (np.tan(index(w) * w * length) - index(w) / lambda_mirror for w in (a, b))
-        inside &= ~(clip_a & (fa > 0.0)) & ~(clip_b & (fb < 0.0))
-        a, b = np.where(clip_b & (fb == 0.0), b, a), np.where(clip_a & (fa == 0.0), a, b)
-    ra = rb = np.full(np.shape(a), math.inf)
-    live = np.ones(np.shape(a), dtype=bool)
-    while True:
-        mid = 0.5 * (a + b)
-        live &= (mid > a) & (mid < b)  # else at floating-point resolution
-        if not live.any():
-            break
-        n = index(mid)
-        g = n * mid * length - m * math.pi - np.arctan(n / lambda_mirror)
-        to_b = live & (g >= 0.0)
-        to_a = live & ~to_b
-        b, rb = np.where(to_b, mid, b), np.where(to_b, np.abs(g), rb)
-        a, ra = np.where(to_a, mid, a), np.where(to_a, np.abs(g), ra)
+            inside &= ~(clip_a & (fa > 0.0)) & ~(clip_b & (fb < 0.0))
+            a, b = np.where(clip_b & (fb == 0.0), b, a), np.where(clip_a & (fa == 0.0), a, b)
+        a, b, mpi = np.array(a, dtype=float), np.array(b, dtype=float), m * math.pi
+        ra, rb, live = np.full_like(a, math.inf), np.full_like(a, math.inf), np.ones_like(a, bool)
+        while True:
+            mid = 0.5 * (a + b)
+            live &= (mid > a) & (mid < b)  # else at floating-point resolution
+            if not live.any():
+                break
+            n = index(mid)
+            g = n * mid * length - mpi - np.arctan(n / lambda_mirror)
+            to_b, g = live & (g >= 0.0), np.abs(g)
+            for end, r, to in ((b, rb, to_b), (a, ra, live ^ to_b)):  # in place
+                np.copyto(end, mid, where=to)
+                np.copyto(r, g, where=to)
     w = np.where(ra <= rb, a, b)
     return w, index(w), inside
 
@@ -237,8 +237,15 @@ def find_resonances(
     the exact one. At most `max_count` roots are returned, and none past
     them is checked. A window whose mode indices pass 2^53 raises
     ResonanceScanError. A medium needs L Lambda omega_t > 1, else
-    ValueError.
+    ValueError. Each row of `_resonance_columns` becomes a `Resonance`.
     """
+    omega, kappa, modes, legs = _resonance_columns(cfg, omega_range, max_count)
+    branches = [branch for branch, count in legs for _ in range(count)]
+    return list(map(Resonance, omega.tolist(), kappa.tolist(), branches, modes.tolist()))
+
+
+def _resonance_columns(cfg: CavityConfig, omega_range, max_count=None):
+    """`find_resonances` as arrays omega, kappa, mode index and (Branch, count) per leg."""
     lo, hi = omega_range
     if not (lo < hi):
         raise ValueError("empty frequency range")
@@ -255,7 +262,7 @@ def find_resonances(
     if not legs:
         raise StopBandError(f"range [{lo:g}, {hi:g}] lies inside the stop band {p.stop_band()}")
 
-    found: list[Resonance] = []
+    found, columns, branches = 0, [], []
     for leg in legs:
         upper = leg[0] > 1.0
         ends = np.array(leg)
@@ -264,13 +271,12 @@ def find_resonances(
         if not m_hi < 2.0**53:  # else consecutive mode indices are not distinct floats
             raise ResonanceScanError(f"mode index {m_hi:g} exceeds floating-point resolution")
         if max_count is not None:  # one spare: the first root may lie below the leg
-            m_hi = min(m_hi, m_lo + max_count - len(found))
+            m_hi = min(m_hi, m_lo + max_count - found)
         modes = np.arange(int(m_lo), int(m_hi) + 1)
         x, n, inside = _mode_roots(modes, length, cfg.lambda_mirror, b, upper, *leg)
-        take = np.flatnonzero(inside)[: None if max_count is None else max_count - len(found)]
-        x, n, modes = x[take], n[take], modes[take]
-        kappa = _kappa(x, n, b, cfg.lambda_mirror, length) * wt
-        branch = Branch.BARE if b == 0.0 else Branch.UPPER if upper else Branch.LOWER
-        for root, rate, m in zip((x * wt).tolist(), kappa.tolist(), modes.tolist()):
-            found.append(Resonance(root, rate, branch, m))
-    return found
+        take = np.flatnonzero(inside)[: None if max_count is None else max_count - found]
+        x, n, found = x[take], n[take], found + len(take)
+        columns.append((x * wt, _kappa(x, n, b, cfg.lambda_mirror, length) * wt, modes[take]))
+        branches.append((Branch.BARE if b == 0.0 else Branch.UPPER if upper else Branch.LOWER,
+                         len(take)))
+    return (*map(np.concatenate, zip(*columns)), branches)

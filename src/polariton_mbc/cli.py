@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import CavityConfig, amplitudes, find_resonances, kappa_bare, kappa_mbc
+from .cavity import CavityConfig, _resonance_columns, amplitudes, kappa_bare, kappa_mbc
+from .cavity import find_resonances  # noqa: F401  (public name, kept importable here)
 from .config import RunConfig, load_config
 from .dielectric import MediumParams, _bulk_branches, in_stop_band
 from .errors import ConfigError, PolaritonError, StepSizeError, StopBandError, ToleranceError
@@ -99,18 +100,15 @@ def cmd_resonances(cfg: RunConfig) -> list[Output]:
     cavity = cfg.cavity()
     window = (cfg.sweep_start, cfg.sweep_stop)
     try:
-        found = find_resonances(cavity, window, max_count=cfg.sweep_count)
+        omega, kappa, modes, legs = _resonance_columns(cavity, window, cfg.sweep_count)
     except StopBandError as err:  # the window, not the solver, is at fault
         raise ConfigError(f"resonances window: {err}") from err
-    for a, b in zip(found, found[1:]):  # modes piled up at a band edge
-        if a.omega == b.omega:
-            raise ConfigError(f"resonances window: modes {a.mode_index} and {b.mode_index} "
-                              f"share the double omega = {a.omega!r}")
+    for i in np.flatnonzero(omega[1:] == omega[:-1])[:1]:  # modes piled up at a band edge
+        raise ConfigError(f"resonances window: modes {modes[i]} and {modes[i + 1]} "
+                          f"share the double omega = {omega[i].item()!r}")
+    branch = np.repeat([str(branch) for branch, _ in legs], [count for _, count in legs])
     return [Output("resonances", SweepTable([
-        ("omega", [res.omega for res in found]),
-        ("kappa", [res.kappa for res in found]),
-        ("branch", [str(res.branch) for res in found]),
-        ("mode_index", [str(res.mode_index) for res in found]),
+        ("omega", omega), ("kappa", kappa), ("branch", branch), ("mode_index", modes.astype(str)),
     ]))]
 
 

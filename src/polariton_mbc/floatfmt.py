@@ -7,7 +7,8 @@ Both give each value one zero-padded row of '<u4' words holding ASCII
 bytes, filled by whole-block numpy operations and digit tables, and drop
 the NUL padding at the end. The text is the same, byte for byte, as
 formatting each value on its own in Python. A value the arithmetic
-cannot certify is formatted by Python itself.
+cannot certify is formatted by Python itself; a CSV text cell's UTF-8
+bytes fill such a slot, over a stand-in number.
 
 repr. Its digits are the fewest whose nearest decimal lies strictly
 inside x's rounding interval, x +- ulp(x)/2. The kernel scales |x| by an
@@ -140,9 +141,10 @@ def _squeeze(buf, cells, at, texts) -> bytes:
     return bytes(buf.translate(None, b"\0"))
 
 
-def repr_rows(block) -> bytes:
+def repr_rows(block, text=None) -> bytes:
     """CSV rows of a (rows, cols) float64 block: repr of each cell, ','
-    between cells and '\\n' after each row."""
+    between cells and '\\n' after each row, but where text maps a column
+    to its cells' UTF-8 bytes, those in place of its stand-in numbers."""
     rows, cols = block.shape
     if not block.size:
         return b""
@@ -173,7 +175,12 @@ def repr_rows(block) -> bytes:
     # the 20 fraction digits, and the exponent if any cell has one
     ng = 1 + (max(len(str(int(whole.max(initial=0)))) - 3, 0) + 3) // 4
     any_exp = bool(expo.any())
-    texts = [repr(v) for v in x[~ok].tolist()]
+    if text:  # its cells take override slots too, merged in by flat position
+        put, grid, j = np.empty((rows, cols), object), ok.reshape(rows, cols), list(text)
+        put[:, j], grid[:, j] = np.array([text[k] for k in j], object).T, True
+        put.ravel()[~ok] = [repr(v) for v in x[~ok].tolist()]  # no repr of a stand-in
+        grid[:, j] = False
+    texts = put.ravel()[~ok].tolist() if text else [repr(v) for v in x[~ok].tolist()]
     buf, cells = _cells(x.size, 1 + ng + 5 + any_exp, texts)
     sep = np.full(cols, ord(","), np.uint32)
     sep[0] = ord("\n")

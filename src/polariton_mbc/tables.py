@@ -8,11 +8,12 @@ as they are.
 
 A SweepTable stores each column as a 1-D float64 array, or as a str
 array for a column of strings, and writes its rows in blocks of about
-_BLOCK_CELLS cells, each printed by floatfmt.repr_rows, so the file is
-streamed without a Python call per float cell and without holding the
-whole text in memory. That kernel certifies a cell's digits by
-long-double arithmetic and leaves to repr only the cells it cannot
-certify: zero, NaN, inf, powers of two, magnitudes outside
+_BLOCK_CELLS cells, each printed by floatfmt.repr_rows, text and all,
+so the file is streamed without a Python call per float cell and
+without holding the whole text in memory; a text cell's UTF-8 bytes,
+less any NUL, replace a stand-in number. That kernel certifies a cell's
+digits by long-double arithmetic and leaves to repr only the cells it
+cannot certify: zero, NaN, inf, powers of two, magnitudes outside
 [1e-10, 1e16) and decisions within rounding of a tie or interval edge,
 about 0.3-2% of a smooth sweep; where long double has fewer than 64
 significand bits, repr prints every cell. The bytes are the same as
@@ -104,14 +105,10 @@ class SweepTable:
         step = max(1, _BLOCK_CELLS // len(self._data))
         for s in range(0, len(self), step):
             block = [col[s:s + step] for col in self._data]
-            if all(col.dtype.kind == "f" for col in block):
-                yield repr_rows(np.stack(block, axis=1))
-                continue
-            cells = [
-                col if col.dtype.kind == "U" else repr_rows(col[:, None]).decode().split()
-                for col in block
-            ]
-            yield "".join(",".join(row) + "\n" for row in zip(*cells)).encode("utf-8")
+            text = {j: [v.encode() for v in col.tolist()]
+                    for j, col in enumerate(block) if col.dtype.kind == "U"}
+            block = [np.full(len(col), 1.5) if j in text else col for j, col in enumerate(block)]
+            yield repr_rows(np.stack(block, axis=1), text)  # 1.5: a stand-in under text
 
     def write_csv(self, path, comments: Sequence[str] = ()) -> None:
         write_csv(path, self, comments)

@@ -14,7 +14,8 @@ bisection of n(W) W = q instead of the closed-form roots of
 solve_omega_q, and cell-by-cell and point-by-point text rendering
 instead of the columnar CSV and SVG writers. Agreement between the two
 routes is the point of the tests, so nothing in this module may import
-the formulas it is checking.
+the formulas it is checking. (`masked_ode_residual` takes G from the
+package: what it rederives is ode_residual's exclusions and reduction.)
 """
 
 import math
@@ -31,6 +32,8 @@ from polariton_mbc import (
     ResonanceScanError,
     StopBandError,
     SweepTable,
+    epsilon,
+    green_function,
     group_velocity,
     kappa_mbc,
     refractive_index,
@@ -304,6 +307,30 @@ def matched_green(zprime: float, omega: float, cfg: CavityConfig):
         return np.where(z <= 0.0, left, inside)
 
     return green
+
+
+def masked_ode_residual(zprime: float, omega: float, cfg: CavityConfig, h: float) -> float:
+    """ode_residual's quotient with its exclusions as three full-length masks.
+
+    Every grid point at least 3h from the source, the membrane and the
+    mirror is gathered, and the maxima are taken over the gathered
+    values; the package instead zeroes the few excluded points, which
+    must give the same bits.
+    """
+    L = cfg.length
+    z = np.arange(-2.0 * L, L - 0.5 * h, h)
+    g = green_function(z, zprime, omega, cfg)
+    d2 = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h / h
+    zi = z[1:-1]
+    eps_z = np.where(zi <= 0.0, 1.0 + 0.0j, epsilon(omega, cfg.medium))
+    source = omega * (omega * (eps_z * g[1:-1]))
+    keep = (
+        (np.abs(zi - zprime) >= 3.0 * h)
+        & (np.abs(zi) >= 3.0 * h)
+        & (np.abs(zi - L) >= 3.0 * h)
+    )
+    resid = np.abs(d2 + source)[keep]
+    return float(np.max(resid)) / float(np.max(np.abs(source[keep])))
 
 
 def exact_open_side_green(z, zprime: float, omega: float, cfg: CavityConfig):

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, config layering, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import math
 import os
@@ -19,8 +20,8 @@ import polariton_mbc.config as config
 import polariton_mbc.greens as greens
 import polariton_mbc.hopfield as hopfield
 import polariton_mbc.iomodel as iomodel
-from oracles import exact_branches, exact_modes, ulps_from
-from polariton_mbc import BogoliubovProblem, figure2_sweep
+from oracles import exact_branches, exact_modes, reference_csv, ulps_from
+from polariton_mbc import BogoliubovProblem, figure2_sweep, find_resonances
 from polariton_mbc.cli import _random_transparent, main
 from polariton_mbc.config import MAX_SWEEP_COUNT, load_config
 from polariton_mbc.errors import ConfigError
@@ -1058,6 +1059,43 @@ def test_resonances_default_window_runs_across_couplings(tmp_path, beta4pi):
     assert all(math.isfinite(float(cell)) for row in rows for cell in row[:2])
     lower = [int(row[3]) for row in rows if row[2] == "lower"]
     assert lower == list(range(lower[0], lower[0] + len(lower)))
+
+
+# (beta4pi, start, stop, length): one leg in vacuum, then windows across the
+# stop band, whose lower leg ends in the modes piled up at the band edge
+RESONANCE_WINDOWS = [
+    ("0", 0.5, 60.0, 1.0), ("0.36", 0.5, 8.0, 1.0), ("16", 0.2, 12.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("cap", ["none", "one", "inside-first-leg", "first-leg"])
+@pytest.mark.parametrize("beta4pi,start,stop,length", RESONANCE_WINDOWS)
+def test_resonance_table_matches_find_resonances_cell_for_cell(tmp_path, beta4pi, start,
+                                                              stop, length, cap):
+    # cmd_resonances builds its columns from arrays: they must hold what
+    # the public Resonance list holds, also where sweep.count cuts a leg
+    # short or ends exactly at the end of the first one
+    cfg = load_config("resonances", set_pairs=[
+        f"medium.beta4pi={beta4pi}", f"sweep.start={start}", f"sweep.stop={stop}",
+        f"cavity.length={length}",
+    ])
+    window, cavity = (cfg.sweep_start, cfg.sweep_stop), cfg.cavity()
+    every = find_resonances(cavity, window)
+    first_leg = sum(r.branch == every[0].branch for r in every)
+    count = {"none": len(every) + 1, "one": 1, "inside-first-leg": first_leg // 2,
+             "first-leg": first_leg}[cap]
+    cfg = dataclasses.replace(cfg, sweep_count=count)  # 1 is below what load_config takes
+    found = find_resonances(cavity, window, max_count=count)
+    assert found == (every if cap == "none" else every[:count])
+    assert beta4pi == "0" or len({r.branch for r in every}) == 2
+    [out] = cli.cmd_resonances(cfg)
+    names = ["omega", "kappa", "branch", "mode_index"]
+    rows = [(r.omega, r.kappa, str(r.branch), str(r.mode_index)) for r in found]
+    assert out.table.names == names
+    assert list(out.table.rows()) == rows
+    out.table.write_csv(tmp_path / "r.csv", ["c"])
+    expected = reference_csv(names, rows, ["c"]).encode("utf-8")
+    assert (tmp_path / "r.csv").read_bytes() == expected
 
 
 def test_resonances_refuse_a_cavity_too_short_for_unique_roots(tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import polariton_mbc.greens as greens
-from oracles import exact_open_side_green, matched_green
+from oracles import exact_open_side_green, masked_ode_residual, matched_green
 from polariton_mbc import (
     CavityConfig,
     MediumParams,
@@ -224,6 +224,46 @@ def test_differential_equation_residual_is_small():
                 continue
             resid = ode_residual(zp, w, cfg, h * cfg.length)
             assert resid < 1e-4, f"residual {resid} at omega={w}"
+
+
+def _exclusion_edge_draws():
+    """(zprime, omega, cfg, h), seeded: vacuum and a medium, the source on
+    either side of the membrane, and sources and steps that put an edge
+    c +- 3h of the source's, the membrane's or the mirror's exclusion on
+    a grid point or within an ulp of one. With L = 4 and h a power of
+    two every grid point and every edge is exact."""
+    rng = np.random.default_rng(11)
+    out = []
+    for med in MEDIA[:2]:
+        for cfg, binary in ((make_cavity(med), False), (CavityConfig(4.0, 7.822, med), True)):
+            L = cfg.length
+            for i in range(16):
+                w = 0.55 if i % 3 else 2.4
+                if binary:
+                    h = 2.0 ** -int(rng.integers(5, 9))
+                else:  # L/m and 2L/m put the membrane and the mirror near the grid
+                    h = L / int(rng.integers(400, 900)) * (2.0 if i % 4 == 1 else 1.0)
+                z = np.arange(-2.0 * L, L - 0.5 * h, h)
+                lo, hi = (len(z) * 3 // 4, len(z) - 40) if i % 2 else (40, len(z) // 2)
+                zp = float(z[int(rng.integers(lo, hi))] + (3.0 if i % 3 == 1 else -3.0) * h)
+                zp = float(np.nextafter(zp, (-np.inf, zp, np.inf)[int(rng.integers(3))]))
+                if min(abs(zp), abs(zp - L)) / 10.0 >= h:
+                    out.append((zp, w, cfg, h))
+    return out
+
+
+def test_ode_residual_keeps_the_bits_of_three_full_length_masks():
+    # ode_residual finds the points within 3h of the source, the membrane
+    # and the mirror next to where each sorts; the maxima must not move
+    draws = _exclusion_edge_draws()
+    exact = near = 0
+    for zp, w, cfg, h in draws:
+        z = np.arange(-2.0 * cfg.length, cfg.length - 0.5 * h, h)[1:-1]
+        miss = min(np.min(np.abs(np.abs(z - c) - 3.0 * h)) for c in (zp, 0.0, cfg.length))
+        exact += miss == 0.0
+        near += 0.0 < miss <= np.spacing(cfg.length)
+        assert ode_residual(zp, w, cfg, h) == masked_ode_residual(zp, w, cfg, h), (zp, w, h)
+    assert len(draws) >= 50 and exact >= 10 and near >= 10, (len(draws), exact, near)
 
 
 def test_residual_stays_small_over_the_allowed_step_range():

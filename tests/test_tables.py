@@ -175,17 +175,22 @@ def test_kernel_prints_every_double_near_its_bit_boundaries_as_repr():
         assert floatfmt.repr_rows(block) == expected.encode()
 
 
+# cells the CSV kernel leaves to repr
+REPR_CELLS = [0.0, -0.0, float("nan"), float("inf"), 2.0, 1e-300, 5e-324]
+
+
 @pytest.mark.parametrize("n", [0, 1, B, B + 1])
-def test_text_columns_match_cell_by_cell_rendering(tmp_path, n):
+def test_text_columns_match_cell_by_cell_rendering(tmp_path, monkeypatch, n):
     # text cells are written as they are, between floats printed as repr;
-    # a text axis need not increase
+    # a text axis need not increase. Text goes into the kernel's override
+    # slots: non-ASCII, wider than any number, next to cells repr prints
     rng = np.random.default_rng(7 + n)
     names = ["check", "omega", "branch", "kappa", "mode_index"]
     cols = [
         [f"check_{(7 * i) % 11}" for i in range(n)],
         mixed_column(rng, n),
-        ["lower" if i % 2 else "upper" for i in range(n)],
-        mixed_column(rng, n),
+        ["lower" if i % 2 else "ünter-λ" if i % 3 else "x" * (41 + i % 5) for i in range(n)],
+        [REPR_CELLS[i % len(REPR_CELLS)] for i in range(n)],
         [str(i - 3) for i in range(n)],
     ]
     table = SweepTable(list(zip(names, cols)))
@@ -193,10 +198,32 @@ def test_text_columns_match_cell_by_cell_rendering(tmp_path, n):
     # numeric columns are stored as floats, so ints come out as floats
     cols[1], cols[3] = ([float(v) for v in col] for col in (cols[1], cols[3]))
     expected = reference_csv(names, zip(*cols), ["c"]).encode("utf-8")
-    write_csv(tmp_path / "r.csv", table, ["c"])
-    assert (tmp_path / "r.csv").read_bytes() == expected
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return builtins.repr(v)
+
+    monkeypatch.setattr(floatfmt, "repr", counting, raising=False)
+    # repr prints number cells only, never a text cell's stand-in, also
+    # where long double is too short and repr prints every number cell
+    for exact_scale in (floatfmt._EXACT_SCALE, False):
+        monkeypatch.setattr(floatfmt, "_EXACT_SCALE", exact_scale)
+        calls.clear()
+        write_csv(tmp_path / "r.csv", table, ["c"])
+        assert (tmp_path / "r.csv").read_bytes() == expected
+        assert len(calls) <= 2 * n and (exact_scale or len(calls) == 2 * n)
     with pytest.raises(ValueError):
         SweepTable([("x", [1.0, 0.0]), ("label", ["a", "b"])])
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK_CELLS // 2, _BLOCK_CELLS // 2 + 1])
+def test_text_only_tables_match_cell_by_cell_rendering(tmp_path, n):
+    names = ["label", "note"]
+    cols = [[f"é{i}" for i in range(n)], ["" if i % 4 else "a,b" * (i % 9) for i in range(n)]]
+    write_csv(tmp_path / "t.csv", SweepTable(list(zip(names, cols))))
+    expected = reference_csv(names, zip(*cols)).encode("utf-8")
+    assert (tmp_path / "t.csv").read_bytes() == expected
 
 
 def _series_cases():
