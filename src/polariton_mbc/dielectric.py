@@ -154,10 +154,10 @@ def _bulk_branches(k, p: MediumParams):
 
     W is omega_t times `_branches` at k/omega_t, but k sqrt(1/(1 + d_upper))
     far below the band, from k itself, as k/omega_t may have underflowed.
-    In vacuum W = min(k, omega_t), max(k, omega_t) and n = v_g = 1. At k = 0
-    the lower branch's n = k/W = 0/0 is its limit sqrt(1 + 4 pi beta), v_g
-    1/n. Unchecked: W is inf where it overflows, on both branches where
-    (k/omega_t)**2 does.
+    In vacuum W = min(k, omega_t), max(k, omega_t) and n = v_g = 1 at every
+    k. At k = 0 the lower branch's n = k/W = 0/0 is its limit
+    sqrt(1 + 4 pi beta), v_g 1/n. Unchecked: in a medium W is inf where it
+    overflows, on both branches where (k/omega_t)**2 does.
     """
     kk = np.asarray(k, dtype=float)
     if np.any(kk < 0.0):
@@ -166,8 +166,8 @@ def _bulk_branches(k, p: MediumParams):
     with np.errstate(over="ignore", invalid="ignore"):  # k = 0: n = 0/0 on the lower branch
         lower = np.where(d[0] < -0.5, kk * np.sqrt(1.0 / (1.0 + d[1])), x[0] * p.omega_t)
         w = np.stack([np.where(np.isfinite(x[1]), lower, np.inf), x[1] * p.omega_t])
-        if p.beta4pi == 0.0:
-            w = np.where(np.isfinite(w), [np.minimum(kk, p.omega_t), np.maximum(kk, p.omega_t)], w)
+        if p.beta4pi == 0.0:  # also where _branches' upper root overflows
+            w = np.stack([np.minimum(kk, p.omega_t), np.maximum(kk, p.omega_t)])
         n = kk / w if p.beta4pi else np.ones_like(w)
     vg = _group_velocity(n, d, p.beta4pi, d[::-1])
     n0 = _lossless_index(0.0, p.beta4pi)  # the lower branch's limits at k = 0
@@ -258,8 +258,8 @@ def bulk_dispersion(k, p: MediumParams):
     the band-edge detunings of `_branches`. The lower branch saturates at
     omega_t from below as k grows; the upper branch starts at
     omega_longitudinal for k = 0. For beta = 0 they are min(k, omega_t) and
-    max(k, omega_t). Raises ValueError for k < 0 and where (k/omega_t)**2
-    or omega_upper overflows.
+    max(k, omega_t) at every finite k. Raises ValueError for k < 0 and, in
+    a medium, where (k/omega_t)**2 or omega_upper overflows.
     """
     w, _, _ = _bulk_branches(k, p)
     _require_finite(k, w[1], "upper branch")

@@ -108,6 +108,9 @@ def green_function(z, zprime, omega, cfg: CavityConfig):
     return _unwrap(out, complex)
 
 
+# interior grid points per slab of ode_residual: about 0.7 MB of transients
+_SLAB_POINTS = 8192
+
 # smallest finite-difference step, in units of L: it keeps ode_residual's
 # grid over [-2L, L] at 300,000 points or fewer
 _MIN_STEP = 1e-5
@@ -182,9 +185,9 @@ def fd_step(omega: float, cfg: CavityConfig, clearance: float, tol: float) -> fl
 def ode_residual(zprime: float, omega: float, cfg: CavityConfig, h: float) -> float:
     """Max finite-difference residual of the defining wave equation.
 
-    Evaluates G on a uniform grid over [-2L, L] and forms the central
-    second difference, excluding points within 3h of the source, the
-    membrane at z = 0, and the mirror at z = L. Returns
+    Evaluates G on a uniform grid over [-2L, L], _SLAB_POINTS points at a
+    time, and forms the central second difference, excluding points within
+    3h of the source, the membrane at z = 0, and the mirror at z = L. Returns
 
         max |G'' + omega^2 eps(z) G|  /  max |omega^2 eps(z) G|
 
@@ -211,20 +214,23 @@ def ode_residual(zprime: float, omega: float, cfg: CavityConfig, h: float) -> fl
     _check_step(omega, zprime, cfg, h)
     L = cfg.length
     z = np.arange(-2.0 * L, L - 0.5 * h, h)
-    g = green_function(z, zprime, omega, cfg)
-    d2 = g[2:] - 2.0 * g[1:-1]  # + g[:-2], / h / h in place: h * h may leave the float range
-    d2 += g[:-2]
-    d2 /= h
-    d2 /= h
-    zi = z[1:-1]
-    eps_z = np.where(zi <= 0.0, 1.0 + 0.0j, epsilon(omega, cfg.medium))
-    source = omega * (omega * (eps_z * g[1:-1]))  # omega G is O(1); omega**2 may not be
-    resid, scale = np.abs(np.add(d2, source, out=d2)), np.abs(source)
-    for c, i in zip((zprime, 0.0, L), np.searchsorted(zi, (zprime, 0.0, L)).tolist()):
-        near = slice(max(i - 5, 0), i + 5)  # the points within 3h of c sort next to it
-        drop = ~(np.abs(zi[near] - c) >= 3.0 * h)
-        resid[near][drop] = scale[near][drop] = 0.0  # a 0 moves no max of |values|
-    return float(np.max(resid)) / float(np.max(scale))
+    zi, eps, cs = z[1:-1], epsilon(omega, cfg.medium), (zprime, 0.0, L)
+    # the points within 3h of the source, membrane and mirror sort next to them
+    near = [np.arange(max(i - 5, 0), min(i + 5, zi.size)) for i in np.searchsorted(zi, cs)]
+    drop = np.concatenate([j[~(np.abs(zi[j] - c) >= 3.0 * h)] for c, j in zip(cs, near)])
+    resid = scale = 0.0
+    for s in range(0, zi.size, _SLAB_POINTS):  # interior points s.., and one more on either side
+        g = green_function(z[s:s + _SLAB_POINTS + 2], zprime, omega, cfg)
+        d2 = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h / h  # h * h may leave the float range
+        source = eps * g[1:-1]
+        vacuum = np.searchsorted(zi[s:s + d2.size], 0.0, "right")  # eps = 1 at z <= 0
+        source[:vacuum] = g[1:vacuum + 1]
+        source = omega * (omega * source)  # omega G is O(1); omega**2 may not be
+        r, a = np.abs(np.add(d2, source, out=d2)), np.abs(source)
+        here = drop[(drop >= s) & (drop < s + d2.size)] - s
+        r[here] = a[here] = 0.0  # a 0 moves no max of |values|
+        resid, scale = np.maximum(resid, np.max(r)), np.maximum(scale, np.max(a))
+    return float(resid) / float(scale)
 
 
 def _kink(z0: float, zprime: float, omega: float, cfg: CavityConfig, h: float):

@@ -198,7 +198,7 @@ def _chunks(parts):
             with np.errstate(over="ignore", invalid="ignore"):
                 xy = np.stack([px(xs[s:s + _CHUNK_POINTS]), py(ys[s:s + _CHUNK_POINTS])], 1)
             text = _hundredths(xy.ravel())
-            yield text[1:] if s == 0 else text
+            yield memoryview(text)[1:] if s == 0 else text
 
 
 def line_plot(series, title="", xlabel="", ylabel="", width=640, height=440) -> str:

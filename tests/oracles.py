@@ -15,7 +15,8 @@ solve_omega_q, and cell-by-cell and point-by-point text rendering
 instead of the columnar CSV and SVG writers. Agreement between the two
 routes is the point of the tests, so nothing in this module may import
 the formulas it is checking. (`masked_ode_residual` takes G from the
-package: what it rederives is ode_residual's exclusions and reduction.)
+package: what it rederives is ode_residual's slabs, exclusions and
+reduction.)
 """
 
 import math
@@ -310,12 +311,13 @@ def matched_green(zprime: float, omega: float, cfg: CavityConfig):
 
 
 def masked_ode_residual(zprime: float, omega: float, cfg: CavityConfig, h: float) -> float:
-    """ode_residual's quotient with its exclusions as three full-length masks.
+    """ode_residual's quotient over the whole grid at once, with its
+    exclusions as three full-length masks.
 
     Every grid point at least 3h from the source, the membrane and the
     mirror is gathered, and the maxima are taken over the gathered
-    values; the package instead zeroes the few excluded points, which
-    must give the same bits.
+    values; the package instead walks the grid in slabs and zeroes the
+    few excluded points, which must give the same bits.
     """
     L = cfg.length
     z = np.arange(-2.0 * L, L - 0.5 * h, h)

@@ -209,11 +209,16 @@ def test_bulk_dispersion_validates_wavenumber():
 def test_bulk_dispersion_refuses_wavenumbers_that_overflow(beta4pi):
     # (k/omega_t)^2 overflows from k ~ 1.34e154: refused by name, without
     # a RuntimeWarning on the way; below that the roots are finite, where
-    # the quartic's (k^2 + omega_L^2)^2 used to overflow from k ~ 1.2e77
+    # the quartic's (k^2 + omega_L^2)^2 used to overflow from k ~ 1.2e77.
+    # In vacuum nothing overflows: W = (min(k, omega_t), max(k, omega_t))
     med = MediumParams(omega_t=1.0, beta4pi=beta4pi, gamma=0.0)
     lo, hi = bulk_dispersion(np.array([1.0, 1e76, 1e78, 1e154]), med)
     assert np.all(np.isfinite(hi)) and np.all(lo > 0.0)
     assert hi[3] == 1e154 and lo[3] == 1.0
+    if beta4pi == 0.0:
+        assert bulk_dispersion(1e155, med) == (1.0, 1e155)
+        assert bulk_dispersion(1e308, med) == (1.0, 1e308)
+        return
     for ks, first in [([1.0, 1e78, 1e155], "1e+155"), ([1e155], "1e+155"), (1e200, "1e+200")]:
         with pytest.raises(ValueError, match=re.escape(f"k = {first} is too large")):
             bulk_dispersion(ks, med)

@@ -266,6 +266,23 @@ def test_ode_residual_keeps_the_bits_of_three_full_length_masks():
     assert len(draws) >= 50 and exact >= 10 and near >= 10, (len(draws), exact, near)
 
 
+def test_slabbed_ode_residual_keeps_the_bits_of_the_whole_grid(monkeypatch):
+    # ode_residual walks the grid in slabs of _SLAB_POINTS interior points;
+    # the maxima must not move at any slab size, with a last slab of 1-3
+    # points and slab edges inside the source's, membrane's and mirror's
+    # exclusions (a slab ending at i - 1 cuts the zone around index i)
+    draws = _exclusion_edge_draws()[::6]
+    draws += [(-0.45 * cfg.length, w, cfg, cfg.length / 10000)
+              for cfg in map(make_cavity, MEDIA[:2]) for w in (0.55, 2.4)]
+    for zp, w, cfg, h in draws:
+        zi = np.arange(-2.0 * cfg.length, cfg.length - 0.5 * h, h)[1:-1]
+        cuts = np.searchsorted(zi, (zp, 0.0, cfg.length)) - 1
+        want = masked_ode_residual(zp, w, cfg, h)
+        for size in (1000, 4096, 8192, 100_000, zi.size - 2, zi.size - 3, *cuts.tolist()):
+            monkeypatch.setattr(greens, "_SLAB_POINTS", int(size))
+            assert ode_residual(zp, w, cfg, h) == want, (zp, w, h, size)
+
+
 def test_residual_stays_small_over_the_allowed_step_range():
     # these steps give hk from 1e-5 to 2e-4 at omega = 0.55, at or below
     # the 3e-4 fd_step picks: the second difference is roundoff limited

@@ -2,11 +2,13 @@
 
 import builtins
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import reference_csv, reference_polylines
+import polariton_mbc.tables as tables
 from polariton_mbc import floatfmt
 from polariton_mbc.cli import cmd_dispersion
 from polariton_mbc.config import load_config
@@ -14,6 +16,7 @@ from polariton_mbc.svgplot import line_plot
 from polariton_mbc.tables import _BLOCK_CELLS, SweepTable, write_csv
 
 B = _BLOCK_CELLS // 5  # rows per CSV block of the five-column tables below
+B0 = 4096 // 5  # the same at 4,096-cell blocks, the size before: more cases
 SPECIALS = [
     float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 1e-5, 3, -7, 0.1,
 ]
@@ -121,7 +124,7 @@ def test_axis_must_increase_but_nan_compares_neither_way():
 
 
 # tables shorter than a block, then one, two and four blocks
-@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 775, B, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 775, B0, B0 + 1, 3 * B0 + 7, B, B + 1, 3 * B + 7])
 def test_sweep_table_csv_matches_cell_by_cell_rendering(tmp_path, monkeypatch, n):
     rng = np.random.default_rng(1000 + n)
     axis = (np.arange(n) * 0.37 - 5.0).tolist()
@@ -179,7 +182,7 @@ def test_kernel_prints_every_double_near_its_bit_boundaries_as_repr():
 REPR_CELLS = [0.0, -0.0, float("nan"), float("inf"), 2.0, 1e-300, 5e-324]
 
 
-@pytest.mark.parametrize("n", [0, 1, B, B + 1])
+@pytest.mark.parametrize("n", [0, 1, B0, B0 + 1, B, B + 1])
 def test_text_columns_match_cell_by_cell_rendering(tmp_path, monkeypatch, n):
     # text cells are written as they are, between floats printed as repr;
     # a text axis need not increase. Text goes into the kernel's override
@@ -217,13 +220,64 @@ def test_text_columns_match_cell_by_cell_rendering(tmp_path, monkeypatch, n):
         SweepTable([("x", [1.0, 0.0]), ("label", ["a", "b"])])
 
 
-@pytest.mark.parametrize("n", [1, _BLOCK_CELLS // 2, _BLOCK_CELLS // 2 + 1])
+@pytest.mark.parametrize("n", [1, 2048, 2049, _BLOCK_CELLS // 2, _BLOCK_CELLS // 2 + 1])
 def test_text_only_tables_match_cell_by_cell_rendering(tmp_path, n):
     names = ["label", "note"]
     cols = [[f"é{i}" for i in range(n)], ["" if i % 4 else "a,b" * (i % 9) for i in range(n)]]
     write_csv(tmp_path / "t.csv", SweepTable(list(zip(names, cols))))
     expected = reference_csv(names, zip(*cols)).encode("utf-8")
     assert (tmp_path / "t.csv").read_bytes() == expected
+
+
+def test_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    # a block prints each cell on its own: any block size gives the
+    # per-row join, here with text columns, cells repr prints (0.0, a
+    # power of two, 1e-300) and a run of exponent-form cells across the
+    # edges of 4,096- and 6,144-cell blocks (rows 1024, 1536 and 2048)
+    n = 3000
+    value = np.linspace(0.5, 2.5, n)
+    value[1000:2800] = np.linspace(1e-9, 9e-5, 1800)
+    value[::7] = [(0.0, 0.125, 1e-300)[i % 3] for i in range(len(value[::7]))]
+    names = ["omega", "branch", "value", "mode"]
+    cols = [np.linspace(1.0, 2.0, n).tolist(), ["lower", "ünter"] * (n // 2), value.tolist(),
+            [str(i) for i in range(n)]]
+    expected = reference_csv(names, zip(*cols), ["c"]).encode("utf-8")
+    table = SweepTable(list(zip(names, cols)))
+    for cells in (5, 4096, 6144):
+        monkeypatch.setattr(tables, "_BLOCK_CELLS", cells)
+        write_csv(tmp_path / "t.csv", table, ["c"])
+        assert (tmp_path / "t.csv").read_bytes() == expected, cells
+
+
+@pytest.mark.parametrize("top", [640.0, 999.994, 999.996, 1234.5678, 999998.0])
+def test_coordinates_print_as_format_with_and_without_a_thousands_word(top):
+    # the thousands word is left out where no coordinate rounds to 1000
+    v = np.r_[np.random.default_rng(3).uniform(-640.0, 640.0, 999), top]
+    expected = "".join(f"{' ,'[i % 2]}{c:.2f}" for i, c in enumerate(v.tolist()))
+    assert floatfmt._hundredths(v) == expected.encode()
+
+
+def _traced_peak(f, *args):
+    """Bytes f(*args) holds at its peak, by tracemalloc, after a warm-up call."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_hold_bounded_memory_per_block():
+    # a 6,144-cell block of 7 columns with exponent cells, as _csv_blocks
+    # cuts it, peaks at about 110 bytes a cell (650 KiB); the 4,096-cell
+    # blocks before held 802 KiB. A chunk of 16,384 SVG coordinates below
+    # 1000 peaks at about 1,121 KiB (1,185 with a thousands word)
+    rng = np.random.default_rng(2)
+    block = rng.uniform(0.5, 3.0, (_BLOCK_CELLS // 7, 7))
+    block[:, 3] = rng.uniform(1e-9, 9e-5, len(block))
+    assert _traced_peak(floatfmt.repr_rows, block) <= 802 * 1024
+    assert _traced_peak(floatfmt._hundredths, rng.uniform(0.0, 640.0, 16384)) <= 1185 * 1024
 
 
 def _series_cases():
