@@ -108,7 +108,7 @@ def green_function(z, zprime, omega, cfg: CavityConfig):
     return _unwrap(out, complex)
 
 
-# interior grid points per slab of ode_residual: about 0.7 MB of transients
+# interior grid points per slab of ode_residual: under 1 MB of transients
 _SLAB_POINTS = 8192
 
 # smallest finite-difference step, in units of L: it keeps ode_residual's
