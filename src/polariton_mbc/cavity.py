@@ -6,8 +6,8 @@ parameter Lambda (large Lambda = good cavity). Inside is the polariton
 medium of `dielectric`; outside is vacuum.
 
 Conventions (c = 1): an incoming unit wave from z < 0 produces the
-intracavity standing-wave amplitude `intracavity_transfer` and the
-reflected amplitude `reflection`. Resonances solve
+intracavity standing-wave amplitude T and the reflected amplitude r;
+`amplitudes` is the one entry point for both. Resonances solve
 
     tan(n(W) * W * L) = n(W) / Lambda
 
@@ -32,8 +32,6 @@ __all__ = [
     "Branch",
     "CavityConfig",
     "Resonance",
-    "intracavity_transfer",
-    "reflection",
     "amplitudes",
     "find_resonances",
     "kappa_mbc",
@@ -55,8 +53,8 @@ class CavityConfig:
             raise ValueError("length must be positive and finite")
         if not self.lambda_mirror > 0:
             raise ValueError("lambda_mirror must be positive")
-        try:  # the bare rate, as kappa_bare computes it
-            finite = math.isfinite(2.0 / (self.lambda_mirror**2 * self.length))
+        try:
+            finite = math.isfinite(kappa_bare(self))
         except (OverflowError, ZeroDivisionError):
             finite = False
         if not finite:
@@ -109,31 +107,13 @@ def _amplitude_kernel(omega, cfg: CavityConfig):
     return n, e, (1.0 - 1j * cfg.lambda_mirror) * (e2 - 1.0) - n * (e2 + 1.0)
 
 
-def intracavity_transfer(omega, cfg: CavityConfig):
-    """Intracavity amplitude per unit incoming amplitude, T(w) = 4i e / D.
-
-    This is 2 / {(1 - i*Lambda) sin(k L) + i n cos(k L)} divided through
-    by e^{-ikL}, which stays finite deep in the stop band; the field in
-    the cavity is T sin(k(L - z)). |T| peaks at the resonances. If n is
-    non-finite (gamma = 0 exactly at the pole) the non-finite sentinel
-    propagates to the result.
-    """
-    return amplitudes(omega, cfg)[0]
-
-
-def reflection(omega, cfg: CavityConfig):
-    """Reflected amplitude r(w) = T(w) sin(k L) - 1 = 2 (e^2 - 1) / D - 1.
-
-    For real n this is -e^2 conj(D) / D, so |r| = 1 with gamma = 0 in a
-    transparency window: the loss-less cavity with a perfect back mirror
-    returns all the energy. Absorption (gamma > 0, beta4pi > 0) pulls
-    |r| below 1 near the excitation resonance.
-    """
-    return amplitudes(omega, cfg)[1]
-
-
 def amplitudes(omega, cfg: CavityConfig):
-    """(T, r) = (4i e / D, 2 (e^2 - 1) / D - 1) from one kernel evaluation."""
+    """(T, r) = (4i e / D, 2 (e^2 - 1) / D - 1) from one kernel evaluation.
+
+    Per unit incoming amplitude the cavity field is T sin(k(L - z)) and
+    r = T sin(k L) - 1; for real n, r = -e^2 conj(D) / D, so |r| = 1 with
+    gamma = 0 in a transparency window. Both stay finite in the stop band.
+    """
     _, e, den = _amplitude_kernel(omega, cfg)
     t, r = 4j * e / den, 2.0 * (e * e - 1.0) / den - 1.0
     return tuple(_unwrap(a.reshape(np.shape(omega)), complex) for a in (t, r))

@@ -242,7 +242,7 @@ def _propagating(omega, p: MediumParams):
     omega <= 0 and, with StopBandError, omega in the stop band."""
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0.0):
-        raise ValueError("group_velocity needs omega > 0")
+        raise ValueError("omega must be positive")
     if np.any(in_stop_band(w, p)):
         lo, hi = p.stop_band()
         raise StopBandError(f"omega inside the stop band [{lo:g}, {hi:g}]: no propagating mode")

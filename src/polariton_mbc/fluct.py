@@ -12,8 +12,9 @@ so the vacuum weights are 1/(2q) for the potential and q/2 for the
 three fields).
 
 The position-resolved pieces split by propagation direction: the
-forward kernel carries exp(+i Re k (z - z')) and the backward kernel
-its conjugate, both damped by exp(-Im k |z - z'|). Forward-plus with
+forward kernel `forward_commutator_decay` is exp(+i Re k (z - z')) damped
+by exp(-Im k |z - z'|); the backward kernel is its conjugate, which is the
+forward kernel with z and z' exchanged. Forward-plus with
 backward-minus operators commute identically for z < z' (nothing has
 propagated between them), which is structural and carries no numerics.
 """
@@ -34,7 +35,6 @@ __all__ = [
     "solve_omega_q",
     "mode_commutators",
     "forward_commutator_decay",
-    "backward_commutator_decay",
 ]
 
 
@@ -121,13 +121,3 @@ def forward_commutator_decay(
     dz = z - zprime
     return weight * cmath.exp(1j * k.real * dz - k.imag * abs(dz))
 
-
-def backward_commutator_decay(
-    z: float, zprime: float, omega: float, p: MediumParams
-) -> complex:
-    """Backward-propagating counterpart: the conjugate kernel.
-
-    Equals conj(forward_commutator_decay(z, z')); equivalently the
-    forward kernel with z and z' exchanged.
-    """
-    return forward_commutator_decay(z, zprime, omega, p).conjugate()

@@ -1,4 +1,4 @@
-"""Input-output layer: Lorentzian response, output field, and the rate comparison.
+"""Input-output layer: the rate comparison of the two prescriptions.
 
 Two prescriptions for the dissipation rate of a polariton resonance are
 computed side by side:
@@ -11,7 +11,8 @@ computed side by side:
 `figure2_sweep` tabulates both routes over a grid of coupling strengths
 so their opposite trends in the ultrastrong regime are visible in one
 table. All quantities are expressed in units of the excitation
-frequency (omega_t = 1, c = 1).
+frequency (omega_t = 1, c = 1). The one-pole input-output model is the
+tests' oracle for kappa_mbc against the exact r of `cavity.amplitudes`.
 """
 
 from __future__ import annotations
@@ -21,47 +22,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .cavity import CavityConfig, Resonance, _kappa, _mode_roots, kappa_bare, tuned_length
+from .cavity import CavityConfig, _kappa, _mode_roots, kappa_bare, tuned_length
 from .dielectric import MediumParams, _unwrap
 from .hopfield import HopfieldModes, hopfield_modes, weight
 from .tables import SweepTable
 
 __all__ = [
-    "polariton_response",
-    "output_amplitude",
     "kappa_rwa",
     "kappa_fit",
     "figure2_sweep",
 ]
-
-
-def polariton_response(omega, resonance: Resonance):
-    """Intracavity polariton amplitude per unit input, i*sqrt(k)/(w - W + ik/2).
-
-    |response|^2 is a Lorentzian of FWHM kappa and peak 4/kappa; its
-    integral over omega is 2*pi. Accepts a scalar or array omega.
-    """
-    if not resonance.kappa > 0:
-        raise ValueError("resonance.kappa must be positive")
-    w = np.asarray(omega, dtype=float)
-    r = 1j * math.sqrt(resonance.kappa) / (
-        w - resonance.omega + 0.5j * resonance.kappa
-    )
-    return _unwrap(r, complex)
-
-
-def output_amplitude(omega, resonances: Sequence[Resonance]):
-    """Outgoing field per unit input: sum_j sqrt(k_j) p_j - a_in.
-
-    For a single resonance this is -(w - W - ik/2)/(w - W + ik/2), a pure
-    phase: +1 on resonance, -1 far away, winding by 2*pi across the line.
-    Unit modulus needs well-separated resonances (the one-pole algebra).
-    """
-    w = np.asarray(omega, dtype=float)
-    out = np.full(w.shape, -1.0 + 0.0j)
-    for res in resonances:
-        out = out + math.sqrt(res.kappa) * polariton_response(w, res)
-    return _unwrap(out, complex)
 
 
 def kappa_rwa(modes: HopfieldModes, kappa0: float):

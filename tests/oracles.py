@@ -11,7 +11,9 @@ frequency window instead of the per-mode analytic brackets of
 find_resonances and figure2_sweep, the half-maximum width of a sampled
 |T|^2 line instead of the rate formula kappa_mbc, a bracket-walking
 bisection of n(W) W = q instead of the closed-form roots of
-solve_omega_q, and cell-by-cell and point-by-point text rendering
+solve_omega_q, the one-pole input-output model (a Lorentzian line of
+width kappa) instead of the exact reflection of the membrane boundary
+conditions, and cell-by-cell and point-by-point text rendering
 instead of the columnar CSV and SVG writers. Agreement between the two
 routes is the point of the tests, so nothing in this module may import
 the formulas it is checking. (`masked_ode_residual` takes G from the
@@ -94,6 +96,35 @@ def lorentzian_prefactor(omega: float, cfg: CavityConfig) -> float:
     n = refractive_index(omega, p).real
     vg = group_velocity(omega, p)
     return math.sqrt(2.0 * vg / (n * cfg.length))
+
+
+def polariton_response(omega, resonance: Resonance):
+    """One-pole intracavity amplitude per unit input, i*sqrt(k)/(w - W + ik/2).
+
+    |response|^2 is a Lorentzian of FWHM kappa and peak 4/kappa; its
+    integral over omega is 2*pi. Accepts a scalar or array omega.
+    """
+    if not resonance.kappa > 0:
+        raise ValueError("resonance.kappa must be positive")
+    w = np.asarray(omega, dtype=float)
+    return 1j * math.sqrt(resonance.kappa) / (w - resonance.omega + 0.5j * resonance.kappa)
+
+
+def output_amplitude(omega, resonances):
+    """One-pole outgoing field per unit input: sum_j sqrt(k_j) p_j - a_in.
+
+    For a single resonance this is -(w - W - ik/2)/(w - W + ik/2), a pure
+    phase: +1 on resonance, -1 far away, winding by 2*pi across the line
+    (polaritons inside plus photons outside are conserved). Unit modulus
+    needs well-separated resonances. Near a good-cavity root W the exact
+    reflection r of `amplitudes` is this times a constant phase, to
+    O(1/Lambda), when kappa is the boundary-condition rate.
+    """
+    w = np.asarray(omega, dtype=float)
+    out = np.full(w.shape, -1.0 + 0.0j)
+    for res in resonances:
+        out = out + math.sqrt(res.kappa) * polariton_response(w, res)
+    return out
 
 
 def lorentzian_extract(spectrum: SweepTable) -> tuple[float, float]:

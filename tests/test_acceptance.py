@@ -16,6 +16,7 @@ from oracles import (
     lorentzian_extract,
     matched_green,
     mode_vector,
+    output_amplitude,
 )
 from polariton_mbc import (
     BogoliubovProblem,
@@ -24,18 +25,16 @@ from polariton_mbc import (
     MediumParams,
     Resonance,
     SweepTable,
+    amplitudes,
     figure2_sweep,
     find_resonances,
     green_function,
     hopfield_modes,
     in_stop_band,
-    intracavity_transfer,
     kappa_bare,
     kappa_fit,
     mode_commutators,
     ode_residual,
-    output_amplitude,
-    reflection,
     refractive_index,
     solve_omega_q,
     tuned_length,
@@ -200,7 +199,7 @@ def test_transmission_linewidths_match_rate_formula():
         for window in mode_windows(med):
             res = find_resonances(cfg, window, max_count=1)[0]
             ws = np.linspace(res.omega - 6 * res.kappa, res.omega + 6 * res.kappa, 2001)
-            t2 = np.abs(intracavity_transfer(ws, cfg)) ** 2
+            t2 = np.abs(amplitudes(ws, cfg)[0]) ** 2
             _, fwhm = lorentzian_extract(
                 SweepTable([("omega", ws.tolist()), ("t2", t2.tolist())])
             )
@@ -277,7 +276,7 @@ def test_unitarity_of_reflection_and_input_output():
         lower = rng.uniform(0.05, 0.995 * med.omega_t, 2500)
         upper = rng.uniform(1.01 * wl, 3.5, 2500)
         ws = np.concatenate([lower, upper])
-        worst_r = max(worst_r, float(np.max(np.abs(np.abs(reflection(ws, cfg)) - 1.0))))
+        worst_r = max(worst_r, float(np.max(np.abs(np.abs(amplitudes(ws, cfg)[1]) - 1.0))))
 
     res = Resonance(omega=1.0, kappa=1e-2, branch=Branch.BARE, mode_index=1)
     ws = rng.uniform(0.5, 1.5, 10_000)

@@ -19,14 +19,13 @@ from polariton_mbc import (
     ResonanceScanError,
     StopBandError,
     SweepTable,
+    amplitudes,
     bulk_dispersion,
     find_resonances,
     group_velocity,
     in_stop_band,
-    intracavity_transfer,
     kappa_bare,
     kappa_mbc,
-    reflection,
     refractive_index,
     tuned_length,
 )
@@ -309,13 +308,13 @@ def test_reflection_is_unimodular_without_absorption():
             if in_stop_band(w, cfg.medium):
                 continue
             count += 1
-            assert abs(abs(reflection(w, cfg)) - 1.0) < 1e-12, f"|r| != 1 at {w}"
+            assert abs(abs(amplitudes(w, cfg)[1]) - 1.0) < 1e-12, f"|r| != 1 at {w}"
 
 
 def test_absorption_pulls_reflection_below_one():
     cfg = make_cavity(beta4pi=1.0, gamma=1e-3)
     # near the matter resonance a lossy medium eats part of the field
-    assert abs(reflection(0.98, cfg)) < 1.0 - 1e-4
+    assert abs(amplitudes(0.98, cfg)[1]) < 1.0 - 1e-4
 
 
 def test_reflection_transfer_consistency():
@@ -324,8 +323,8 @@ def test_reflection_transfer_consistency():
     for w in rng.uniform(0.05, 3.5, 200):
         n = refractive_index(w, cfg.medium)
         kl = n * w * cfg.length
-        expect = intracavity_transfer(w, cfg) * np.sin(kl) - 1.0
-        assert reflection(w, cfg) == pytest.approx(expect, rel=1e-12)
+        t, r = amplitudes(w, cfg)
+        assert r == pytest.approx(t * np.sin(kl) - 1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("beta4pi", [0.36, 4.0, 16.0])
@@ -336,10 +335,10 @@ def test_array_amplitudes_equal_the_scalar_loop_to_the_bit(beta4pi):
     cfg = make_cavity(beta4pi=beta4pi, gamma=1e-9)
     ws = rng.uniform(0.05, 3.5, 4000)
     ws = ws[~in_stop_band(ws, cfg.medium)]
-    for amplitude in (intracavity_transfer, reflection):
-        one_by_one = np.array([amplitude(float(w), cfg) for w in ws])
-        assert amplitude(ws, cfg).tobytes() == one_by_one.tobytes(), amplitude
-        assert type(amplitude(float(ws[0]), cfg)) is complex
+    one_by_one = np.array([amplitudes(float(w), cfg) for w in ws]).T
+    for name, array, loop in zip("Tr", amplitudes(ws, cfg), one_by_one):
+        assert array.tobytes() == loop.tobytes(), name
+    assert all(type(a) is complex for a in amplitudes(float(ws[0]), cfg))
 
 
 @pytest.mark.parametrize("beta4pi", [0.36, 4.0, 16.0])
@@ -348,7 +347,7 @@ def test_amplitudes_stay_finite_deep_in_the_stop_band(beta4pi):
     # the exp() range; T decays there instead of overflowing
     cfg = make_cavity(beta4pi=beta4pi, gamma=1e-9)
     ws = np.linspace(0.9, 1.1, 50_001)
-    t, r = intracavity_transfer(ws, cfg), reflection(ws, cfg)
+    t, r = amplitudes(ws, cfg)
     assert np.all(np.isfinite(t)) and np.all(np.isfinite(r))
     assert np.all(np.abs(r) <= 1.0 + 1e-12)
 
@@ -356,12 +355,12 @@ def test_amplitudes_stay_finite_deep_in_the_stop_band(beta4pi):
 def test_scattering_accepts_arrays():
     cfg = make_cavity(beta4pi=0.5)
     ws = np.linspace(0.1, 0.9, 64)
-    t_arr = intracavity_transfer(ws, cfg)
-    r_arr = reflection(ws, cfg)
+    t_arr, r_arr = amplitudes(ws, cfg)
     assert t_arr.shape == ws.shape and r_arr.shape == ws.shape
     for i in (0, 17, 63):
-        assert t_arr[i] == pytest.approx(intracavity_transfer(float(ws[i]), cfg))
-        assert r_arr[i] == pytest.approx(reflection(float(ws[i]), cfg))
+        t, r = amplitudes(float(ws[i]), cfg)
+        assert t_arr[i] == pytest.approx(t)
+        assert r_arr[i] == pytest.approx(r)
 
 
 def test_kappa_mbc_collapses_to_bare_rate_in_vacuum():
@@ -384,6 +383,16 @@ def test_kappa_mbc_formula():
         kappa_mbc(1.2, cfg)
 
 
+def test_nonpositive_omega_is_refused_by_name():
+    # both public callers of the check get a message that names omega
+    cfg = make_cavity(beta4pi=0.36)
+    for omega in (-1.0, 0.0, np.array([0.5, 0.0])):
+        with pytest.raises(ValueError, match=r"^omega must be positive$"):
+            group_velocity(omega, cfg.medium)
+        with pytest.raises(ValueError, match=r"^omega must be positive$"):
+            kappa_mbc(omega, cfg)
+
+
 def test_rate_matches_linewidth_of_transfer_peak():
     # the dissipation rate of a resonance should be the FWHM of the
     # |T|^2 line it produces; the rate formula is the leading
@@ -391,7 +400,7 @@ def test_rate_matches_linewidth_of_transfer_peak():
     cfg = make_cavity(beta4pi=0.36, lam=50.0)
     res = find_resonances(cfg, (0.5, 0.9))[0]
     ws = np.linspace(res.omega - 6 * res.kappa, res.omega + 6 * res.kappa, 1601)
-    t2 = np.abs(intracavity_transfer(ws, cfg)) ** 2
+    t2 = np.abs(amplitudes(ws, cfg)[0]) ** 2
     center, fwhm = lorentzian_extract(SweepTable([("omega", ws.tolist()), ("t2", t2.tolist())]))
     assert center == pytest.approx(res.omega, abs=0.05 * res.kappa)
     assert fwhm == pytest.approx(res.kappa, rel=2e-3)
@@ -401,7 +410,7 @@ def test_lorentzian_prefactor_gives_peak_height():
     cfg = make_cavity(beta4pi=0.36, lam=50.0)
     res = find_resonances(cfg, (0.5, 0.9))[0]
     pref = lorentzian_prefactor(res.omega, cfg)
-    peak = abs(intracavity_transfer(res.omega, cfg)) ** 2
+    peak = abs(amplitudes(res.omega, cfg)[0]) ** 2
     assert peak == pytest.approx(4.0 * pref**2 / res.kappa, rel=5e-3)
 
 

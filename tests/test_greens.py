@@ -13,15 +13,14 @@ from polariton_mbc import (
     CavityConfig,
     MediumParams,
     StepSizeError,
+    amplitudes,
     delta_jump,
     fd_error,
     fd_step,
     green_function,
     in_stop_band,
-    intracavity_transfer,
     membrane_jump,
     ode_residual,
-    reflection,
     refractive_index,
     tuned_length,
 )
@@ -60,7 +59,7 @@ def test_coefficients_match_scattering_amplitudes():
             count += 1
             n = refractive_index(w, med)
             k = n * w
-            r, t = reflection(w, cfg), intracavity_transfer(w, cfg)
+            t, r = amplitudes(w, cfg)
             z1, z1p = -float(rng.uniform(0.1, 4.5)) * L, -float(rng.uniform(0.1, 4.5)) * L
             z2, z2p = float(rng.uniform(0.1, 0.9)) * L, float(rng.uniform(0.1, 0.9)) * L
             expect_11 = (
@@ -80,10 +79,10 @@ def test_array_coefficients_equal_the_scalar_loop_to_the_bit():
         ws = rng.uniform(0.05, 3.5, 2000)
         ws = ws[[usable(w, med) for w in ws]]
         # r and T: the coefficients G is built from outside the source
-        for amplitude in (reflection, intracavity_transfer):
-            one_by_one = np.array([amplitude(float(w), cfg) for w in ws])
-            assert amplitude(ws, cfg).tobytes() == one_by_one.tobytes(), (med, amplitude)
-            assert type(amplitude(float(ws[0]), cfg)) is complex
+        one_by_one = np.array([amplitudes(float(w), cfg) for w in ws]).T
+        for name, array, loop in zip("Tr", amplitudes(ws, cfg), one_by_one):
+            assert array.tobytes() == loop.tobytes(), (med, name)
+        assert all(type(a) is complex for a in amplitudes(float(ws[0]), cfg))
     with pytest.raises(ValueError):
         green_function(-0.5, -0.5, np.array([0.5, 0.0]), make_cavity(MEDIA[1]))
 

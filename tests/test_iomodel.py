@@ -1,24 +1,30 @@
-"""Lorentzian response, phase-only output, rate rescalings, coupling sweep."""
+"""One-pole oracle against the exact r, rate rescalings, coupling sweep."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import exact_mode_root, scanned_fundamentals
+from oracles import (
+    exact_mode_root,
+    output_amplitude,
+    polariton_response,
+    scanned_fundamentals,
+)
 from polariton_mbc import (
     BogoliubovProblem,
     Branch,
     CavityConfig,
     MediumParams,
     Resonance,
+    amplitudes,
     figure2_sweep,
+    find_resonances,
     hopfield_modes,
     kappa_bare,
     kappa_fit,
     kappa_rwa,
-    output_amplitude,
-    polariton_response,
     tuned_length,
     weight,
 )
@@ -77,6 +83,37 @@ def test_two_distant_modes_superpose():
     # on either resonance the other mode contributes at order kappa/separation
     assert abs(out[0] - 1.0) < 0.05
     assert abs(out[1] - 1.0) < 0.05
+
+
+# (4 pi beta, Lambda, L or None for the tuned length, window), all at gamma = 0
+ONE_POLE_CASES = [
+    (0.0, 200.0, None, (0.5, 2.5)),
+    (0.36, 200.0, 20.0, (0.3, 0.9)),
+    (0.36, 200.0, 20.0, (1.3, 2.0)),
+    (4.0, 1e3, 5.0, (0.2, 0.9)),
+    (0.36, 1e4, 20.0, (1.3, 2.0)),
+]
+
+
+def one_pole_miss(cfg, res, kappa):
+    """Largest drift of r / (one-pole output of width kappa) from its value at W."""
+    ws = res.omega + res.kappa * np.linspace(-5.0, 5.0, 201)
+    ratio = amplitudes(ws, cfg)[1] / output_amplitude(ws, [replace(res, kappa=kappa)])
+    return float(np.max(np.abs(ratio - ratio[100])))
+
+
+@pytest.mark.parametrize("beta4pi, lam, length, window", ONE_POLE_CASES)
+def test_exact_reflection_has_the_one_pole_line_of_kappa_mbc(beta4pi, lam, length, window):
+    # the input-output relation: across +/- 5 kappa of a good-cavity root
+    # the exact r is the unimodular one-pole output of width kappa_mbc
+    # times a constant phase, up to O(1/Lambda); a rate 2% off misses
+    med = MediumParams(beta4pi=beta4pi, gamma=0.0)
+    cfg = CavityConfig(length or tuned_length(lam, med), lam, med)
+    roots = find_resonances(cfg, window)
+    assert len(roots) >= 2
+    for res in roots:
+        assert one_pole_miss(cfg, res, res.kappa) <= 2.5 / lam, res
+        assert one_pole_miss(cfg, res, 1.02 * res.kappa) > 1.5e-2, res
 
 
 def test_kappa_rwa_is_photon_weight_rescaling():
