@@ -287,8 +287,7 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
 
     w_probe = float(ws[0])
     h = fd_step(w_probe, cavity, clearance, tol_r)
-    resid_out = ode_residual(-0.45 * length, w_probe, cavity, h)
-    resid_in = ode_residual(0.37 * length, w_probe, cavity, h)
+    resid_out, resid_in = ode_residual([-0.45 * length, 0.37 * length], w_probe, cavity, h).tolist()
     jump_dev = abs(delta_jump(0.37 * length, w_probe, cavity, h) + 1.0)
     membrane_dev = max(
         membrane_jump(zp, w_probe, cavity, h) for zp in (-0.45 * length, 0.37 * length)

@@ -19,6 +19,8 @@ All formulas use c = 1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cavity import CavityConfig, _amplitude_kernel
@@ -61,55 +63,66 @@ def green_function(z, zprime, omega, cfg: CavityConfig):
     satisfy z, z' in [-5L, L].
     """
     L = cfg.length
-    z = np.asarray(z, dtype=float)
-    zp = np.asarray(zprime, dtype=float)
+    z, zp = np.asarray(z, dtype=float)[()], np.asarray(zprime, dtype=float)[()]
     if np.any(z < -5.0 * L) or np.any(z > L) or np.any(zp < -5.0 * L) or np.any(zp > L):
         raise ValueError("green_function is defined for z, z' in [-5L, L]")
     if np.any(np.asarray(omega) == 0):
         raise ValueError("green_function needs omega != 0")
     shape = np.broadcast_shapes(z.shape, zp.shape, np.shape(omega))
-    q = np.asarray(omega, dtype=complex)  # vacuum wavenumber, c = 1
-    n, _, den = (x.reshape(q.shape) for x in _amplitude_kernel(omega, cfg))
-    kp = n * q
+    q, kp, n, den = _kernel(omega, cfg)
 
     def at(x, mask):
         """x on the points of mask; a scalar stays one."""
-        if np.ndim(x) == 0:
-            return x[()] if isinstance(x, np.ndarray) else x
-        return np.broadcast_to(x, shape)[mask]
-
-    def s(y, k):
-        return np.exp(1j * k * (2.0 * L - y)) - np.exp(1j * k * y)
+        return x if np.ndim(x) == 0 else np.broadcast_to(x, shape)[mask]
 
     out = np.empty(shape, dtype=complex)
     field_out, source_out = z <= 0.0, zp <= 0.0
     for src in (True, False):
         for fld in (True, False):
             mask = np.broadcast_to((source_out == src) & (field_out == fld), shape)
-            if not mask.any():
-                continue
-            x, y, w, k = at(z, mask), at(zp, mask), at(q, mask), at(kp, mask)
-            d = at(den, mask)
-            if src and fld:
-                back = np.exp(-1j * w * (x + y))
-                g = (np.exp(1j * w * np.abs(x - y)) - back + 2.0 * s(0.0, k) / d * back) / w
-            elif src:
-                g = 2.0 * s(x, k) * np.exp(-1j * w * y) / (d * w)
-            elif fld:
-                g = 2.0 * at(n, mask) * np.exp(-1j * w * x) * s(y, k) / (d * k)
-            else:
-                c = (1.0 - 1j * cfg.lambda_mirror - at(n, mask)) / d
-                g = (
-                    np.exp(1j * k * np.abs(x - y))
-                    - np.exp(1j * k * (2.0 * L - x - y))
-                    + c * s(x, k) * s(y, k)
-                ) / k
-            out[mask] = g / -2j
+            if mask.any():
+                terms = (at(x, mask) for x in (q, kp, n, den))
+                out[mask] = _region(at(z, mask), at(zp, mask), src, fld, *terms, cfg)
     return _unwrap(out, complex)
 
 
-# interior grid points per slab of ode_residual: under 1 MB of transients
-_SLAB_POINTS = 8192
+def _kernel(omega, cfg: CavityConfig):
+    """omega, k = n omega, n and D of G's formulas, shaped like omega: a
+    scalar omega gives numpy scalars."""
+    q = np.asarray(omega, dtype=complex)  # vacuum wavenumber, c = 1
+    n, _, den = (x.reshape(q.shape) for x in _amplitude_kernel(omega, cfg))
+    return tuple(x[()] for x in (q, n * q, n, den))
+
+
+def _standing(y, k, L):
+    """s(y) = e^{ik(2L - y)} - e^{iky}."""
+    return np.exp(1j * k * (2.0 * L - y)) - np.exp(1j * k * y)
+
+
+def _region(x, y, src, fld, w, k, n, d, cfg: CavityConfig, sx=None):
+    """G at field points x for sources y, all in regions src and fld (True
+    for z <= 0), by `green_function`'s formula for that pair; sx is s(x),
+    computed here when not given."""
+    L = cfg.length
+    if not fld and sx is None:
+        sx = _standing(x, k, L)
+    if src and fld:
+        back = np.exp(-1j * w * (x + y))
+        g = (np.exp(1j * w * np.abs(x - y)) - back + 2.0 * _standing(0.0, k, L) / d * back) / w
+    elif fld:
+        g = 2.0 * n * np.exp(-1j * w * x) * _standing(y, k, L) / (d * k)
+    elif src:
+        g = 2.0 * sx * np.exp(-1j * w * y) / (d * w)
+    else:
+        c = (1.0 - 1j * cfg.lambda_mirror - n) / d
+        g = np.exp(1j * k * np.abs(x - y)) - np.exp(1j * k * (2.0 * L - x - y))
+        g = (g + c * sx * _standing(y, k, L)) / k
+    return g / -2j
+
+
+# interior grid points per slab of ode_residual: its transients peak at
+# 0.60 MB (tracemalloc), for one source or two, at any step
+_SLAB_POINTS = 4096
 
 # smallest finite-difference step, in units of L: it keeps ode_residual's
 # grid over [-2L, L] at 300,000 points or fewer
@@ -129,17 +142,17 @@ def _rounding(omega, cfg: CavityConfig) -> float:
     return 2.0 * np.finfo(float).eps * (5.0 + 1.0 / wl)
 
 
-def _check_step(omega, zprime: float, cfg: CavityConfig, h: float):
-    L = cfg.length
+def _check_step(omega, zprime, cfg: CavityConfig, h: float):
+    """Refuse a step that does not resolve the wave, or a source, or an
+    array of them, within 10h of the membrane or the mirror."""
     hk = h * _wavenumber(omega, cfg)
     if hk > 0.1:
-        raise StepSizeError(
-            f"step h = {h:g} does not resolve the wave (h*k = {hk:g} > 0.1)"
-        )
-    for b in (0.0, L):
-        # divided as fd_step divides its cap, so that h = clearance/10 passes
-        if abs(zprime - b) / 10.0 < h:
-            raise StepSizeError(f"source z' = {zprime:g} within 10h of boundary {b:g}")
+        raise StepSizeError(f"step h = {h:g} does not resolve the wave (h*k = {hk:g} > 0.1)")
+    for y in np.ravel(zprime).tolist():
+        for b in (0.0, cfg.length):
+            # divided as fd_step divides its cap, so that h = clearance/10 passes
+            if abs(y - b) / 10.0 < h:
+                raise StepSizeError(f"source z' = {y:g} within 10h of boundary {b:g}")
 
 
 def fd_error(omega: float, cfg: CavityConfig, h: float) -> float:
@@ -182,12 +195,15 @@ def fd_step(omega: float, cfg: CavityConfig, clearance: float, tol: float) -> fl
     return h
 
 
-def ode_residual(zprime: float, omega: float, cfg: CavityConfig, h: float) -> float:
+def ode_residual(zprime, omega: float, cfg: CavityConfig, h: float):
     """Max finite-difference residual of the defining wave equation.
 
-    Evaluates G on a uniform grid over [-2L, L], _SLAB_POINTS points at a
-    time, and forms the central second difference, excluding points within
-    3h of the source, the membrane at z = 0, and the mirror at z = L. Returns
+    zprime is one source or an array of them; the result is a float, or
+    an array of zprime's shape. Evaluates G on a uniform grid over
+    [-2L, L], _SLAB_POINTS points at a time, in one pass for all sources:
+    each slab, and s(z) on its medium part, is formed once. Forms the
+    central second difference, excluding points within 3h of the source,
+    the membrane at z = 0, and the mirror at z = L. Returns per source
 
         max |G'' + omega^2 eps(z) G|  /  max |omega^2 eps(z) G|
 
@@ -212,25 +228,42 @@ def ode_residual(zprime: float, omega: float, cfg: CavityConfig, h: float) -> fl
     rounding term near 1e-4 at omega L = 0.3.
     """
     _check_step(omega, zprime, cfg, h)
-    L = cfg.length
-    z = np.arange(-2.0 * L, L - 0.5 * h, h)
-    zi, eps, cs = z[1:-1], epsilon(omega, cfg.medium), (zprime, 0.0, L)
-    # the points within 3h of the source, membrane and mirror sort next to them
-    near = [np.arange(max(i - 5, 0), min(i + 5, zi.size)) for i in np.searchsorted(zi, cs)]
-    drop = np.concatenate([j[~(np.abs(zi[j] - c) >= 3.0 * h)] for c, j in zip(cs, near)])
-    resid = scale = 0.0
-    for s in range(0, zi.size, _SLAB_POINTS):  # interior points s.., and one more on either side
-        g = green_function(z[s:s + _SLAB_POINTS + 2], zprime, omega, cfg)
-        d2 = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h / h  # h * h may leave the float range
-        source = eps * g[1:-1]
-        vacuum = np.searchsorted(zi[s:s + d2.size], 0.0, "right")  # eps = 1 at z <= 0
-        source[:vacuum] = g[1:vacuum + 1]
-        source = omega * (omega * source)  # omega G is O(1); omega**2 may not be
-        r, a = np.abs(np.add(d2, source, out=d2)), np.abs(source)
-        here = drop[(drop >= s) & (drop < s + d2.size)] - s
-        r[here] = a[here] = 0.0  # a 0 moves no max of |values|
-        resid, scale = np.maximum(resid, np.max(r)), np.maximum(scale, np.max(a))
-    return float(resid) / float(scale)
+    L, zps = cfg.length, np.asarray(zprime, dtype=float)
+    w, k, n, d = _kernel(omega, cfg)
+    start, eps = -2.0 * L, epsilon(omega, cfg.medium)
+    delta = (start + h) - start  # np.arange(start, L - h/2, h)[i] is start + i delta
+    m = math.ceil((L - 0.5 * h - start) / h) - 2  # interior points 1..m of that grid
+
+    def near(c):
+        """Interior indices within 3h of c: they sort next to it."""
+        lo = min(max(math.floor((c - start) / delta) - 9, 0), m)
+        j = np.arange(lo, min(lo + 18, m))
+        return j[~(np.abs(_grid(start, delta, j + 1) - c) >= 3.0 * h)]
+
+    drops = [np.concatenate([near(c) for c in (y, 0.0, L)]) for y in zps.flat]
+    resid, scale = np.zeros(zps.size), np.zeros(zps.size)
+    for s in range(0, m, _SLAB_POINTS):  # interior points s.., and one more on either side
+        z = _grid(start, delta, np.arange(s, min(s + _SLAB_POINTS, m) + 2))
+        v = np.searchsorted(z, 0.0, "right")  # z[:v] <= 0 is vacuum, z[v:] medium
+        sz, vacuum = _standing(z[v:], k, L), min(max(v - 1, 0), z.size - 2)
+        for i, y in enumerate(zps.flat):
+            g = np.empty(z.size, dtype=complex)
+            g[:v] = _region(z[:v], y, y <= 0.0, True, w, k, n, d, cfg)
+            g[v:] = _region(z[v:], y, y <= 0.0, False, w, k, n, d, cfg, sz)
+            d2 = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h / h  # h * h may leave the float range
+            source = eps * g[1:-1]
+            source[:vacuum] = g[1:vacuum + 1]  # eps = 1 at z <= 0
+            source = omega * (omega * source)  # omega G is O(1); omega**2 may not be
+            r, a = np.abs(np.add(d2, source, out=d2)), np.abs(source)
+            here = drops[i][(drops[i] >= s) & (drops[i] < s + d2.size)] - s
+            r[here] = a[here] = 0.0  # a 0 moves no max of |values|
+            resid[i], scale[i] = np.maximum(resid[i], np.max(r)), np.maximum(scale[i], np.max(a))
+    return _unwrap((resid / scale).reshape(zps.shape), float)
+
+
+def _grid(start: float, delta: float, i):
+    """Points i of ode_residual's grid, without the grid: start + i delta."""
+    return start + i * delta
 
 
 def _kink(z0: float, zprime: float, omega: float, cfg: CavityConfig, h: float):

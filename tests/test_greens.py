@@ -3,10 +3,12 @@ direct boundary-value solve, plus finite-difference checks of the
 differential equation, the source kink and the membrane condition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import polariton_mbc.cli as cli
 import polariton_mbc.greens as greens
 from oracles import exact_open_side_green, masked_ode_residual, matched_green
 from polariton_mbc import (
@@ -251,9 +253,26 @@ def _exclusion_edge_draws():
     return out
 
 
+def _partner(zp, cfg):
+    """A second source on the other side of the membrane, where greens-check
+    puts its own."""
+    return (-0.45 if zp > 0.0 else 0.37) * cfg.length
+
+
+def _assert_residuals_keep_their_bits(zp, w, cfg, h, want):
+    """ode_residual of zp alone, and of zp with its partner in either order
+    in one call, equals want, the masked residuals of (zp, partner)."""
+    assert ode_residual(zp, w, cfg, h) == want[0], (zp, w, h)
+    pair = np.array([zp, _partner(zp, cfg)])
+    for step in (1, -1):
+        got = ode_residual(pair[::step], w, cfg, h)
+        assert got.shape == (2,) and got.tolist() == want[::step], (zp, w, h, step)
+
+
 def test_ode_residual_keeps_the_bits_of_three_full_length_masks():
     # ode_residual finds the points within 3h of the source, the membrane
-    # and the mirror next to where each sorts; the maxima must not move
+    # and the mirror next to where each sorts, for one source or for two
+    # in one pass; the maxima must not move
     draws = _exclusion_edge_draws()
     exact = near = 0
     for zp, w, cfg, h in draws:
@@ -261,7 +280,8 @@ def test_ode_residual_keeps_the_bits_of_three_full_length_masks():
         miss = min(np.min(np.abs(np.abs(z - c) - 3.0 * h)) for c in (zp, 0.0, cfg.length))
         exact += miss == 0.0
         near += 0.0 < miss <= np.spacing(cfg.length)
-        assert ode_residual(zp, w, cfg, h) == masked_ode_residual(zp, w, cfg, h), (zp, w, h)
+        want = [masked_ode_residual(y, w, cfg, h) for y in (zp, _partner(zp, cfg))]
+        _assert_residuals_keep_their_bits(zp, w, cfg, h, want)
     assert len(draws) >= 50 and exact >= 10 and near >= 10, (len(draws), exact, near)
 
 
@@ -275,11 +295,30 @@ def test_slabbed_ode_residual_keeps_the_bits_of_the_whole_grid(monkeypatch):
               for cfg in map(make_cavity, MEDIA[:2]) for w in (0.55, 2.4)]
     for zp, w, cfg, h in draws:
         zi = np.arange(-2.0 * cfg.length, cfg.length - 0.5 * h, h)[1:-1]
-        cuts = np.searchsorted(zi, (zp, 0.0, cfg.length)) - 1
-        want = masked_ode_residual(zp, w, cfg, h)
+        cuts = np.searchsorted(zi, (zp, _partner(zp, cfg), 0.0, cfg.length)) - 1
+        want = [masked_ode_residual(y, w, cfg, h) for y in (zp, _partner(zp, cfg))]
         for size in (1000, 4096, 8192, 100_000, zi.size - 2, zi.size - 3, *cuts.tolist()):
             monkeypatch.setattr(greens, "_SLAB_POINTS", int(size))
-            assert ode_residual(zp, w, cfg, h) == want, (zp, w, h, size)
+            _assert_residuals_keep_their_bits(zp, w, cfg, h, want)
+
+
+def test_two_source_residual_stays_under_a_megabyte_of_transients(tmp_path, monkeypatch):
+    # ode_residual holds no full-length grid, only one slab's transients:
+    # a two-source call at greens-check's default probe, and at the
+    # smallest step, 1e-5 L, whose grid has 300,000 points
+    probes = []
+    monkeypatch.setattr(cli, "ode_residual", lambda *args: probes.append(args) or np.zeros(2))
+    assert main(["greens-check", "--out", str(tmp_path)]) == 0
+    (zps, w, cfg, h), = probes
+    assert len(zps) == 2
+    for step in (h, 1e-5 * cfg.length):
+        tracemalloc.start()
+        try:
+            ode_residual(zps, w, cfg, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (step, peak)
 
 
 def test_residual_stays_small_over_the_allowed_step_range():
@@ -339,14 +378,18 @@ def test_fd_step_minimizes_the_error_model():
 @pytest.mark.parametrize("beta4pi", [0.36, 2.0, 16.0])
 @pytest.mark.parametrize("gamma", [0.0, 1e-9, 1e-3])
 def test_band_edge_probes_stay_within_the_grid_bound(monkeypatch, beta4pi, gamma):
+    # ode_residual builds its grid slab by slab in greens._grid; one slab
+    # of 300,000 points shows the whole grid
     sizes = []
-    exact = greens.green_function
+    exact = greens._grid
 
-    def counting(z, *args):
+    def counting(*args):
+        z = exact(*args)
         sizes.append(np.size(z))
-        return exact(z, *args)
+        return z
 
-    monkeypatch.setattr(greens, "green_function", counting)
+    monkeypatch.setattr(greens, "_grid", counting)
+    monkeypatch.setattr(greens, "_SLAB_POINTS", 300_000)
     med = MediumParams(omega_t=1.0, beta4pi=beta4pi, gamma=gamma)
     cfg = make_cavity(med)
     L = cfg.length
