@@ -7,20 +7,22 @@ medium of `dielectric`; outside is vacuum.
 
 Conventions (c = 1): an incoming unit wave from z < 0 produces the
 intracavity standing-wave amplitude T and the reflected amplitude r;
-`amplitudes` is the one entry point for both. Resonances solve
+`amplitudes` is the one entry point for both. `find_resonances` returns
+the roots in a window of
 
     tan(n(W) * W * L) = n(W) / Lambda
 
-and each carries the boundary-condition dissipation rate
+as the columns omega, kappa, branch and mode_index of one `Resonances`;
+kappa is the boundary-condition dissipation rate
 
     kappa_mbc(W) = 2 * n(W) * v_g(W) / (Lambda**2 * L).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +31,8 @@ from .dielectric import _propagating, _refractive_index, _unwrap
 from .errors import ResonanceScanError, StopBandError
 
 __all__ = [
-    "Branch",
     "CavityConfig",
-    "Resonance",
+    "Resonances",
     "amplitudes",
     "find_resonances",
     "kappa_mbc",
@@ -65,30 +66,21 @@ class CavityConfig:
             )
 
 
-class Branch(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
-    BARE = "bare"  # the medium is empty
+class Resonances(NamedTuple):
+    """Cavity resonances as equal-length columns, ascending in omega.
 
-    def __str__(self):
-        return self.value
-
-
-@dataclass(frozen=True)
-class Resonance:
-    """A cavity resonance: center frequency, dissipation rate, branch, mode index.
-
-    omega is mode m's root of tan(n W L) = n/Lambda to within a double
-    or two, and mode_index is m: the root's phase n W L lies in [m pi,
-    (m + 1/2) pi]. The tuned fundamental has m = 1; a sub-fundamental m =
-    0 root exists near W ~ 1/(Lambda*L) and is reported as such when a
-    search window includes it.
+    omega (float64) is mode m's root of tan(n W L) = n/Lambda to within a
+    double or two and kappa (float64) its kappa_mbc; branch (str) is
+    "lower", "upper" or "bare" (the medium is empty); mode_index (int64) is
+    m: the root's phase n W L lies in [m pi, (m + 1/2) pi]. The tuned
+    fundamental has m = 1; a sub-fundamental m = 0 root exists near
+    W ~ 1/(Lambda*L) and is reported when a search window includes it.
     """
 
-    omega: float
-    kappa: float
-    branch: Branch
-    mode_index: int
+    omega: np.ndarray
+    kappa: np.ndarray
+    branch: np.ndarray
+    mode_index: np.ndarray
 
 
 def _amplitude_kernel(omega, cfg: CavityConfig):
@@ -202,12 +194,9 @@ def _mode_roots(m, length, lambda_mirror, beta4pi, upper, lo=0.0, hi=math.inf):
     return w, index(w), inside
 
 
-def find_resonances(
-    cfg: CavityConfig,
-    omega_range: tuple[float, float],
-    max_count: int | None = None,
-) -> list[Resonance]:
-    """All roots of tan(n W L) = n/Lambda in omega_range, ascending.
+def find_resonances(cfg: CavityConfig, omega_range: tuple[float, float],
+                    max_count: int | None = None) -> Resonances:
+    """All roots of tan(n W L) = n/Lambda in omega_range, ascending, as columns.
 
     On each transparent leg (the stop band is skipped) every mode m from
     floor(n W L/pi) at the leg's bottom to that at its top is solved in
@@ -217,21 +206,14 @@ def find_resonances(
     the exact one. At most `max_count` roots are returned, and none past
     them is checked. A window whose mode indices pass 2^53 raises
     ResonanceScanError. A medium needs L Lambda omega_t > 1, else
-    ValueError. Each row of `_resonance_columns` becomes a `Resonance`.
+    ValueError. gamma plays no part: the roots are those at gamma = 0.
     """
-    omega, kappa, modes, legs = _resonance_columns(cfg, omega_range, max_count)
-    branches = [branch for branch, count in legs for _ in range(count)]
-    return list(map(Resonance, omega.tolist(), kappa.tolist(), branches, modes.tolist()))
-
-
-def _resonance_columns(cfg: CavityConfig, omega_range, max_count=None):
-    """`find_resonances` as arrays omega, kappa, mode index and (Branch, count) per leg."""
     lo, hi = omega_range
     if not (lo < hi):
         raise ValueError("empty frequency range")
     if not lo > 0:
         raise ValueError("range must be positive")
-    p = cfg.medium.lossless()
+    p = cfg.medium
     wt, b, length = p.omega_t, p.beta4pi, cfg.length * p.omega_t
     if b > 0.0 and not length * cfg.lambda_mirror > 1.0:
         raise ValueError("one root per mode needs length * lambda_mirror * omega_t > 1")
@@ -242,7 +224,7 @@ def _resonance_columns(cfg: CavityConfig, omega_range, max_count=None):
     if not legs:
         raise StopBandError(f"range [{lo:g}, {hi:g}] lies inside the stop band {p.stop_band()}")
 
-    found, columns, branches = 0, [], []
+    found, columns = 0, []
     for leg in legs:
         upper = leg[0] > 1.0
         ends = np.array(leg)
@@ -256,7 +238,7 @@ def _resonance_columns(cfg: CavityConfig, omega_range, max_count=None):
         x, n, inside = _mode_roots(modes, length, cfg.lambda_mirror, b, upper, *leg)
         take = np.flatnonzero(inside)[: None if max_count is None else max_count - found]
         x, n, found = x[take], n[take], found + len(take)
-        columns.append((x * wt, _kappa(x, n, b, cfg.lambda_mirror, length) * wt, modes[take]))
-        branches.append((Branch.BARE if b == 0.0 else Branch.UPPER if upper else Branch.LOWER,
-                         len(take)))
-    return (*map(np.concatenate, zip(*columns)), branches)
+        branch = "bare" if b == 0.0 else "upper" if upper else "lower"
+        columns.append((x * wt, _kappa(x, n, b, cfg.lambda_mirror, length) * wt,
+                        np.repeat(branch, len(take)), modes[take]))
+    return Resonances(*map(np.concatenate, zip(*columns)))

@@ -21,10 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import CavityConfig, _resonance_columns, amplitudes, kappa_bare, kappa_mbc
-from .cavity import find_resonances  # noqa: F401  (public name, kept importable here)
+from .cavity import CavityConfig, amplitudes, find_resonances, kappa_bare, kappa_mbc
 from .config import RunConfig, load_config
-from .dielectric import MediumParams, _bulk_branches, in_stop_band
+from .dielectric import MediumParams, _bulk_branches
 from .errors import ConfigError, PolaritonError, StepSizeError, StopBandError, ToleranceError
 from .fluct import FieldCommutators, solve_omega_q
 from .greens import _wavenumber, delta_jump, fd_step, green_function, membrane_jump
@@ -100,13 +99,12 @@ def cmd_resonances(cfg: RunConfig) -> list[Output]:
     cavity = cfg.cavity()
     window = (cfg.sweep_start, cfg.sweep_stop)
     try:
-        omega, kappa, modes, legs = _resonance_columns(cavity, window, cfg.sweep_count)
+        omega, kappa, branch, modes = find_resonances(cavity, window, cfg.sweep_count)
     except StopBandError as err:  # the window, not the solver, is at fault
         raise ConfigError(f"resonances window: {err}") from err
     for i in np.flatnonzero(omega[1:] == omega[:-1])[:1]:  # modes piled up at a band edge
         raise ConfigError(f"resonances window: modes {modes[i]} and {modes[i + 1]} "
                           f"share the double omega = {omega[i].item()!r}")
-    branch = np.repeat([str(branch) for branch, _ in legs], [count for _, count in legs])
     return [Output("resonances", SweepTable([
         ("omega", omega), ("kappa", kappa), ("branch", branch), ("mode_index", modes.astype(str)),
     ]))]
@@ -144,15 +142,15 @@ def cmd_kappa_sweep(cfg: RunConfig) -> list[Output]:
     cavity = cfg.cavity()
     med = cfg.medium
     ws = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
-    if np.any(in_stop_band(ws, med)):
-        raise ConfigError(
-            "kappa-sweep window crosses the stop band "
-            f"{med.stop_band()}; split the sweep into transparent windows"
-        )
+    try:
+        kappa = kappa_mbc(ws, cavity)
+    except StopBandError as err:
+        raise ConfigError(f"kappa-sweep window crosses the stop band {med.stop_band()}; "
+                          "split the sweep into transparent windows") from err
     k0 = kappa_bare(cavity)
     table = SweepTable([
         ("omega", ws),
-        ("kappa_mbc", kappa_mbc(ws, cavity)),
+        ("kappa_mbc", kappa),
         ("kappa0", np.full(ws.shape, k0)),
         ("kappa_fit", kappa_fit(ws, k0, med.omega_t)),
     ])

@@ -69,10 +69,6 @@ class MediumParams:
         """The (omega_t, omega_longitudinal) window with no propagating bulk mode."""
         return (self.omega_t, self.omega_longitudinal)
 
-    def lossless(self) -> "MediumParams":
-        """Copy of these parameters with gamma set to exactly zero."""
-        return self if self.gamma == 0.0 else MediumParams(self.omega_t, self.beta4pi, 0.0)
-
 
 def _unwrap(x, kind):
     """x as a Python `kind` (complex, float, bool) if it is 0-d, else as is."""

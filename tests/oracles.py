@@ -27,12 +27,11 @@ import numpy as np
 
 from polariton_mbc import (
     BogoliubovProblem,
-    Branch,
     BranchError,
     CavityConfig,
     MediumParams,
-    Resonance,
     ResonanceScanError,
+    Resonances,
     StopBandError,
     SweepTable,
     epsilon,
@@ -92,26 +91,28 @@ def lorentzian_prefactor(omega: float, cfg: CavityConfig) -> float:
     T(w) ~ prefactor * i*sqrt(kappa) / (w - W + i*kappa/2), so the peak
     of |T|^2 is 4 prefactor^2 / kappa.
     """
-    p = cfg.medium.lossless()
+    p = MediumParams(cfg.medium.omega_t, cfg.medium.beta4pi, 0.0)
     n = refractive_index(omega, p).real
     vg = group_velocity(omega, p)
     return math.sqrt(2.0 * vg / (n * cfg.length))
 
 
-def polariton_response(omega, resonance: Resonance):
-    """One-pole intracavity amplitude per unit input, i*sqrt(k)/(w - W + ik/2).
+def polariton_response(omega, center: float, kappa: float):
+    """One-pole intracavity amplitude per unit input, i*sqrt(k)/(w - W + ik/2),
+    of the resonance at W = center with rate k = kappa.
 
     |response|^2 is a Lorentzian of FWHM kappa and peak 4/kappa; its
     integral over omega is 2*pi. Accepts a scalar or array omega.
     """
-    if not resonance.kappa > 0:
-        raise ValueError("resonance.kappa must be positive")
+    if not kappa > 0:
+        raise ValueError("kappa must be positive")
     w = np.asarray(omega, dtype=float)
-    return 1j * math.sqrt(resonance.kappa) / (w - resonance.omega + 0.5j * resonance.kappa)
+    return 1j * math.sqrt(kappa) / (w - center + 0.5j * kappa)
 
 
-def output_amplitude(omega, resonances):
-    """One-pole outgoing field per unit input: sum_j sqrt(k_j) p_j - a_in.
+def output_amplitude(omega, centers, kappas):
+    """One-pole outgoing field per unit input: sum_j sqrt(k_j) p_j - a_in,
+    over the resonances at W_j = centers[j] with rates k_j = kappas[j].
 
     For a single resonance this is -(w - W - ik/2)/(w - W + ik/2), a pure
     phase: +1 on resonance, -1 far away, winding by 2*pi across the line
@@ -122,8 +123,8 @@ def output_amplitude(omega, resonances):
     """
     w = np.asarray(omega, dtype=float)
     out = np.full(w.shape, -1.0 + 0.0j)
-    for res in resonances:
-        out = out + math.sqrt(res.kappa) * polariton_response(w, res)
+    for center, kappa in zip(np.asarray(centers).tolist(), np.asarray(kappas).tolist()):
+        out = out + math.sqrt(kappa) * polariton_response(w, center, kappa)
     return out
 
 
@@ -423,15 +424,15 @@ def scanned_resonances(cfg: CavityConfig, omega_range, subintervals=2000, max_co
     that are not consecutive within a part, or a part's first root more
     than one mode above the index at the part's start, mean crossings
     were missed and raise ResonanceScanError. At most max_count roots are kept,
-    and none past them is checked. Returns Resonance objects, ascending.
+    and none past them is checked. Returns one Resonances, ascending.
     """
     lo, hi = omega_range
-    med = cfg.medium.lossless()
-    legs = [(lo, hi, Branch.BARE)]
+    med = MediumParams(cfg.medium.omega_t, cfg.medium.beta4pi, 0.0)
+    legs = [(lo, hi, "bare")]
     if med.beta4pi > 0.0:
         wt, wl = med.stop_band()
         edge = 1e-9 * med.omega_t
-        legs = [(lo, min(hi, wt - edge), Branch.LOWER), (max(lo, wl + edge), hi, Branch.UPPER)]
+        legs = [(lo, min(hi, wt - edge), "lower"), (max(lo, wl + edge), hi, "upper")]
     legs = [leg for leg in legs if leg[1] > leg[0]]
     if not legs:
         raise StopBandError(f"range [{lo:g}, {hi:g}] lies inside the stop band")
@@ -440,7 +441,7 @@ def scanned_resonances(cfg: CavityConfig, omega_range, subintervals=2000, max_co
         n = refractive_index(w, med).real
         return np.tan(n * w * cfg.length) - n / cfg.lambda_mirror
 
-    found = []
+    found, kept = [], 0  # found: (omega, kappa, branch, mode_index) per leg
     for leg_lo, leg_hi, branch in legs:
         grid = np.linspace(leg_lo, leg_hi, subintervals + 1)
         sign = np.sign(f(grid))
@@ -450,7 +451,8 @@ def scanned_resonances(cfg: CavityConfig, omega_range, subintervals=2000, max_co
         cells = np.flatnonzero(crossing)
         roots = _bisect_cells(f, grid[cells], grid[cells + 1])
         if max_count is not None:
-            roots = roots[: max(max_count - len(found), 0)]
+            roots = roots[: max(max_count - kept, 0)]
+        kept += roots.size
         modes = np.floor(refractive_index(roots, med).real * roots * cfg.length / math.pi)
         first = math.floor(refractive_index(leg_lo, med).real * leg_lo * cfg.length / math.pi)
         if modes.size and modes[0] > first + 1:
@@ -460,10 +462,9 @@ def scanned_resonances(cfg: CavityConfig, omega_range, subintervals=2000, max_co
             raise ResonanceScanError(
                 f"roots skipped between mode {modes[gaps[0]]:g} and mode {modes[gaps[0] + 1]:g}"
             )
-        kappas = kappa_mbc(roots, cfg)
-        found += [Resonance(float(w), float(k), branch, int(m))
-                  for w, k, m in zip(roots, kappas, modes)]
-    return found
+        found.append((roots, kappa_mbc(roots, cfg), np.repeat(branch, roots.size),
+                      modes.astype(np.int64)))
+    return Resonances(*map(np.concatenate, zip(*found)))
 
 
 def scanned_fundamentals(rabi: float, lambda_mirror: float):
@@ -473,7 +474,8 @@ def scanned_fundamentals(rabi: float, lambda_mirror: float):
     (2000 cells) and keeps the root with mode_index 1.
     The windows surround the tuned-root estimates from n(W) W = omega_t,
     x^2 - (2 + 4 pi beta) x + 1 = 0 with x = W^2, wide enough for the
-    good-cavity pull. Returns (lower, upper) Resonance objects.
+    good-cavity pull. Returns one Resonances: the lower root, then the
+    upper one.
     """
     b4 = 4.0 * rabi * rabi
     med = MediumParams(omega_t=1.0, beta4pi=b4, gamma=0.0)
@@ -485,12 +487,13 @@ def scanned_fundamentals(rabi: float, lambda_mirror: float):
         (0.5 * est_l, 1.0 - 0.25 * (1.0 - est_l)),
         (top + min(1e-3, 0.5 * (est_u - top)), max(4.0, 1.3 * est_u)),
     )
-    out = []
+    rows = []
     for window in windows:
-        fundamentals = [r for r in scanned_resonances(cfg, window) if r.mode_index == 1]
-        assert len(fundamentals) == 1, f"rabi {rabi}, window {window}: {fundamentals}"
-        out.append(fundamentals[0])
-    return tuple(out)
+        scanned = scanned_resonances(cfg, window)
+        fundamental = scanned.mode_index == 1
+        assert fundamental.sum() == 1, f"rabi {rabi}, window {window}: {scanned}"
+        rows.append([column[fundamental] for column in scanned])
+    return Resonances(*map(np.concatenate, zip(*rows)))
 
 
 def exact_mode_root(m: int, cfg: CavityConfig, upper: bool = False):
@@ -533,7 +536,7 @@ def bisected_omega_q(q: float, p: MediumParams, branch: str) -> float:
     within 1e-15 of the band edge.
     """
     wt = p.omega_t
-    lossless = p.lossless()
+    lossless = MediumParams(wt, p.beta4pi, 0.0)
     if p.beta4pi == 0.0:
         return q
 

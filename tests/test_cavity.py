@@ -13,7 +13,6 @@ from oracles import (
     scanned_resonances,
 )
 from polariton_mbc import (
-    Branch,
     CavityConfig,
     MediumParams,
     ResonanceScanError,
@@ -48,12 +47,11 @@ def test_tuned_length_value():
 def test_empty_cavity_fundamental():
     cfg = make_cavity()
     found = find_resonances(cfg, (0.5, 1.5))
-    assert len(found) == 1
-    res = found[0]
-    assert res.omega == pytest.approx(1.0, abs=1e-9)
-    assert res.mode_index == 1
-    assert res.branch is Branch.BARE
-    assert res.kappa == pytest.approx(kappa_bare(cfg), rel=1e-9)
+    assert len(found.omega) == 1
+    assert found.omega[0] == pytest.approx(1.0, abs=1e-9)
+    assert found.mode_index[0] == 1
+    assert found.branch[0] == "bare"
+    assert found.kappa[0] == pytest.approx(kappa_bare(cfg), rel=1e-9)
     # the tuned bare rate at this mirror comes out at 1e-2
     assert kappa_bare(cfg) == pytest.approx(1e-2, rel=1e-4)
 
@@ -63,22 +61,23 @@ def test_resonance_condition_holds_at_roots():
     cfg = make_cavity(beta4pi=2.0)
     wl = cfg.medium.omega_longitudinal
     roots = []
-    roots += find_resonances(cfg, (0.3, 0.97))
-    roots += find_resonances(cfg, (wl + 0.01, 4.0))
+    for window in ((0.3, 0.97), (wl + 0.01, 4.0)):
+        found = find_resonances(cfg, window)
+        roots += zip(found.omega.tolist(), found.branch.tolist())
     assert len(roots) >= 3
-    for res in roots:
-        n = refractive_index(res.omega, cfg.medium).real
-        resid = math.tan(n * res.omega * cfg.length) - n / cfg.lambda_mirror
-        assert abs(resid) < 1e-8, f"condition residual {resid} at {res.omega}"
-        assert res.branch is (Branch.LOWER if res.omega < 1.0 else Branch.UPPER)
+    for omega, branch in roots:
+        n = refractive_index(omega, cfg.medium).real
+        resid = math.tan(n * omega * cfg.length) - n / cfg.lambda_mirror
+        assert abs(resid) < 1e-8, f"condition residual {resid} at {omega}"
+        assert branch == ("lower" if omega < 1.0 else "upper")
 
 
 def test_resonances_ascend_with_consecutive_mode_indices():
     cfg = make_cavity(beta4pi=0.36)
     found = find_resonances(cfg, (0.5, 0.98))
-    oms = [r.omega for r in found]
+    oms = found.omega.tolist()
     assert oms == sorted(oms)
-    assert [r.mode_index for r in found] == [1, 2, 3]
+    assert found.mode_index.tolist() == [1, 2, 3]
     assert oms[0] == pytest.approx(0.750377, abs=2e-6)
     assert oms[1] == pytest.approx(0.946795, abs=2e-6)
     assert oms[2] == pytest.approx(0.978305, abs=2e-6)
@@ -90,11 +89,11 @@ def test_window_near_band_edge_resolves_every_mode():
     # scan 30 times finer
     cfg = make_cavity(beta4pi=0.36)
     found = find_resonances(cfg, (0.5, 0.9995))
-    assert [r.mode_index for r in found] == list(range(1, 20))
+    assert found.mode_index.tolist() == list(range(1, 20))
     scanned = scanned_resonances(cfg, (0.5, 0.9995), subintervals=200_000)
-    assert [r.mode_index for r in scanned] == list(range(1, 20))
-    for res, ref in zip(found, scanned):
-        assert abs(res.omega - ref.omega) < 1e-12, (res, ref)
+    assert scanned.mode_index.tolist() == list(range(1, 20))
+    for res, ref in zip(found.omega.tolist(), scanned.omega.tolist()):
+        assert abs(res - ref) < 1e-12, (res, ref)
 
 
 def test_modes_piling_up_at_the_band_edge_match_mpmath():
@@ -104,10 +103,10 @@ def test_modes_piling_up_at_the_band_edge_match_mpmath():
     pytest.importorskip("mpmath")
     cfg = make_cavity(beta4pi=0.36, gamma=0.0)
     found = find_resonances(cfg, (0.5, 1.5), max_count=2000)
-    assert [r.mode_index for r in found] == list(range(1, 2001))
-    assert all(r.branch is Branch.LOWER for r in found)
+    assert found.mode_index.tolist() == list(range(1, 2001))
+    assert all(branch == "lower" for branch in found.branch.tolist())
     for m in (1, 10, 46, 47, 100, 500, 1000, 1999):
-        omega = found[m - 1].omega
+        omega = found.omega[m - 1].item()
         assert abs(omega - exact_mode_root(m, cfg)) <= math.ulp(omega), m
 
 
@@ -118,10 +117,11 @@ def test_upper_modes_next_to_a_narrow_stop_band_match_mpmath():
     pytest.importorskip("mpmath")
     cfg = CavityConfig(10.0, 1.0, MediumParams(omega_t=1.0, beta4pi=1e-6, gamma=0.0))
     found = find_resonances(cfg, (1.0, 2.0))
-    assert [(r.branch, r.mode_index) for r in found[:3]] == [(Branch.UPPER, m) for m in (1, 2, 3)]
-    assert [r.omega for r in found[:2]] == [1.0000005687215308, 1.0000009509339587]
-    for res in found[:2]:
-        assert res.omega == float(exact_mode_root(res.mode_index, cfg, upper=True))
+    assert found.branch[:3].tolist() == ["upper"] * 3
+    assert found.mode_index[:3].tolist() == [1, 2, 3]
+    assert found.omega[:2].tolist() == [1.0000005687215308, 1.0000009509339587]
+    for omega, m in zip(found.omega[:2].tolist(), found.mode_index[:2].tolist()):
+        assert omega == float(exact_mode_root(m, cfg, upper=True))
     for cells in (20_000, 80_000):
         with pytest.raises(ResonanceScanError, match="between mode 0 and mode 3"):
             scanned_resonances(cfg, (1.0, 2.0), cells)
@@ -141,9 +141,9 @@ def test_roots_within_rounding_of_their_bracket_bottom_are_certified(lam):
     # n W L / pi can round to just below m at the root
     found = find_resonances(make_cavity(lam=lam), (0.5, 20.0))
     ref = find_resonances(make_cavity(lam=1e11), (0.5, 20.0))
-    assert [r.mode_index for r in found] == [r.mode_index for r in ref] == list(range(1, 21))
-    for res, r in zip(found, ref):
-        assert abs(res.omega - r.omega) < 1e-10 * r.omega
+    assert found.mode_index.tolist() == ref.mode_index.tolist() == list(range(1, 21))
+    for res, r in zip(found.omega.tolist(), ref.omega.tolist()):
+        assert abs(res - r) < 1e-10 * r
 
 
 @pytest.mark.parametrize("beta4pi", [0.36, 16.0])
@@ -154,27 +154,27 @@ def test_cavity_too_short_for_one_root_per_bracket_is_refused(beta4pi):
         find_resonances(CavityConfig(0.25, 2.0, med), (0.1, 1.9))
     cfg = CavityConfig(0.2500001, 2.0, med)
     found = find_resonances(cfg, (0.1, 1.9))
-    assert found and [r.mode_index for r in found] == list(range(len(found)))
-    for res in found:
-        n = refractive_index(res.omega, med).real
-        assert abs(math.tan(n * res.omega * cfg.length) - n / 2.0) < 1e-9
+    modes = found.mode_index.tolist()
+    assert modes and modes == list(range(len(modes)))
+    for omega in found.omega.tolist():
+        n = refractive_index(omega, med).real
+        assert abs(math.tan(n * omega * cfg.length) - n / 2.0) < 1e-9
 
 
 def test_max_count_truncates():
     cfg = make_cavity(beta4pi=0.36)
     found = find_resonances(cfg, (0.5, 0.98), max_count=2)
-    assert [r.mode_index for r in found] == [1, 2]
+    assert found.mode_index.tolist() == [1, 2]
 
 
 def test_sub_fundamental_mode_exists():
     # below the fundamental there is a low-frequency root with m = 0
     cfg = make_cavity()
     found = find_resonances(cfg, (0.005, 0.5))
-    assert len(found) == 1
-    res = found[0]
-    assert res.mode_index == 0
+    assert len(found.omega) == 1
+    assert found.mode_index[0] == 0
     # for the bare cavity it sits where tan(wL) = 1/Lambda
-    assert res.omega == pytest.approx(math.atan(1.0 / LAM) / cfg.length, rel=1e-6)
+    assert found.omega[0] == pytest.approx(math.atan(1.0 / LAM) / cfg.length, rel=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -202,11 +202,11 @@ def test_batched_polish_matches_brentq_on_each_cell(beta4pi, length, window, sub
     if length is not None:
         cfg = CavityConfig(length=length, lambda_mirror=LAM, medium=cfg.medium)
     found = find_resonances(cfg, window)
-    assert len(found) >= 2
+    assert len(found.omega) >= 2
     scanned = scanned_resonances(cfg, window, subintervals)
-    assert [r.mode_index for r in found] == [r.mode_index for r in scanned]
-    for res, ref in zip(found, scanned):
-        assert abs(res.omega - ref.omega) < 1e-12 * cfg.medium.omega_t, (res, ref)
+    assert found.mode_index.tolist() == scanned.mode_index.tolist()
+    for res, ref in zip(found.omega.tolist(), scanned.omega.tolist()):
+        assert abs(res - ref) < 1e-12 * cfg.medium.omega_t, (res, ref)
 
     def f(w):
         n = refractive_index(w, cfg.medium).real
@@ -217,12 +217,11 @@ def test_batched_polish_matches_brentq_on_each_cell(beta4pi, length, window, sub
             return q
         return bulk_dispersion(q, cfg.medium)[0 if window[1] < 1.0 else 1]
 
-    for res in found:
-        m = res.mode_index
+    for res, m in zip(found.omega.tolist(), found.mode_index.tolist()):
         lo = max(window[0], to_omega(m * math.pi / cfg.length))
         hi = min(window[1], to_omega(((m + 0.5) * math.pi - 1e-6) / cfg.length))
         ref = optimize.brentq(f, lo, hi, xtol=1e-15)
-        assert abs(res.omega - ref) < 1e-12 * cfg.medium.omega_t, (res, ref)
+        assert abs(res - ref) < 1e-12 * cfg.medium.omega_t, (res, ref)
 
 
 def test_exact_grid_hit_is_reported_once():
@@ -236,7 +235,8 @@ def test_exact_grid_hit_is_reported_once():
     assert math.tan(w0 * length) - 1.0 / cfg.lambda_mirror == 0.0
     for window in ((w0, w0 + 0.3), (w0 - 0.3, w0)):
         found = find_resonances(cfg, window)
-        assert [(r.omega, r.mode_index) for r in found] == [(w0, 1)], window
+        assert found.omega.tolist() == [w0], window
+        assert found.mode_index.tolist() == [1], window
 
 
 def test_window_validation_and_stop_band():
@@ -253,11 +253,11 @@ def test_window_reaching_into_band_is_clipped_to_transparency():
     wl = cfg.medium.omega_longitudinal
     # a window that starts inside the band only searches above it
     found = find_resonances(cfg, (1.01, wl + 0.9))
-    assert len(found) >= 1
-    for res in found:
-        assert res.omega > wl
-        assert not in_stop_band(res.omega, cfg.medium)
-        assert res.branch is Branch.UPPER
+    assert len(found.omega) >= 1
+    for omega, branch in zip(found.omega.tolist(), found.branch.tolist()):
+        assert omega > wl
+        assert not in_stop_band(omega, cfg.medium)
+        assert branch == "upper"
 
 
 def test_straddling_window_returns_every_mode_up_to_the_edge_margins():
@@ -267,19 +267,20 @@ def test_straddling_window_returns_every_mode_up_to_the_edge_margins():
     cfg = make_cavity(beta4pi=0.36)
     wl = cfg.medium.omega_longitudinal
     found = find_resonances(cfg, (0.5, wl + 0.8))
-    lower = [r for r in found if r.branch is Branch.LOWER]
-    upper = [r for r in found if r.branch is Branch.UPPER]
-    assert found == lower + upper
-    assert [r.mode_index for r in lower] == list(range(1, len(lower) + 1))
+    branch = found.branch.tolist()
+    lower = branch.count("lower")
+    assert branch == ["lower"] * lower + ["upper"] * (len(branch) - lower)
+    assert found.mode_index[:lower].tolist() == list(range(1, lower + 1))
     edge = 1.0 - 1e-9
     n = refractive_index(edge, cfg.medium).real
-    assert len(lower) in (math.floor(n * edge * cfg.length / math.pi) - 1,
-                          math.floor(n * edge * cfg.length / math.pi))
-    assert len(lower) > 10_000 and lower[-1].omega < edge
-    omegas = [r.omega for r in found]
+    assert lower in (math.floor(n * edge * cfg.length / math.pi) - 1,
+                     math.floor(n * edge * cfg.length / math.pi))
+    assert lower > 10_000 and found.omega[lower - 1] < edge
+    omegas = found.omega.tolist()
     assert omegas == sorted(omegas) and len(set(omegas)) == len(omegas)
-    assert upper == find_resonances(cfg, (1.2, wl + 0.8))
-    assert upper[0].omega > wl + 1e-9
+    for column, alone in zip(found, find_resonances(cfg, (1.2, wl + 0.8))):
+        assert column[lower:].tolist() == alone.tolist()
+    assert found.omega[lower] > wl + 1e-9
 
 
 @pytest.mark.parametrize("lam, top_mode", [(1e15, 20), (1e16, 19)])
@@ -291,10 +292,10 @@ def test_near_ideal_mirrors_return_every_mode_in_the_window(lam, top_mode):
     pytest.importorskip("mpmath")
     cfg = make_cavity(lam=lam, gamma=0.0)
     found = find_resonances(cfg, (0.5, 20.0))
-    assert [r.mode_index for r in found] == list(range(1, top_mode + 1))
-    for res in found:
-        exact = exact_mode_root(res.mode_index, cfg)
-        assert abs(res.omega - exact) <= 2.0 * math.ulp(res.omega), res
+    assert found.mode_index.tolist() == list(range(1, top_mode + 1))
+    for omega, m in zip(found.omega.tolist(), found.mode_index.tolist()):
+        exact = exact_mode_root(m, cfg)
+        assert abs(omega - exact) <= 2.0 * math.ulp(omega), (omega, m)
     assert (exact_mode_root(20, cfg) > 20.0) is (top_mode == 19)
 
 
@@ -398,20 +399,22 @@ def test_rate_matches_linewidth_of_transfer_peak():
     # |T|^2 line it produces; the rate formula is the leading
     # good-cavity result, so check it where the cavity is good
     cfg = make_cavity(beta4pi=0.36, lam=50.0)
-    res = find_resonances(cfg, (0.5, 0.9))[0]
-    ws = np.linspace(res.omega - 6 * res.kappa, res.omega + 6 * res.kappa, 1601)
+    found = find_resonances(cfg, (0.5, 0.9))
+    omega, kappa = found.omega[0].item(), found.kappa[0].item()
+    ws = np.linspace(omega - 6 * kappa, omega + 6 * kappa, 1601)
     t2 = np.abs(amplitudes(ws, cfg)[0]) ** 2
     center, fwhm = lorentzian_extract(SweepTable([("omega", ws.tolist()), ("t2", t2.tolist())]))
-    assert center == pytest.approx(res.omega, abs=0.05 * res.kappa)
-    assert fwhm == pytest.approx(res.kappa, rel=2e-3)
+    assert center == pytest.approx(omega, abs=0.05 * kappa)
+    assert fwhm == pytest.approx(kappa, rel=2e-3)
 
 
 def test_lorentzian_prefactor_gives_peak_height():
     cfg = make_cavity(beta4pi=0.36, lam=50.0)
-    res = find_resonances(cfg, (0.5, 0.9))[0]
-    pref = lorentzian_prefactor(res.omega, cfg)
-    peak = abs(amplitudes(res.omega, cfg)[0]) ** 2
-    assert peak == pytest.approx(4.0 * pref**2 / res.kappa, rel=5e-3)
+    found = find_resonances(cfg, (0.5, 0.9))
+    omega, kappa = found.omega[0].item(), found.kappa[0].item()
+    pref = lorentzian_prefactor(omega, cfg)
+    peak = abs(amplitudes(omega, cfg)[0]) ** 2
+    assert peak == pytest.approx(4.0 * pref**2 / kappa, rel=5e-3)
 
 
 def test_lorentzian_extract_on_synthetic_line():

@@ -1071,9 +1071,11 @@ def test_resonances_default_window_runs_across_couplings(tmp_path, beta4pi):
 
 
 # (beta4pi, start, stop, length): one leg in vacuum, then windows across the
-# stop band, whose lower leg ends in the modes piled up at the band edge
+# stop band, whose lower leg ends in the modes piled up at the band edge, and
+# a vacuum window between the tuned cavity's m = 0 and m = 1 roots
 RESONANCE_WINDOWS = [
     ("0", 0.5, 60.0, 1.0), ("0.36", 0.5, 8.0, 1.0), ("16", 0.2, 12.0, 0.5),
+    ("0", 0.5, 0.6, "auto"),
 ]
 
 
@@ -1081,30 +1083,54 @@ RESONANCE_WINDOWS = [
 @pytest.mark.parametrize("beta4pi,start,stop,length", RESONANCE_WINDOWS)
 def test_resonance_table_matches_find_resonances_cell_for_cell(tmp_path, beta4pi, start,
                                                               stop, length, cap):
-    # cmd_resonances builds its columns from arrays: they must hold what
-    # the public Resonance list holds, also where sweep.count cuts a leg
-    # short or ends exactly at the end of the first one
+    # the resonances table holds find_resonances' columns cell for cell,
+    # also where sweep.count cuts a leg short, ends exactly at the end of
+    # the first one, or the window holds no root and only the header is
+    # written; the columns are equal-length float64, float64, str, int64
     cfg = load_config("resonances", set_pairs=[
         f"medium.beta4pi={beta4pi}", f"sweep.start={start}", f"sweep.stop={stop}",
         f"cavity.length={length}",
     ])
     window, cavity = (cfg.sweep_start, cfg.sweep_stop), cfg.cavity()
     every = find_resonances(cavity, window)
-    first_leg = sum(r.branch == every[0].branch for r in every)
-    count = {"none": len(every) + 1, "one": 1, "inside-first-leg": first_leg // 2,
+    first_leg = int(np.sum(every.branch == every.branch[:1]))
+    count = {"none": len(every.omega) + 1, "one": 1, "inside-first-leg": first_leg // 2,
              "first-leg": first_leg}[cap]
     cfg = dataclasses.replace(cfg, sweep_count=count)  # 1 is below what load_config takes
     found = find_resonances(cavity, window, max_count=count)
-    assert found == (every if cap == "none" else every[:count])
-    assert beta4pi == "0" or len({r.branch for r in every}) == 2
+    for column, whole in zip(found, every):
+        assert column.tolist() == whole[:count].tolist()
+    assert [column.shape for column in found] == [(min(count, len(every.omega)),)] * 4
+    dtypes = found.omega.dtype, found.kappa.dtype, found.branch.dtype.kind, found.mode_index.dtype
+    assert dtypes == (np.float64, np.float64, "U", np.int64)
+    assert beta4pi == "0" or len(set(every.branch.tolist())) == 2
+    assert (length == "auto") is (len(every.omega) == 0)
     [out] = cli.cmd_resonances(cfg)
     names = ["omega", "kappa", "branch", "mode_index"]
-    rows = [(r.omega, r.kappa, str(r.branch), str(r.mode_index)) for r in found]
+    rows = list(zip(found.omega.tolist(), found.kappa.tolist(), found.branch.tolist(),
+                    [str(m) for m in found.mode_index.tolist()]))
     assert out.table.names == names
     assert list(out.table.rows()) == rows
     out.table.write_csv(tmp_path / "r.csv", ["c"])
     expected = reference_csv(names, rows, ["c"]).encode("utf-8")
     assert (tmp_path / "r.csv").read_bytes() == expected
+
+
+def test_resonances_command_goes_through_find_resonances(tmp_path, monkeypatch):
+    # the command solves through the public find_resonances, once per
+    # run, so that what wraps that name sees every resonance solve
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return find_resonances(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_resonances", spy)
+    for beta4pi in ("0", "0.36"):
+        calls.clear()
+        assert main(["resonances", "--out", str(tmp_path),
+                     "--set", f"medium.beta4pi={beta4pi}"]) == 0
+        assert len(calls) == 1
 
 
 def test_resonances_refuse_a_cavity_too_short_for_unique_roots(tmp_path, capsys):

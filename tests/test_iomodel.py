@@ -1,7 +1,6 @@
 """One-pole oracle against the exact r, rate rescalings, coupling sweep."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +13,8 @@ from oracles import (
 )
 from polariton_mbc import (
     BogoliubovProblem,
-    Branch,
     CavityConfig,
     MediumParams,
-    Resonance,
     amplitudes,
     figure2_sweep,
     find_resonances,
@@ -30,56 +27,53 @@ from polariton_mbc import (
 )
 from polariton_mbc.cli import main
 
-RES = Resonance(omega=1.0, kappa=1e-2, branch=Branch.BARE, mode_index=1)
+W0, K0 = 1.0, 1e-2  # one resonance's omega and kappa
 
 
 def test_response_peak_and_width():
     # |p|^2 is a Lorentzian: peak 4/kappa on resonance, half max at +/- kappa/2
-    peak = abs(polariton_response(RES.omega, RES)) ** 2
-    assert peak == pytest.approx(4.0 / RES.kappa, rel=1e-12)
-    half = abs(polariton_response(RES.omega + 0.5 * RES.kappa, RES)) ** 2
+    peak = abs(polariton_response(W0, W0, K0)) ** 2
+    assert peak == pytest.approx(4.0 / K0, rel=1e-12)
+    half = abs(polariton_response(W0 + 0.5 * K0, W0, K0)) ** 2
     assert half == pytest.approx(0.5 * peak, rel=1e-12)
-    half = abs(polariton_response(RES.omega - 0.5 * RES.kappa, RES)) ** 2
+    half = abs(polariton_response(W0 - 0.5 * K0, W0, K0)) ** 2
     assert half == pytest.approx(0.5 * peak, rel=1e-12)
 
 
 def test_response_integral_is_two_pi():
     # the line area is fixed by the decay rate alone
-    ws = np.linspace(RES.omega - 400 * RES.kappa, RES.omega + 400 * RES.kappa, 400001)
-    y = np.abs(polariton_response(ws, RES)) ** 2
+    ws = np.linspace(W0 - 400 * K0, W0 + 400 * K0, 400001)
+    y = np.abs(polariton_response(ws, W0, K0)) ** 2
     area = float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(ws)))
     # the clipped tails carry about 2 kappa / (400 kappa) of the area
     assert area == pytest.approx(2.0 * math.pi, rel=2e-3)
 
 
 def test_response_validates_kappa():
-    bad = Resonance(omega=1.0, kappa=0.0, branch=Branch.BARE, mode_index=1)
     with pytest.raises(ValueError):
-        polariton_response(1.0, bad)
+        polariton_response(1.0, 1.0, 0.0)
 
 
 def test_output_is_pure_phase_for_a_single_mode():
     rng = np.random.default_rng(61)
-    ws = RES.omega + RES.kappa * rng.uniform(-2000.0, 2000.0, 10000)
-    out = output_amplitude(ws, [RES])
+    ws = W0 + K0 * rng.uniform(-2000.0, 2000.0, 10000)
+    out = output_amplitude(ws, [W0], [K0])
     assert np.max(np.abs(np.abs(out) - 1.0)) < 1e-12
 
 
 def test_output_limits_and_winding():
     # +1 on resonance, -1 far away, and a full 2 pi of phase across the line
-    assert output_amplitude(RES.omega, [RES]) == pytest.approx(1.0 + 0j, abs=1e-12)
-    assert output_amplitude(RES.omega + 1e6 * RES.kappa, [RES]) == pytest.approx(
-        -1.0 + 0j, abs=1e-3
-    )
-    ws = np.linspace(RES.omega - 500 * RES.kappa, RES.omega + 500 * RES.kappa, 20001)
-    phases = np.unwrap(np.angle(output_amplitude(ws, [RES])))
+    assert output_amplitude(W0, [W0], [K0]) == pytest.approx(1.0 + 0j, abs=1e-12)
+    assert output_amplitude(W0 + 1e6 * K0, [W0], [K0]) == pytest.approx(-1.0 + 0j, abs=1e-3)
+    ws = np.linspace(W0 - 500 * K0, W0 + 500 * K0, 20001)
+    phases = np.unwrap(np.angle(output_amplitude(ws, [W0], [K0])))
     total = abs(phases[-1] - phases[0])
     assert total == pytest.approx(2.0 * math.pi, abs=0.02)
 
 
 def test_two_distant_modes_superpose():
-    other = Resonance(omega=2.0, kappa=1e-2, branch=Branch.BARE, mode_index=2)
-    out = output_amplitude(np.array([1.0, 2.0]), [RES, other])
+    # a second mode at omega = 2 with the same kappa
+    out = output_amplitude(np.array([1.0, 2.0]), [W0, 2.0], [K0, 1e-2])
     # on either resonance the other mode contributes at order kappa/separation
     assert abs(out[0] - 1.0) < 0.05
     assert abs(out[1] - 1.0) < 0.05
@@ -95,10 +89,11 @@ ONE_POLE_CASES = [
 ]
 
 
-def one_pole_miss(cfg, res, kappa):
-    """Largest drift of r / (one-pole output of width kappa) from its value at W."""
-    ws = res.omega + res.kappa * np.linspace(-5.0, 5.0, 201)
-    ratio = amplitudes(ws, cfg)[1] / output_amplitude(ws, [replace(res, kappa=kappa)])
+def one_pole_miss(cfg, omega, kappa, width):
+    """Largest drift of r / (one-pole output of the given width) from its
+    value at the root omega, over omega +/- 5 kappa."""
+    ws = omega + kappa * np.linspace(-5.0, 5.0, 201)
+    ratio = amplitudes(ws, cfg)[1] / output_amplitude(ws, [omega], [width])
     return float(np.max(np.abs(ratio - ratio[100])))
 
 
@@ -110,10 +105,11 @@ def test_exact_reflection_has_the_one_pole_line_of_kappa_mbc(beta4pi, lam, lengt
     med = MediumParams(beta4pi=beta4pi, gamma=0.0)
     cfg = CavityConfig(length or tuned_length(lam, med), lam, med)
     roots = find_resonances(cfg, window)
-    assert len(roots) >= 2
-    for res in roots:
-        assert one_pole_miss(cfg, res, res.kappa) <= 2.5 / lam, res
-        assert one_pole_miss(cfg, res, 1.02 * res.kappa) > 1.5e-2, res
+    assert len(roots.omega) >= 2
+    for res in zip(roots.omega.tolist(), roots.kappa.tolist()):
+        omega, kappa = res
+        assert one_pole_miss(cfg, omega, kappa, kappa) <= 2.5 / lam, res
+        assert one_pole_miss(cfg, omega, kappa, 1.02 * kappa) > 1.5e-2, res
 
 
 def test_kappa_rwa_is_photon_weight_rescaling():
@@ -223,22 +219,22 @@ def test_sweep_validation():
 
 @pytest.mark.parametrize("lam", [5.0, 7.822, 50.0, 1e3])
 def test_sweep_matches_per_coupling_scans(lam):
-    # analytic brackets and one batched bisection against a windowed
-    # find_resonances scan per coupling and branch; below rabi = 3e-7 the
+    # analytic brackets and one batched bisection against scanned_fundamentals'
+    # own sign-change scan per coupling and branch; below rabi = 3e-7 the
     # lower bracket's top rounds onto omega_t
     grid = np.concatenate([[1e-8, 1e-7, 3e-7, 1e-6, 1e-5], np.linspace(0.01, 2.0, 25)])
     tab = figure2_sweep(grid, lam)
     for i, rabi in enumerate(grid):
-        lower, upper = scanned_fundamentals(float(rabi), lam)
-        for tag, res in (("L", lower), ("U", upper)):
+        scanned = scanned_fundamentals(float(rabi), lam)
+        for j, tag in enumerate("LU"):
             omega = tab.column(f"omega_{tag}_mbc")[i]
             kappa = tab.column(f"kappa_{tag}_mbc")[i]
-            assert omega == pytest.approx(res.omega, rel=1e-11), (rabi, tag)
+            assert omega == pytest.approx(scanned.omega[j], rel=1e-11), (rabi, tag)
             # kappa goes through (W^2 - 1)^2 against 4 rabi^2, so below
             # rabi = 0.01 the rounding of W^2 - 1 next to omega_t, not the
             # root, costs it digits: a relative error of eps W/rabi
             if rabi >= 0.01:
-                assert kappa == pytest.approx(res.kappa, rel=1e-10), (rabi, tag)
+                assert kappa == pytest.approx(scanned.kappa[j], rel=1e-10), (rabi, tag)
 
 
 def test_sweep_and_hopfield_refuse_the_same_couplings(tmp_path, capsys):

@@ -49,8 +49,8 @@ def test_roots_are_certified_consecutive_and_match_the_scan(problem):
     except StopBandError as err:
         event(type(err).__name__)
         return
-    assert len(found) <= max_count
-    omegas = [r.omega for r in found]
+    assert len(found.omega) <= max_count
+    omegas = found.omega.tolist()
     assert omegas == sorted(omegas)
     assert all(window[0] <= w <= window[1] for w in omegas)
 
@@ -58,15 +58,15 @@ def test_roots_are_certified_consecutive_and_match_the_scan(problem):
         n = refractive_index(w, cfg.medium).real
         return math.tan(n * w * cfg.length) - n / cfg.lambda_mirror
 
-    for res in found:
+    for omega, m in zip(omegas, found.mode_index.tolist()):
         # |f| < 1e-9 where a double meets it; next to omega_t one ulp of
         # omega can move f by more, and f changes sign across the root
-        below, above = np.nextafter(res.omega, 0.0), np.nextafter(res.omega, math.inf)
-        assert abs(f(res.omega)) < 1e-9 or f(below) < 0.0 < f(above), res
-        n = refractive_index(res.omega, cfg.medium).real
-        assert math.floor(n * res.omega * cfg.length / math.pi) == res.mode_index
-    for branch in {r.branch for r in found}:
-        modes = [r.mode_index for r in found if r.branch is branch]
+        below, above = np.nextafter(omega, 0.0), np.nextafter(omega, math.inf)
+        assert abs(f(omega)) < 1e-9 or f(below) < 0.0 < f(above), (omega, m)
+        n = refractive_index(omega, cfg.medium).real
+        assert math.floor(n * omega * cfg.length / math.pi) == m
+    for branch in set(found.branch.tolist()):
+        modes = found.mode_index[found.branch == branch].tolist()
         assert modes == list(range(modes[0], modes[0] + len(modes)))
 
     # a scan resolves the window where refining its grid 4x changes
@@ -78,12 +78,11 @@ def test_roots_are_certified_consecutive_and_match_the_scan(problem):
     except ResonanceScanError:  # two crossings shared a scan cell
         event("scan unresolved")
         return
-    if [r.mode_index for r in scanned] != [r.mode_index for r in finer]:
+    if scanned.mode_index.tolist() != finer.mode_index.tolist():
         event("scan unresolved")
         return
-    event("compared with the scan" if found else "no root, as the scan")
-    assert [(r.branch, r.mode_index) for r in found] == [
-        (r.branch, r.mode_index) for r in scanned
-    ]
-    for res, ref in zip(found, scanned):
-        assert abs(res.omega - ref.omega) < 1e-12 * cfg.medium.omega_t, (res, ref)
+    event("compared with the scan" if found.omega.size else "no root, as the scan")
+    assert found.branch.tolist() == scanned.branch.tolist()
+    assert found.mode_index.tolist() == scanned.mode_index.tolist()
+    for res, ref in zip(omegas, scanned.omega.tolist()):
+        assert abs(res - ref) < 1e-12 * cfg.medium.omega_t, (res, ref)
