@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dielectric import MediumParams, _branches, _group_velocity, _lossless_index
-from .dielectric import _propagating, _refractive_index, _unwrap
+from .dielectric import _propagating, _refractive_index, _transparent, _unwrap
 from .errors import ResonanceScanError, StopBandError
 
 __all__ = [
@@ -217,10 +217,7 @@ def find_resonances(cfg: CavityConfig, omega_range: tuple[float, float],
     wt, b, length = p.omega_t, p.beta4pi, cfg.length * p.omega_t
     if b > 0.0 and not length * cfg.lambda_mirror > 1.0:
         raise ValueError("one root per mode needs length * lambda_mirror * omega_t > 1")
-    x_lo, x_hi = lo / wt, hi / wt
-    legs = [(x_lo, x_hi)] if b == 0.0 else [  # skip the stop band
-        (x_lo, min(x_hi, 1.0 - 1e-9)), (max(x_lo, math.sqrt(1.0 + b) + 1e-9), x_hi)]
-    legs = [leg for leg in legs if leg[1] > leg[0]]
+    legs, _ = _transparent(lo / wt, hi / wt, b, 1e-9)  # skip the stop band
     if not legs:
         raise StopBandError(f"range [{lo:g}, {hi:g}] lies inside the stop band {p.stop_band()}")
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cavity import CavityConfig, amplitudes, find_resonances, kappa_bare, kappa_mbc
 from .config import RunConfig, load_config
-from .dielectric import MediumParams, _bulk_branches
+from .dielectric import MediumParams, _bulk_branches, _transparent
 from .errors import ConfigError, PolaritonError, StepSizeError, StopBandError, ToleranceError
 from .fluct import FieldCommutators, solve_omega_q
 from .greens import _wavenumber, delta_jump, fd_step, green_function, membrane_jump
@@ -191,53 +191,42 @@ def cmd_figure2(cfg: RunConfig) -> list[Output]:
 
 
 def _random_transparent(rng, cfg: RunConfig, count: int) -> np.ndarray:
-    """Random frequencies in the sweep window, outside the stop band.
+    """Random frequencies in the sweep window, outside the stop band, in
+    units of omega_t.
 
-    Uniform over the transparent part of the window, drawn directly from
-    its one or two sub-intervals in a single call to rng, however thin
-    they are. A window that does not reach the band gets the same draws
-    as rng.uniform(start, stop, count).
+    Uniform over the transparent parts of the window, drawn directly from
+    its one or two parts in a single call to rng, however thin they are.
+    A window that does not reach the band gets the same draws as
+    rng.uniform(start, stop, count).
     """
     med = cfg.medium
     start, stop = cfg.sweep_start, cfg.sweep_stop
-    if med.beta4pi == 0.0:
-        return rng.uniform(start, stop, size=count)
-    margin = _BAND_MARGIN * med.omega_t
-    lo, hi = med.stop_band()
-    edge_lo, edge_hi = lo - margin, hi + margin
-    if edge_lo <= start and stop <= edge_hi:
+    parts, (edge_lo, edge_hi) = _transparent(start, stop, med.beta4pi, _BAND_MARGIN)
+    if not parts:
+        lo, hi = med.stop_band()
         raise ConfigError(
             f"greens-check window [{start:g}, {stop:g}] lies inside the stop band "
-            f"[{lo:g}, {hi:g}] widened by {margin:g}: nothing to draw"
+            f"[{lo:g}, {hi:g}] widened by {_BAND_MARGIN:g}: nothing to draw"
         )
-    below = max(0.0, min(stop, edge_lo) - start)  # width of [start, edge_lo)
-    upper = max(start, edge_hi)
-    above = max(0.0, stop - upper)  # width of (edge_hi, stop)
-    u = rng.uniform(0.0, below + above, size=count)
+    below = parts[0][1] - start if parts[0][1] <= edge_lo else 0.0  # width under the band
+    u = rng.uniform(0.0, sum(b - a for a, b in parts), size=count)
     # rounding can carry a draw onto a band edge; keep it strictly outside
     low = np.minimum(start + u, np.nextafter(edge_lo, -np.inf))
-    high = np.maximum(upper + (u - below), np.nextafter(edge_hi, np.inf))
+    high = np.maximum(parts[-1][0] + (u - below), np.nextafter(edge_hi, np.inf))
     return np.where(u < below, low, high)
 
 
 def _hardest_to_resolve(cfg: RunConfig, cavity: CavityConfig) -> list[float]:
-    """The frequencies a step must resolve for every draw of the window to
-    be checkable: the one with the smallest `greens._wavenumber`, where
-    rounding limits the step (the start of a transparent part, as k grows
-    along each branch), and, in vacuum or above the band, the stop, where
-    the 1e-5 L floor on the step does. Below the band the probe decides."""
-    med = cfg.medium
-    start, stop = cfg.sweep_start, cfg.sweep_stop
-    if med.beta4pi == 0.0:
-        return [start, stop]
-    margin = _BAND_MARGIN * med.omega_t
-    lo, hi = med.stop_band()
-    if stop <= hi + margin:
-        return [start]
-    least = max(start, hi + margin)
-    if start < lo - margin:
-        least = min((start, least), key=lambda w: _wavenumber(w, cavity))
-    return [least, stop]
+    """The frequencies, in units of omega_t, a step must resolve for every
+    draw of the window to be checkable: the start of a transparent part
+    with the smallest `greens._wavenumber`, where rounding limits the step
+    (k grows along each branch), and, in vacuum or above the band, the
+    stop, where the 1e-5 L floor on the step does. Below the band the
+    probe decides."""
+    stop = cfg.sweep_stop
+    parts, (_, edge_hi) = _transparent(cfg.sweep_start, stop, cfg.medium.beta4pi, _BAND_MARGIN)
+    least = min((a for a, _ in parts), key=lambda w: _wavenumber(w, cavity))
+    return [least, stop] if stop > edge_hi else [least]
 
 
 def cmd_greens_check(cfg: RunConfig) -> list[Output]:
@@ -246,10 +235,10 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
     Returns one row per check (value, tolerance, pass/fail); if any check
     fails it raises a tolerance error that carries the table, which is
     written all the same and exits with code 2. A window with a frequency
-    of `_hardest_to_resolve` that no finite-difference step can check within
-    the residual tolerance is refused first, with a configuration error,
-    as is a window that does not start above zero frequency. Every check
-    runs in units of omega_t.
+    of `_hardest_to_resolve`, or a probe, that no finite-difference step
+    can check within the residual tolerance is refused first, with a
+    configuration error, as is a window that does not start above zero
+    frequency. Every check runs in units of omega_t.
     """
     wt, med = cfg.medium.omega_t, cfg.medium
     cfg = dataclasses.replace(  # every check value is dimensionless: check in units of omega_t
@@ -266,9 +255,10 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
     clearance = 0.37 * length
     rng = np.random.default_rng(_GREENS_SEED)
     ws = _random_transparent(rng, cfg, max(cfg.sweep_count, 2))
-    for w in _hardest_to_resolve(cfg, cavity):
+    w_probe = float(ws[0])
+    for w in [*_hardest_to_resolve(cfg, cavity), w_probe]:  # h is the probe's step
         try:
-            fd_step(w, cavity, clearance, tol_r)
+            h = fd_step(w, cavity, clearance, tol_r)
         except StepSizeError as err:
             raise ConfigError(f"greens-check cannot check the window at {w:g}: {err}") from err
 
@@ -283,8 +273,6 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
                           f"{cfg.sweep_stop:g}] with L = {length:g}, in units of omega_t = {wt:g}")
     dev_s = float(np.max(np.abs(np.subtract(*pair))) / np.max(np.abs(pair)))
 
-    w_probe = float(ws[0])
-    h = fd_step(w_probe, cavity, clearance, tol_r)
     resid_out, resid_in = ode_residual([-0.45 * length, 0.37 * length], w_probe, cavity, h).tolist()
     jump_dev = abs(delta_jump(0.37 * length, w_probe, cavity, h) + 1.0)
     membrane_dev = max(

@@ -120,7 +120,7 @@ class RunConfig:
 
 def _parse_file(path: str) -> dict[str, str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err

@@ -23,7 +23,6 @@ __all__ = [
     "MediumParams",
     "epsilon",
     "refractive_index",
-    "wavenumber",
     "group_velocity",
     "in_stop_band",
     "bulk_dispersion",
@@ -194,12 +193,6 @@ def refractive_index(omega, p: MediumParams):
     return _unwrap(n, complex)
 
 
-def wavenumber(omega, p: MediumParams):
-    """Medium wavenumber k = n(omega) * omega (c = 1)."""
-    k = np.asarray(refractive_index(omega, p)) * np.asarray(omega, dtype=complex)
-    return _unwrap(k, complex)
-
-
 def in_stop_band(omega, p: MediumParams):
     """True where omega lies in the closed stop band [omega_t, omega_longitudinal].
 
@@ -231,6 +224,17 @@ def group_velocity(omega, p: MediumParams):
     """
     x, n = _propagating(omega, p)
     return _unwrap(_group_velocity(n, (x - 1.0) * (x + 1.0), p.beta4pi), float)
+
+
+def _transparent(lo, hi, beta4pi, margin):
+    """(parts, edges) of the window [lo, hi] in units of omega_t: edges are
+    the ends of the stop band widened by margin, (-inf, -inf) in vacuum (an
+    empty band below every frequency), and parts the (a, b) with a < b of
+    the window below and above them."""
+    edges = (-math.inf, -math.inf) if beta4pi == 0.0 else (
+        1.0 - margin, math.sqrt(1.0 + beta4pi) + margin)
+    parts = [(lo, min(hi, edges[0])), (max(lo, edges[1]), hi)]
+    return [(a, b) for a, b in parts if a < b], edges
 
 
 def _propagating(omega, p: MediumParams):

@@ -2,8 +2,8 @@
 
 `layout` checks the curves and builds the axes, ticks, labels and legend
 before any file opens; `write_svg` streams the document, each curve's
-points mapped and printed _CHUNK_POINTS at a time, and `line_plot` joins
-the same chunks into a string. Styles: "solid", "dashed", "dotted".
+points mapped and printed _CHUNK_POINTS at a time. Styles: "solid",
+"dashed", "dotted".
 
 Points print as '{:.2f}' prints each coordinate (floatfmt._hundredths):
 hundredths from rint(100 |v|) wherever that is certified, and str.format
@@ -19,7 +19,7 @@ import numpy as np
 
 from .floatfmt import _hundredths
 
-__all__ = ["layout", "line_plot", "write_svg"]
+__all__ = ["layout", "write_svg"]
 
 _DASH = {"solid": None, "dashed": "6,4", "dotted": "2,3"}
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -199,11 +199,6 @@ def _chunks(parts):
                 xy = np.stack([px(xs[s:s + _CHUNK_POINTS]), py(ys[s:s + _CHUNK_POINTS])], 1)
             text = _hundredths(xy.ravel())
             yield memoryview(text)[1:] if s == 0 else text
-
-
-def line_plot(series, title="", xlabel="", ylabel="", width=640, height=440) -> str:
-    """Render (label, xs, ys, style) curves to an SVG document string."""
-    return b"".join(_chunks(layout(series, title, xlabel, ylabel, width, height))).decode()
 
 
 def write_svg(path, series, svg: list | None = None, **kwargs) -> None:

@@ -86,18 +86,12 @@ class SweepTable:
     def names(self) -> list[str]:
         return list(self._names)
 
-    def column(self, name: str) -> list:
-        return self._data[self._names.index(name)].tolist()
-
     def array(self, name: str) -> np.ndarray:
         """The column itself, not a copy: float64, or str for text."""
         return self._data[self._names.index(name)]
 
     def __len__(self) -> int:
         return len(self._data[0])
-
-    def rows(self):
-        return zip(*(col.tolist() for col in self._data))
 
     def _csv_blocks(self):
         """The CSV body as bytes, a block of newline-terminated rows at a time."""

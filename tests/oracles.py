@@ -140,8 +140,8 @@ def lorentzian_extract(spectrum: SweepTable) -> tuple[float, float]:
     or a half-maximum crossing is not bracketed.
     """
     names = spectrum.names
-    w = np.asarray(spectrum.column(names[0]))
-    y = np.asarray(spectrum.column(names[1]))
+    w = spectrum.array(names[0])
+    y = spectrum.array(names[1])
     i = int(np.argmax(y))
     if i == 0 or i == len(y) - 1:
         raise ValueError("peak touches the grid boundary")
@@ -597,10 +597,10 @@ def reference_csv(names, rows, comments=()) -> str:
 
 
 def reference_polylines(series, width=640, height=440):
-    """The points attribute of each curve of svgplot.line_plot, point by point.
+    """The points attribute of each curve svgplot.write_svg writes, point by point.
 
-    series holds (label, xs, ys, style) as line_plot takes them. Ranges are
-    Python min/max over the values in series order, padded as line_plot
+    series holds (label, xs, ys, style) as write_svg takes them. Ranges are
+    Python min/max over the values in series order, padded as svgplot.layout
     pads them, and each point is mapped to the plot frame by scalar
     arithmetic and formatted with two decimals. Returns the ranges
     (x0, x1, y0, y1) and one points string per curve.

@@ -113,13 +113,13 @@ def test_weak_coupling_splitting_and_half_kappa_rates():
     dt = time.perf_counter() - t0
     k0 = kappa_bare(tuned_cavity(7.822, MediumParams(omega_t=1.0, beta4pi=0.0)))
     freq_dev = max(
-        abs(tab.column("omega_L_mbc")[0] - 0.95) / 0.95,
-        abs(tab.column("omega_L_disc")[0] - 0.95) / 0.95,
-        abs(tab.column("omega_U_mbc")[0] - 1.05) / 1.05,
-        abs(tab.column("omega_U_disc")[0] - 1.05) / 1.05,
+        abs(tab.array("omega_L_mbc").item(0) - 0.95) / 0.95,
+        abs(tab.array("omega_L_disc").item(0) - 0.95) / 0.95,
+        abs(tab.array("omega_U_mbc").item(0) - 1.05) / 1.05,
+        abs(tab.array("omega_U_disc").item(0) - 1.05) / 1.05,
     )
     rate_dev = max(
-        abs(tab.column(name)[0] - 0.5 * k0) / (0.5 * k0)
+        abs(tab.array(name).item(0) - 0.5 * k0) / (0.5 * k0)
         for name in ("kappa_L_mbc", "kappa_U_mbc", "kappa_L_rwa", "kappa_U_rwa")
     )
     report(
@@ -132,12 +132,12 @@ def test_weak_coupling_splitting_and_half_kappa_rates():
 def test_ultrastrong_rate_trends_diverge_between_routes():
     tab, dt = ultrastrong_table()
     k0 = kappa_bare(tuned_cavity(50.0, MediumParams(omega_t=1.0, beta4pi=0.0)))
-    ku_mbc = np.asarray(tab.column("kappa_U_mbc"))
-    ku_rwa = np.asarray(tab.column("kappa_U_rwa"))
+    ku_mbc = tab.array("kappa_U_mbc")
+    ku_rwa = tab.array("kappa_U_rwa")
     down = bool(np.all(np.diff(ku_mbc) < 0.0))
     up = bool(np.all(np.diff(ku_rwa) > 0.0))
-    kl_end = tab.column("kappa_L_mbc")[-1]
-    kl_rwa_end = tab.column("kappa_L_rwa")[-1]
+    kl_end = tab.array("kappa_L_mbc").item(-1)
+    kl_rwa_end = tab.array("kappa_L_rwa").item(-1)
     end_dev = abs(kl_end - k0) / k0
     rwa_ratio = kl_rwa_end / k0
     report(
@@ -153,8 +153,8 @@ def test_rates_follow_inverse_square_frequency_fit():
     k0 = kappa_bare(tuned_cavity(50.0, MediumParams(omega_t=1.0, beta4pi=0.0)))
     worst = 0.0
     for branch in ("L", "U"):
-        w = np.asarray(tab.column(f"omega_{branch}_mbc"))
-        k = np.asarray(tab.column(f"kappa_{branch}_mbc"))
+        w = tab.array(f"omega_{branch}_mbc")
+        k = tab.array(f"kappa_{branch}_mbc")
         fit = kappa_fit(w, k0)
         worst = max(worst, float(np.max(np.abs(k - fit) / fit)))
     report(worst < 0.02, "inverse-square fit", f"max dev={worst:.3e}")

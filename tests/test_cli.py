@@ -336,8 +336,9 @@ def test_greens_check_window_decides_at_high_kl(tmp_path, capsys, sets, code):
         (2.0, 1.0 - 1e-5, 1.0 - 1.5e-6, 0),
         (16.0, 1.0 - 1e-3, 1.0 - 1.5e-6, 0),
         # the start resolves (hk = 0.017 at the 1e-5 L step), the probe a
-        # fifth of the way to the edge does not (hk = 0.019): refused by name
-        (16.0, 1.0 - 2.96e-5, 1.0 - 1.5e-6, 2),
+        # fifth of the way to the edge does not (hk = 0.019): the probe is
+        # checked with the window, so it is refused up front, by name
+        (16.0, 1.0 - 2.96e-5, 1.0 - 1.5e-6, 1),
         # already the start is past that: the window is refused up front
         (16.0, 1.0 - 1e-5, 1.0 - 1.5e-6, 1),
         # unless the window reaches above the band, where k is small again
@@ -367,11 +368,10 @@ def test_greens_check_next_to_a_band_edge(
         "--set", f"sweep.start={start!r}", "--set", f"sweep.stop={stop!r}",
     ]) == code
     err = capsys.readouterr().err
-    if code == 2:
-        assert "numerical failure: no step" in err
+    if code == 1:  # named: the start, or the probe where the start resolves
+        at = {1.0 - 1e-5: "0.99999", 1.0 - 2.96e-5: "0.999976"}[start]
+        assert f"config error: greens-check cannot check the window at {at}: no step in [" in err
         assert not (tmp_path / "greens_check.csv").exists()
-    if code == 1:
-        assert "cannot check the window" in err
     assert max(sizes, default=0) <= 300_000
     if code == 0 and stop < 1.0:
         assert 300_000 in sizes  # each probe below the band needs the smallest step
@@ -578,6 +578,42 @@ def test_config_file_layering_and_set_precedence(tmp_path):
     assert len(rows) == 5  # --set beats the file
     ws = column(header, rows, "omega")
     assert ws[0] == pytest.approx(0.8) and ws[-1] == pytest.approx(1.2)
+
+
+def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # editors such as Windows Notepad save UTF-8 with a leading BOM
+    text = "[medium]\nbeta4pi = 0.36\n[sweep]\nstart = 0.1\nstop = 4.0\ncount = 7\n"
+    bodies = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / f"{name}.cfg").write_bytes(data)
+        out = tmp_path / name
+        assert main(["dispersion", "--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(out)]) == 0
+        _, header, rows = read_csv(out / "dispersion.csv")
+        bodies.append((header, rows))
+    assert bodies[1] == bodies[0]
+    assert len(bodies[0][1]) == 7 and float(bodies[0][1][-1][0]) == 4.0
+
+
+def test_hardest_to_resolve_frequencies_of_a_window():
+    # the least-k start of each transparent part, and the stop where it
+    # lies above the widened band; e is the widened upper edge as the
+    # code forms it (the literal sqrt(1.36) + 1e-6 is one ulp above it)
+    e = math.sqrt(1.0 + 0.36) + 1e-6
+    cases = [
+        ("0", 0.1, 3.0, [0.1, 3.0]),
+        ("0.36", 0.1, 0.9, [0.1]),
+        ("0.36", 1.2, 3.0, [1.2, 3.0]),
+        ("0.36", 0.1, 3.0, [0.1, 3.0]),
+        ("0.36", 1.0000005, 3.0, [e, 3.0]),
+        ("0.36", 0.1, e, [0.1]),
+        ("0.36", 0.1, math.nextafter(e, math.inf), [0.1, math.nextafter(e, math.inf)]),
+    ]
+    for beta4pi, start, stop, expected in cases:
+        cfg = load_config("greens-check", set_pairs=[
+            f"medium.beta4pi={beta4pi}", f"sweep.start={start!r}", f"sweep.stop={stop!r}",
+        ])
+        assert cli._hardest_to_resolve(cfg, cfg.cavity()) == expected, (beta4pi, start, stop)
 
 
 def test_config_error_paths(tmp_path):
@@ -1110,7 +1146,7 @@ def test_resonance_table_matches_find_resonances_cell_for_cell(tmp_path, beta4pi
     rows = list(zip(found.omega.tolist(), found.kappa.tolist(), found.branch.tolist(),
                     [str(m) for m in found.mode_index.tolist()]))
     assert out.table.names == names
-    assert list(out.table.rows()) == rows
+    assert list(zip(*(out.table.array(name).tolist() for name in names))) == rows
     out.table.write_csv(tmp_path / "r.csv", ["c"])
     expected = reference_csv(names, rows, ["c"]).encode("utf-8")
     assert (tmp_path / "r.csv").read_bytes() == expected

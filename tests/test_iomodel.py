@@ -134,7 +134,7 @@ def test_kappa_fit_formula():
 
 def test_sweep_weak_coupling_splits_symmetrically():
     tab = figure2_sweep([0.05], 7.822)
-    row = {name: tab.column(name)[0] for name in tab.names}
+    row = {name: tab.array(name).item(0) for name in tab.names}
     assert row["rabi_over_wt"] == 0.05
     # both routes put the lines close to omega_t -/+ rabi
     assert row["omega_L_mbc"] == pytest.approx(0.95, rel=1e-2)
@@ -169,11 +169,11 @@ def test_sweep_routes_agree_on_the_upper_line_into_ultrastrong():
     # boundary-condition and single-mode frequencies track each other
     # within a few percent up to rabi ~ omega_t
     tab = figure2_sweep(np.linspace(0.1, 1.0, 10), 7.822)
-    mbc = np.array(tab.column("omega_U_mbc"))
-    disc = np.array(tab.column("omega_U_disc"))
+    mbc = tab.array("omega_U_mbc")
+    disc = tab.array("omega_U_disc")
     assert np.max(np.abs(mbc - disc) / disc) < 0.05
-    lower_mbc = np.array(tab.column("omega_L_mbc"))
-    lower_disc = np.array(tab.column("omega_L_disc"))
+    lower_mbc = tab.array("omega_L_mbc")
+    lower_disc = tab.array("omega_L_disc")
     assert np.max(np.abs(lower_mbc - lower_disc) / lower_disc) < 0.05
 
 
@@ -181,8 +181,8 @@ def test_sweep_rates_split_between_models_at_strong_coupling():
     # the two dissipation-rate prescriptions diverge from each other as
     # the coupling grows: that disagreement is the point of the table
     tab = figure2_sweep(np.linspace(0.2, 1.5, 8), 7.822)
-    up_mbc = np.array(tab.column("kappa_U_mbc"))
-    up_rwa = np.array(tab.column("kappa_U_rwa"))
+    up_mbc = tab.array("kappa_U_mbc")
+    up_rwa = tab.array("kappa_U_rwa")
     assert np.all(np.diff(up_mbc) < 0.0)
     assert np.all(np.diff(up_rwa) > 0.0)
     assert up_rwa[-1] > 10.0 * up_mbc[-1]
@@ -198,10 +198,12 @@ def test_sweep_explicit_kappa0_scales_rwa_rates():
         )
     ))
     for key in ("kappa_L_rwa", "kappa_U_rwa"):
-        assert doubled.column(key)[0] == pytest.approx(2.0 * base.column(key)[0], rel=1e-12)
+        assert doubled.array(key).item(0) == pytest.approx(
+            2.0 * base.array(key).item(0), rel=1e-12
+        )
     # boundary-condition rates do not depend on the bare-rate input
     for key in ("kappa_L_mbc", "kappa_U_mbc"):
-        assert doubled.column(key)[0] == pytest.approx(base.column(key)[0], rel=1e-12)
+        assert doubled.array(key).item(0) == pytest.approx(base.array(key).item(0), rel=1e-12)
 
 
 def test_sweep_validation():
@@ -227,8 +229,8 @@ def test_sweep_matches_per_coupling_scans(lam):
     for i, rabi in enumerate(grid):
         scanned = scanned_fundamentals(float(rabi), lam)
         for j, tag in enumerate("LU"):
-            omega = tab.column(f"omega_{tag}_mbc")[i]
-            kappa = tab.column(f"kappa_{tag}_mbc")[i]
+            omega = tab.array(f"omega_{tag}_mbc").item(i)
+            kappa = tab.array(f"kappa_{tag}_mbc").item(i)
             assert omega == pytest.approx(scanned.omega[j], rel=1e-11), (rabi, tag)
             # kappa goes through (W^2 - 1)^2 against 4 rabi^2, so below
             # rabi = 0.01 the rounding of W^2 - 1 next to omega_t, not the
@@ -268,6 +270,6 @@ def test_sweep_roots_match_mpmath_from_weak_to_deep_strong_coupling(lam):
         cfg = CavityConfig(tuned_length(lam, bare), lam,
                            MediumParams(beta4pi=4.0 * rabi * rabi, gamma=0.0))
         for tag, upper in (("L", False), ("U", True)):
-            omega = tab.column(f"omega_{tag}_mbc")[i]
+            omega = tab.array(f"omega_{tag}_mbc").item(i)
             exact = exact_mode_root(1, cfg, upper)
             assert abs(omega - exact) <= 2.0 * math.ulp(omega), (rabi, tag)

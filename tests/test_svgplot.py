@@ -11,14 +11,14 @@ import pytest
 
 from oracles import reference_polylines
 from polariton_mbc import svgplot
-from polariton_mbc.svgplot import line_plot, write_svg
+from polariton_mbc.svgplot import write_svg
 
 CHUNK = svgplot._CHUNK_POINTS
 
 
-def test_plot_is_valid_svg_with_one_polyline_per_series():
+def test_plot_is_valid_svg_with_one_polyline_per_series(svg_text):
     xs = np.linspace(0.0, 1.0, 20)
-    text = line_plot(
+    text = svg_text(
         [
             ("first", xs, np.sin(xs), "solid"),
             ("second", xs, np.cos(xs), "dashed"),
@@ -40,10 +40,10 @@ def test_plot_is_valid_svg_with_one_polyline_per_series():
     assert 'stroke-dasharray="2,3"' in body
 
 
-def test_flat_series_and_single_point_do_not_divide_by_zero():
-    text = line_plot([("flat", [0.0, 1.0], [2.0, 2.0], "solid")])
+def test_flat_series_and_single_point_do_not_divide_by_zero(svg_text):
+    text = svg_text([("flat", [0.0, 1.0], [2.0, 2.0], "solid")])
     ET.fromstring(text)
-    text = line_plot([("dot", [1.0], [1.0], "solid")])
+    text = svg_text([("dot", [1.0], [1.0], "solid")])
     ET.fromstring(text)
 
 
@@ -54,9 +54,9 @@ def test_write_svg_creates_the_file(tmp_path):
     ET.fromstring(path.read_text())
 
 
-def test_markup_in_labels_is_escaped_and_reads_back_unchanged():
+def test_markup_in_labels_is_escaped_and_reads_back_unchanged(svg_text):
     labels = {"title": "x<y", "xlabel": "p & q", "ylabel": "r > s <&>"}
-    text = line_plot([("a<b & c", [0, 1], [0, 1], "solid")], **labels)
+    text = svg_text([("a<b & c", [0, 1], [0, 1], "solid")], **labels)
     texts = [el.text for el in ET.fromstring(text).iter() if el.tag.endswith("text")]
     assert set(labels.values()) | {"a<b & c"} <= set(texts)
 
@@ -73,7 +73,7 @@ def test_streamed_file_is_the_point_by_point_rendering_across_chunks(tmp_path, n
     series = [("a", xs, ya, "solid"), ("b", xs, yb, "dashed")]
     path = tmp_path / "plot.svg"
     write_svg(path, series, height=2_000_086)
-    text = line_plot(series, height=2_000_086)
+    text = b"".join(svgplot._chunks(svgplot.layout(series, height=2_000_086))).decode()
     assert path.read_bytes() == text.encode()
     points = re.findall(r'<polyline [^>]*points="([^"]*)"', text)
     assert points == reference_polylines(series, height=2_000_086)[1]
@@ -127,13 +127,13 @@ def test_refused_plot_costs_no_more_memory_than_a_written_one(tmp_path):
     assert not (tmp_path / "bad.svg").exists()
 
 
-def test_series_validation():
+def test_series_validation(svg_text):
     with pytest.raises(ValueError):
-        line_plot([])
+        svg_text([])
     with pytest.raises(ValueError):
-        line_plot([("bad", [0, 1], [0], "solid")])
+        svg_text([("bad", [0, 1], [0], "solid")])
     with pytest.raises(ValueError):
-        line_plot([("bad", [0, 1], [0, 1], "wavy")])
+        svg_text([("bad", [0, 1], [0, 1], "wavy")])
 
 
 @pytest.mark.parametrize("ys, label", [
@@ -141,13 +141,13 @@ def test_series_validation():
     ([1.0, math.inf], "second"),
     ([-1.7e308, 1e307], "first"),  # finite, but the span overflows
 ])
-def test_non_finite_axis_range_names_the_series(ys, label):
+def test_non_finite_axis_range_names_the_series(svg_text, ys, label):
     series = [
         (name, [0.0, 1.0], ys if name == label else [0.0, 1.0], "solid")
         for name in ("first", "second")
     ]
     with pytest.raises(ValueError, match=f"series '{label}'"):
-        line_plot(series)
+        svg_text(series)
 
 
 def test_failed_plot_writes_no_file(tmp_path):
@@ -158,7 +158,7 @@ def test_failed_plot_writes_no_file(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
-def test_ticks_below_the_spacing_of_doubles_do_not_loop():
+def test_ticks_below_the_spacing_of_doubles_do_not_loop(svg_text):
     # at 1e16 doubles are 2 apart, so a tick step of 1 never advances;
     # the alarm turns a regression into a failure instead of a hang
     def stop(signum, frame):
@@ -167,7 +167,7 @@ def test_ticks_below_the_spacing_of_doubles_do_not_loop():
     previous = signal.signal(signal.SIGALRM, stop)
     signal.setitimer(signal.ITIMER_REAL, 0.5)
     try:
-        text = line_plot([("far", [1e16, 1e16 + 4.0], [0.0, 1.0], "solid")])
+        text = svg_text([("far", [1e16, 1e16 + 4.0], [0.0, 1.0], "solid")])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)

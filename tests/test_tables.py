@@ -12,7 +12,6 @@ import polariton_mbc.tables as tables
 from polariton_mbc import floatfmt
 from polariton_mbc.cli import cmd_dispersion
 from polariton_mbc.config import load_config
-from polariton_mbc.svgplot import line_plot
 from polariton_mbc.tables import _BLOCK_CELLS, SweepTable, write_csv
 
 B = _BLOCK_CELLS // 5  # rows per CSV block of the five-column tables below
@@ -101,17 +100,18 @@ def test_columns_refuse_what_float_refuses(values):
 def test_numpy_complex_column_warns_and_keeps_the_real_part():
     with pytest.warns(np.exceptions.ComplexWarning):
         table = SweepTable([("x", np.array([0.0, 1.0 + 2.0j]))])
-    assert table.column("x") == [0.0, 1.0]
+    assert table.array("x").tolist() == [0.0, 1.0]
 
 
 def test_columns_are_copies_read_back_as_python_floats():
     xs = np.array([0.0, 0.5, 1.0])
     table = SweepTable([("x", xs), ("y", [1, True, 2.5])])
     xs[0] = -1.0
-    assert table.column("x") == [0.0, 0.5, 1.0]
-    assert table.column("y") == [1.0, 1.0, 2.5]
-    assert all(type(v) is float for row in table.rows() for v in row)
-    assert list(table.rows()) == [(0.0, 1.0), (0.5, 1.0), (1.0, 2.5)]
+    assert table.array("x").tolist() == [0.0, 0.5, 1.0]
+    assert table.array("y").tolist() == [1.0, 1.0, 2.5]
+    rows = list(zip(*(table.array(name).tolist() for name in table.names)))
+    assert all(type(v) is float for row in rows for v in row)
+    assert rows == [(0.0, 1.0), (0.5, 1.0), (1.0, 2.5)]
 
 
 def test_axis_must_increase_but_nan_compares_neither_way():
@@ -197,7 +197,7 @@ def test_text_columns_match_cell_by_cell_rendering(tmp_path, monkeypatch, n):
         [str(i - 3) for i in range(n)],
     ]
     table = SweepTable(list(zip(names, cols)))
-    assert table.column("branch") == cols[2]
+    assert table.array("branch").tolist() == cols[2]
     # numeric columns are stored as floats, so ints come out as floats
     cols[1], cols[3] = ([float(v) for v in col] for col in (cols[1], cols[3]))
     expected = reference_csv(names, zip(*cols), ["c"]).encode("utf-8")
@@ -323,13 +323,13 @@ def _series_cases():
 
 
 @pytest.mark.parametrize("case", sorted(_series_cases()))
-def test_polylines_match_point_by_point_rendering(case):
+def test_polylines_match_point_by_point_rendering(svg_text, case):
     series = _series_cases()[case]
     ranges, expected = reference_polylines(series)
     if not np.all(np.isfinite(ranges)):
         # the tick layout cannot place a NaN or infinite range
         with pytest.raises((ValueError, OverflowError)):
-            line_plot(series)
+            svg_text(series)
         return
-    text = line_plot(series)
+    text = svg_text(series)
     assert re.findall(r'<polyline [^>]*points="([^"]*)"', text) == expected
