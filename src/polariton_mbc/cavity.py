@@ -142,24 +142,70 @@ def kappa_bare(cfg: CavityConfig) -> float:
     return 2.0 / (cfg.lambda_mirror**2 * cfg.length)
 
 
+# doubles on each side of the predicted root that `_mode_roots` certifies
+_WINDOW = 4
+
+# Newton steps before a bracket is left to bisection (the workloads settle
+# within three), and the step relative to q below which the iterate has settled
+_NEWTON_STEPS, _SETTLED = 12, 2.0 * np.finfo(float).eps
+
+
 def _mode_roots(m, length, lambda_mirror, beta4pi, upper, lo=0.0, hi=math.inf):
     """Mode m's root of tan(n x L) = n/Lambda on one branch: (x, n, inside).
 
     In units of omega_t: x = W/omega_t, length = L omega_t, and [lo, hi]
-    clips the bracket in x. The root is the zero of the pole-free phase
-    g = n x L - m pi - atan(n/Lambda) on qL in [m pi, (m + 1/2) pi], q = n x,
-    which rises strictly while L Lambda > 1 (dn/dq < 1), from
-    -atan(n/Lambda) < 0 to pi/2 - atan(n/Lambda) > 0: known signs, not
-    computed ones. `_branches` maps the ends to x on the lower or, where
-    `upper`, the upper branch; m, beta4pi and upper broadcast together, at
-    gamma = 0. A clipped end gets a sign test on f = tan(n x L) -
-    n/Lambda, which has g's sign: `inside` is False where the root lies
-    outside [lo, hi], and an end where f is exactly 0 is the root.
+    clips the bracket in x (`_brackets`); m, beta4pi and upper broadcast
+    together to at least one dimension, at gamma = 0. The root is the double that bisecting the
+    computed phase g = n x L - m pi - atan(n/Lambda) on the bracket until
+    no midpoint splits it returns (`_bisect`), found in three steps:
 
-    All brackets are bisected at once until no midpoint splits them; the
-    end with the smaller computed |g| (inf if never evaluated) is the root.
-    Ends change in place only where live, so each root is the one a scalar
-    loop on its own bracket returns. A nan or inf only compares: no warning.
+    1. Predict (`_predict`). Newton on F(q) = q L - m pi - atan(n/Lambda),
+       n = q/W(q), with W from `_branches` and dF/dq = L - (dn/dq)/(Lambda
+       (1 + (n/Lambda)**2)), dn/dq = (1 - n v_g)/W. The prediction x* is
+       W(q) once the step falls to 2 eps q.
+    2. Certify (`_certify`). g is evaluated, as bisection evaluates it, on
+       the 2K + 1 doubles x* - K ulps ... x* + K ulps (K = 4); a double at
+       or past a bracket end takes that end's known sign and never counts
+       as evaluated. Where the first sign is negative and the signs change
+       exactly once, between adjacent doubles u and v, bisection ends on u
+       and v: it returns u if |g(u)| <= |g(v)|, else v, an unmoved bracket
+       end counting as |g| = inf. That holds wherever every computed sign
+       outside the window is the true one, as it is if computed g is
+       within d/2 ulps of x times g's slope of the exact g, d being the
+       number of window doubles on the shorter side of the sign change
+       (d = K where it sits mid-window). A bracket the window covers needs
+       no such bound.
+    3. Fall back. Brackets inside [lo, hi] whose Newton did not settle or
+       whose window is not certified are bisected (`_bisect`).
+
+    x is meaningful only where `inside` holds (`find_resonances` drops the
+    rest; `figure2_sweep` never clips); n is the index at x. A nan or inf
+    only compares: no warning.
+    """
+    with np.errstate(all="ignore"):
+        guess, settled = _predict(m, length, lambda_mirror, beta4pi, upper)
+        a, b, inside = _brackets(m, length, lambda_mirror, beta4pi, upper, lo, hi)
+        mpi = m * math.pi
+        x, certified = _certify(guess, a, b, mpi, length, lambda_mirror, beta4pi)
+        redo = inside & ~(settled & certified)
+        if redo.any():
+            def pick(v):
+                return v if np.ndim(v) == 0 else np.broadcast_to(v, x.shape)[redo]
+
+            x[redo] = _bisect(a[redo], b[redo], pick(mpi), length, lambda_mirror, pick(beta4pi))
+    return x, _lossless_index(x, beta4pi), inside
+
+
+def _brackets(m, length, lambda_mirror, beta4pi, upper, lo, hi):
+    """Mode m's bracket [a, b] in x and whether its root lies in [lo, hi].
+
+    The bracket is qL in [m pi, (m + 1/2) pi], q = n x, on which g rises
+    strictly while L Lambda > 1 (dn/dq < 1), from -atan(n/Lambda) < 0 to
+    pi/2 - atan(n/Lambda) > 0: known signs, not computed ones. `_branches`
+    maps the ends to x on the lower or, where `upper`, the upper branch. A
+    clipped end gets a sign test on f = tan(n x L) - n/Lambda, which has
+    g's sign: `inside` is False where the root lies outside [lo, hi], and
+    an end where f is exactly 0 is the root (a = b).
     """
 
     def index(w):
@@ -172,26 +218,91 @@ def _mode_roots(m, length, lambda_mirror, beta4pi, upper, lo=0.0, hi=math.inf):
         )
     a, b = np.maximum(bottom, lo), np.minimum(top, hi)
     inside, clip_a, clip_b = a <= b, bottom < lo, top > hi
-    with np.errstate(all="ignore"):
-        if np.any(clip_a) or np.any(clip_b):  # f only where an end is clipped
+    if np.any(clip_a) or np.any(clip_b):  # f only where an end is clipped
+        with np.errstate(all="ignore"):
             fa, fb = (np.tan(index(w) * w * length) - index(w) / lambda_mirror for w in (a, b))
-            inside &= ~(clip_a & (fa > 0.0)) & ~(clip_b & (fb < 0.0))
-            a, b = np.where(clip_b & (fb == 0.0), b, a), np.where(clip_a & (fa == 0.0), a, b)
-        a, b, mpi = np.array(a, dtype=float), np.array(b, dtype=float), m * math.pi
-        ra, rb, live = np.full_like(a, math.inf), np.full_like(a, math.inf), np.ones_like(a, bool)
+        inside &= ~(clip_a & (fa > 0.0)) & ~(clip_b & (fb < 0.0))
+        a, b = np.where(clip_b & (fb == 0.0), b, a), np.where(clip_a & (fa == 0.0), a, b)
+    return np.array(a, dtype=float), np.array(b, dtype=float), inside
+
+
+def _phase(x, mpi, length, lambda_mirror, beta4pi):
+    """The computed g = n x L - m pi - atan(n/Lambda) at x."""
+    n = _lossless_index(x, beta4pi)
+    return n * x * length - mpi - np.arctan(n / lambda_mirror)
+
+
+def _predict(m, length, lambda_mirror, beta4pi, upper):
+    """Newton's x* = W(q) and where it settled (`_mode_roots`, step 1).
+
+    It starts from q = (m pi + atan(n0/Lambda))/L, n0 the branch's index
+    at q = 0: below the root, as n rises with q, and in vacuum the root.
+    Each step is clipped to the bracket.
+    """
+    vacuum, mpi = not (np.ndim(beta4pi) or beta4pi > 0.0), m * math.pi
+    n0 = 1.0 if vacuum else np.where(upper, 0.0, np.sqrt(1.0 + beta4pi))
+    q = (mpi + np.arctan(n0 / lambda_mirror)) / length
+    if vacuum:
+        return q, True
+    for i in range(_NEWTON_STEPS):
+        w, d = (np.where(upper, v[1], v[0]) for v in _branches(q, beta4pi))
+        n = q / w
+        t = n / lambda_mirror
+        dn = (1.0 - n * _group_velocity(n, d, beta4pi)) / w
+        step = (q * length - mpi - np.arctan(t)) / (length - dn / (lambda_mirror * (1.0 + t * t)))
+        settled = np.abs(step) <= _SETTLED * q
+        if settled.all() or i == _NEWTON_STEPS - 1:
+            return w, settled
+        q = np.minimum(np.maximum(q - step, mpi / length), (mpi + 0.5 * math.pi) / length)
+        del w, d, n, t, dn, step  # before the next _branches: its transients set the peak
+
+
+def _certify(x, a, b, mpi, length, lambda_mirror, beta4pi):
+    """The root bisection on [a, b] returns, from g on x +- K ulps, and
+    where that window certifies it (`_mode_roots`, step 2)."""
+    bits = x.view(np.int64)  # x >= 0: consecutive doubles are consecutive integers
+    u, gu, gv = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    for k in range(-_WINDOW, _WINDOW + 1):
+        y = (bits + k).view(float)
+        g = _phase(y, mpi, length, lambda_mirror, beta4pi)
+        low, high = y <= a, y >= b  # bisection's ends: known signs, never evaluated
+        neg, mag = low | ((g < 0.0) & ~high), np.abs(g, out=g)
+        np.copyto(mag, math.inf, where=low | high)
+        np.copyto(u, y, where=neg)  # with one sign change, u is the last negative
+        np.copyto(gu, mag, where=neg)
+        if k == -_WINDOW:
+            first, flipped, again = neg, np.zeros_like(neg), np.zeros_like(neg)
+        else:
+            flip = neg != below
+            again |= flipped & flip
+            flipped |= flip
+            np.copyto(gv, mag, where=flip)
+        below = neg
+    np.copyto(u, (u.view(np.int64) + 1).view(float), where=gu > gv)  # v
+    return u, first & flipped & ~again
+
+
+def _bisect(a, b, mpi, length, lambda_mirror, beta4pi):
+    """Bisect every bracket [a, b] at once until no midpoint splits it.
+
+    The end with the smaller computed |g| (inf if never evaluated) is the
+    root. Ends change in place only where live, so each root is the one a
+    scalar loop on its own bracket returns.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    ra, rb, live = np.full_like(a, math.inf), np.full_like(a, math.inf), np.ones_like(a, bool)
+    with np.errstate(all="ignore"):
         while True:
             mid = 0.5 * (a + b)
             live &= (mid > a) & (mid < b)  # else at floating-point resolution
             if not live.any():
                 break
-            n = index(mid)
-            g = n * mid * length - mpi - np.arctan(n / lambda_mirror)
+            g = _phase(mid, mpi, length, lambda_mirror, beta4pi)
             to_b, g = live & (g >= 0.0), np.abs(g)
             for end, r, to in ((b, rb, to_b), (a, ra, live ^ to_b)):  # in place
                 np.copyto(end, mid, where=to)
                 np.copyto(r, g, where=to)
-    w = np.where(ra <= rb, a, b)
-    return w, index(w), inside
+    return np.where(ra <= rb, a, b)
 
 
 def find_resonances(cfg: CavityConfig, omega_range: tuple[float, float],
@@ -200,10 +311,12 @@ def find_resonances(cfg: CavityConfig, omega_range: tuple[float, float],
 
     On each transparent leg (the stop band is skipped) every mode m from
     floor(n W L/pi) at the leg's bottom to that at its top is solved in
-    its own bracket by one `_mode_roots` call, and the rates come from
-    the index it returns. Every mode in the window comes back, up to the
-    1e-9 omega_t margin at each band edge, each root a double or two from
-    the exact one. At most `max_count` roots are returned, and none past
+    its own bracket by one `_mode_roots` call: a Newton prediction, a
+    certificate on the 9 doubles around it, and bisection where that does
+    not certify, each root the double bisecting its bracket returns. The
+    rates come from the index it returns. Every mode in the window comes
+    back, up to the 1e-9 omega_t margin at each band edge, each root a
+    double or two from the exact one. At most `max_count` roots are returned, and none past
     them is checked. A window whose mode indices pass 2^53 raises
     ResonanceScanError. A medium needs L Lambda omega_t > 1, else
     ValueError. gamma plays no part: the roots are those at gamma = 0.

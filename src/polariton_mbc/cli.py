@@ -267,7 +267,7 @@ def cmd_greens_check(cfg: RunConfig) -> list[Output]:
     # against the largest |G| drawn, as G scales like 1/omega
     u = rng.uniform([0.1, 0.1], [0.9, 1.9], size=(ws.size, 2))
     z_in, z_out = u[:, 0] * length, -u[:, 1] * length
-    pair = green_function(z_out, z_in, ws, cavity), green_function(z_in, z_out, ws, cavity)
+    pair = green_function(np.stack([z_out, z_in]), np.stack([z_in, z_out]), ws, cavity)
     if not np.all(np.isfinite(pair)):  # |G| ~ 1/omega
         raise ConfigError(f"greens-check: G overflows in the window [{cfg.sweep_start:g}, "
                           f"{cfg.sweep_stop:g}] with L = {length:g}, in units of omega_t = {wt:g}")

@@ -124,6 +124,8 @@ def _parse_file(path: str) -> dict[str, str]:
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {err}") from err
     out: dict[str, str] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

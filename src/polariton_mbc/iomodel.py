@@ -74,11 +74,14 @@ def figure2_sweep(
     kappa0 defaults to kappa_bare of the tuned cavity.
 
     L does not depend on the coupling, so every (coupling, branch) root
-    is the m = 1 root of `cavity._mode_roots`, all solved in one call, a
-    double or two from the exact root; the tuned L Lambda > 1 for Lambda
-    >= 5 makes it unique. A coupling whose two-mode closed forms leave the
-    float range raises ValueError, as does a perfect mirror (Lambda = inf),
-    whose m = 1 roots sit on their bracket bottom qL = pi.
+    is the m = 1 root of `cavity._mode_roots`, all solved in one call: a
+    Newton prediction, a certificate on the 9 doubles around it, and
+    bisection where that does not certify, each root the double bisecting
+    its bracket returns, a double or two from the exact root; the tuned
+    L Lambda > 1 for Lambda >= 5 makes it unique. A coupling whose
+    two-mode closed forms leave the float range raises ValueError, as does
+    a perfect mirror (Lambda = inf), whose m = 1 roots sit on their
+    bracket bottom qL = pi.
 
     Columns: rabi_over_wt, omega_L_mbc, omega_U_mbc, omega_L_disc,
     omega_U_disc, kappa_L_mbc, kappa_U_mbc, kappa_L_rwa, kappa_U_rwa.

@@ -1,6 +1,7 @@
 """Open cavity: scattering amplitudes, resonance search, rate formulas."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     lorentzian_prefactor,
     scanned_resonances,
 )
+from polariton_mbc import cavity
 from polariton_mbc import (
     CavityConfig,
     MediumParams,
@@ -144,6 +146,34 @@ def test_roots_within_rounding_of_their_bracket_bottom_are_certified(lam):
     assert found.mode_index.tolist() == ref.mode_index.tolist() == list(range(1, 21))
     for res, r in zip(found.omega.tolist(), ref.omega.tolist()):
         assert abs(res - r) < 1e-10 * r
+
+
+@pytest.mark.parametrize("g, ends, root", [
+    # g on x* - 4 ... x* + 4 ulps; the bracket ends in ulps from x*; the
+    # root's offset from x*, None where the window does not certify it
+    ([-5, -4, -3, -2, 1, 2, 3, 4, 5], (-9, 9), 0),  # |g(v)| < |g(u)|: v
+    ([-5, -4, -3, -1, 1, 2, 3, 4, 5], (-9, 9), -1),  # a tie: u
+    ([-5, -4, -3, -2, -1, -1, -2, -3, -4], (-9, 9), None),  # no change
+    ([5, 4, 3, 2, 1, 1, 2, 3, 4], (-9, 9), None),
+    ([1, -1, -2, -3, -4, -5, -6, -7, -8], (-9, 9), None),  # one falling change
+    ([1, -1, -2, -1, 1, 2, 3, 4, 5], (-9, 9), None),  # two changes
+    ([-3, -2, 1, -1, 1, 2, 3, 4, 5], (-9, 9), None),  # three
+    ([5, 4, 3, 2, 1, 1, 2, 3, 4], (-2, 9), -1),  # the bottom's known sign, then g > 0
+    ([-5, -4, -3, -2, -1, 1, 2, 3, 4], (0, 9), 1),  # x* is the bottom: |g| = inf there
+    ([-5, -4, -3, -2, -1, -1, -2, -3, -4], (-9, 2), 1),  # the top's known sign
+])
+def test_certificate_takes_one_rising_sign_change_and_the_bisected_end(g, ends, root):
+    x = np.array([1.5])
+    a, b = ((x.view(np.int64) + k).view(float) for k in ends)
+
+    def phase(y, *_):
+        return np.array([float(g[int(y.view(np.int64)[0] - x.view(np.int64)[0]) + 4])])
+
+    with mock.patch.object(cavity, "_phase", phase):
+        w, certified = cavity._certify(x, a, b, 0.0, 1.0, 1.0, 0.0)
+    assert bool(certified[0]) is (root is not None)
+    if root is not None:
+        assert int(w.view(np.int64)[0] - x.view(np.int64)[0]) == root
 
 
 @pytest.mark.parametrize("beta4pi", [0.36, 16.0])

@@ -595,6 +595,16 @@ def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path):
     assert len(bodies[0][1]) == 7 and float(bodies[0][1][-1][0]) == 4.0
 
 
+def test_config_file_that_is_not_utf8_is_refused_by_name(tmp_path, capsys):
+    # Windows Notepad can also save UTF-16, which begins with a 0xff 0xfe BOM
+    path = tmp_path / "u16.cfg"
+    path.write_bytes("[medium]\nbeta4pi = 0.36\n".encode("utf-16"))
+    assert main(["dispersion", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "not UTF-8" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_hardest_to_resolve_frequencies_of_a_window():
     # the least-k start of each transparent part, and the stop where it
     # lies above the widened band; e is the widened upper edge as the
@@ -785,6 +795,30 @@ def test_default_plots_keep_their_bytes(tmp_path):
     assert sorted(p.name for p in tmp_path.glob("*.svg")) == sorted(DEFAULT_SVG_BYTES)
     for name, digest in DEFAULT_SVG_BYTES.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of the CSV bodies of the two largest root solves: resonances at
+# the bench's mode_ladder size (1,240 roots on the upper branch) and figure2
+# over 200 couplings (400 roots), taken with the roots bisected to the end
+LARGE_CSV_BODIES = {
+    ("resonances", "--set", "medium.beta4pi=0.36", "--set", "cavity.length=200",
+     "--set", "sweep.start=1.2", "--set", "sweep.stop=20", "--set", "sweep.count=100000"): {
+        "resonances.csv": "3510712cdf4de9862598a4f0179923d16daac272d3695784acf55ef7f24a517a",
+    },
+    ("figure2", "--set", "sweep.count=200"): {
+        "fig2_frequencies.csv": "4e9683e226e30efdec448a6baa5dcf7dfd492afe33b1dd2429f1eb75c89f2419",
+        "fig2_rates.csv": "cd6633ab728bb51dcc400a5503ad5424b11a5e615e2a0b3cbbd4fd9074e0dcb4",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(LARGE_CSV_BODIES), ids=lambda argv: argv[0])
+def test_large_root_outputs_keep_their_bytes(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    for name, digest in LARGE_CSV_BODIES[argv].items():
+        with open(tmp_path / name, "rb") as fh:
+            body = b"".join(line for line in fh if not line.startswith(b"#"))
+        assert hashlib.sha256(body).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize(
